@@ -49,9 +49,6 @@ class SamplePlan:
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
 
-    def indices(self) -> np.ndarray:
-        return np.array([e.ec_index for e in self.entries], dtype=object)
-
     def to_dict(self) -> dict:
         return {
             "design": self.design,

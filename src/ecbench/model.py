@@ -25,6 +25,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 MIN_DURATION = 1e-9
 NOISE_CLIP_SIGMA = 6.0
+MAX_CARDINALITY = 2**63 - 1
 
 
 def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -163,6 +164,12 @@ class CompiledModel:
     numpy vectors for vectorized evaluation over arrays of ec indices."""
 
     def __init__(self, model: SyntheticModel, space: ConfigSpace):
+        # indices are decoded and keyed into the noise stream as 64-bit ints
+        if space.cardinality > MAX_CARDINALITY:
+            raise SpaceError(
+                f"cardinality {space.cardinality} exceeds the synthetic "
+                f"model limit of 2^63 - 1 points"
+            )
         self.model = model
         self.space = space
         self._radices = np.array(
@@ -264,28 +271,11 @@ class CompiledModel:
                            np.asarray(replicate))
         return np.maximum(det + self.model.sigma * z, MIN_DURATION)
 
-    def validate_positive(self, object_ids: list[str], sample: int = 10000,
-                          seed: int = 0) -> None:
-        """Check predicted time > 0 over the space, by enumeration when small
-        enough, otherwise by uniform sampling."""
-        card = self.space.cardinality
-        if card <= 10**6:
-            indices = np.arange(card, dtype=np.int64)
-        else:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            indices = rng.integers(0, min(card, 2**62), size=sample)
-        worst_noise = NOISE_CLIP_SIGMA * self.model.sigma
-        for oid in object_ids:
-            det = self.deterministic_values(indices, oid)
-            if np.any(det - worst_noise <= 0):
-                raise SpaceError(
-                    f"model predicts non-positive duration for object {oid!r}"
-                )
-
 
 def synth_time(model: SyntheticModel, space: ConfigSpace, obj: ObjectConfig,
                ec: Configuration, replicate_ordinal: int) -> float:
-    """Scalar entry point; same numeric path as the vectorized evaluator."""
+    """Scalar reference: one compile per replicate, same numeric path as the
+    vectorized evaluator that the runner uses for whole plans."""
     compiled = model.compile(space)
     val = compiled.noisy_values(
         np.array([ec.index], dtype=np.int64), obj.object_id,

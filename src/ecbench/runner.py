@@ -1,8 +1,10 @@
 """Plan execution against evaluated objects.
 
 Two executors: a real command executor (wall-clock timing of subprocesses)
-and a synthetic model executor (deterministic desk-scale stand-in). Execution
-is strictly sequential so real timings never overlap.
+and a synthetic model executor (deterministic desk-scale stand-in). Commands
+run strictly sequentially, one entry at a time, so real timings never
+overlap. A synthetic plan is evaluated in one vectorised model call: its noise
+is counter-based, so the batch gives the same bits as one replicate at a time.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 
-from .errors import ExecutionError, FingerprintError
+import numpy as np
+
+from .errors import ExecutionError, FingerprintError, SpaceError
 from .fingerprints import fingerprint
-from .design import SamplePlan
-from .model import SyntheticModel, synth_time
+from .design import PlanEntry, SamplePlan
+# synth_time stays bound here: benchmarks/tracing.py patches runner.synth_time
+from .model import SyntheticModel, synth_time  # noqa: F401
 from .space import ConfigSpace, Configuration, ObjectConfig
 
 
@@ -170,38 +175,59 @@ def _run_command(template: str, labels: dict[str, str],
     return elapsed
 
 
+def _synthetic_replicates(model: SyntheticModel, obj: ObjectConfig,
+                          space: ConfigSpace, indices: list[int],
+                          reps: int) -> list[list[float]]:
+    """Replicate values per index from one compile and one model evaluation;
+    bit-identical to `synth_time` called once per replicate."""
+    for index in indices:
+        if not 0 <= index < space.cardinality:
+            raise SpaceError(
+                f"index {index} out of range for cardinality {space.cardinality}"
+            )
+    if not indices:
+        return []
+    compiled = model.compile(space)
+    n = len(indices)
+    vals = compiled.noisy_values(
+        np.repeat(np.array(indices, dtype=np.int64), reps), obj.object_id,
+        np.tile(np.arange(reps, dtype=np.int64), n),
+    )
+    return vals.reshape(n, reps).tolist()
+
+
+def _synthetic_measurement(ec_index: int, obj: ObjectConfig,
+                           values: list[float], policy: str) -> Measurement:
+    # synthetic runs carry no meaningful wall time; zero timestamps keep
+    # result files byte-reproducible
+    return Measurement(
+        ec_index=ec_index,
+        object_id=obj.object_id,
+        replicates=tuple(values),
+        aggregate=aggregate(values, policy),
+        policy=policy,
+    )
+
+
 def measure(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
             ec: Configuration, reps: int, policy: str,
             stratum: str | None = None) -> Measurement:
     """Run `reps` sequential replicates and aggregate them."""
     if reps < 1:
         raise ExecutionError("reps must be >= 1")
-    started_at = time.time()
-    values: list[float] = []
     if executor.kind == "synthetic":
         assert executor.model is not None
-        for r in range(reps):
-            values.append(synth_time(executor.model, space, obj, ec, r))
-        # synthetic runs carry no meaningful wall time; zero timestamps keep
-        # result files byte-reproducible
-        started_at = 0.0
-        return Measurement(
-            ec_index=ec.index,
-            object_id=obj.object_id,
-            replicates=tuple(values),
-            aggregate=aggregate(values, policy),
-            policy=policy,
-            started_at=0.0,
-            ended_at=0.0,
-        )
-    else:
-        if stratum is None and executor.stratum_factor is not None:
-            pos = ec.level_index(executor.stratum_factor)
-            stratum = space.factor(executor.stratum_factor).levels[pos]
-        template = executor.template_for(stratum)
-        labels = space.labels_of(ec)
-        for _ in range(reps):
-            values.append(_run_command(template, labels, executor.timeout))
+        (values,) = _synthetic_replicates(executor.model, obj, space,
+                                          [ec.index], reps)
+        return _synthetic_measurement(ec.index, obj, values, policy)
+    started_at = time.time()
+    if stratum is None and executor.stratum_factor is not None:
+        pos = ec.level_index(executor.stratum_factor)
+        stratum = space.factor(executor.stratum_factor).levels[pos]
+    template = executor.template_for(stratum)
+    labels = space.labels_of(ec)
+    values = [_run_command(template, labels, executor.timeout)
+              for _ in range(reps)]
     ended_at = time.time()
     return Measurement(
         ec_index=ec.index,
@@ -221,6 +247,11 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
                  already_done: set[tuple[int, int]] | None = None) -> ResultSet:
     """One measurement per plan entry, strictly in plan order.
 
+    A command executor runs the entries one at a time. A synthetic executor
+    compiles its model once and evaluates every pending entry x replicate in
+    a single vectorised call, so an out-of-range entry fails before any
+    measurement is reported.
+
     `on_measurement(key, measurement)` is invoked after each entry (incremental
     persistence hook). `already_done` keys are skipped, enabling resume of an
     interrupted run without duplicate keys.
@@ -230,17 +261,27 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
     executor.validate_against(space)
     policy = policy or plan.policy
     results = ResultSet(object_id=obj.object_id, plan_fingerprint=plan.fingerprint)
+    pending: list[tuple[tuple[int, int], PlanEntry]] = []
     occurrence: dict[int, int] = {}
     for entry in plan.entries:
         ordinal = occurrence.get(entry.ec_index, 0)
         occurrence[entry.ec_index] = ordinal + 1
         key = (entry.ec_index, ordinal)
-        if already_done and key in already_done:
-            continue
-        ec = space.config_at(entry.ec_index)
+        if not (already_done and key in already_done):
+            pending.append((key, entry))
+
+    rows = None
+    if executor.kind == "synthetic":
+        assert executor.model is not None
+        rows = _synthetic_replicates(executor.model, obj, space,
+                                     [key[0] for key, _ in pending], plan.reps)
+    for i, (key, entry) in enumerate(pending):
         try:
-            m = measure(executor, obj, space, ec, plan.reps, policy,
-                        stratum=entry.stratum)
+            if rows is not None:
+                m = _synthetic_measurement(entry.ec_index, obj, rows[i], policy)
+            else:
+                m = measure(executor, obj, space, space.config_at(entry.ec_index),
+                            plan.reps, policy, stratum=entry.stratum)
         except ExecutionError as e:
             failed = Measurement(
                 ec_index=entry.ec_index, object_id=obj.object_id,

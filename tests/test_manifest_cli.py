@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ecbench
 
 from ecbench import demo
 from ecbench.cli import main, plan_group_map
 from ecbench.compare import compare_objects
-from ecbench.design import full_factorial, stratified_sample
+from ecbench.design import SamplePlan, full_factorial, stratified_sample
 from ecbench.errors import FingerprintError
 from ecbench.fingerprints import fingerprint
 from ecbench.manifest import (
@@ -15,7 +23,9 @@ from ecbench.manifest import (
     manifest_path,
     persist_results,
 )
+from ecbench.model import SyntheticModel
 from ecbench.runner import ExecutorSpec, execute_plan
+from ecbench.space import Factor, build_space
 
 
 def run_demo(tmp_path, obj, plan=None, space=None):
@@ -235,6 +245,63 @@ class TestCli:
         assert len(results.measurements) == 16
         assert sorted(results.measurements) == sorted(
             plan_group_map_keys(plan))
+
+    def test_resume_after_any_truncation_matches_uninterrupted_run(self, workspace):
+        ws = workspace
+        # every drawn entry twice, so resume must also replay the ordinals
+        drawn = stratified_sample(demo.demo_space_720(), "workload", 10, 3, seed=4)
+        plan = SamplePlan(design="stratified", entries=drawn.entries * 2, reps=3,
+                          seed=4, space_fingerprint=drawn.space_fingerprint)
+        plan.save(ws / "plan.json")
+
+        def run(out, *extra):
+            assert main(["run", "--space", str(ws / "space.json"),
+                         "--plan", str(ws / "plan.json"),
+                         "--executor", str(ws / "executor.json"),
+                         "--object", str(ws / "cpu_a.json"),
+                         "--out", str(out), *extra]) == 0
+
+        run(ws / "full.jsonl")
+        full = (ws / "full.jsonl").read_bytes()
+        lines = full.splitlines(keepends=True)
+        assert len(lines) == 20
+
+        @settings(max_examples=25, deadline=None)
+        @given(k=st.integers(0, len(lines)))
+        def check(k):
+            resumed = ws / "resumed.jsonl"
+            resumed.write_bytes(b"".join(lines[:k]))
+            run(resumed, "--resume")
+            assert resumed.read_bytes() == full
+
+        check()
+
+    def test_synthetic_run_beyond_int64_exits_2(self, tmp_path):
+        space = build_space([Factor("workload", ("w1", "w2"))] + [
+            Factor(f"f{i}", tuple(str(j) for j in range(100))) for i in range(11)
+        ])
+        assert space.cardinality == 2 * 100**11
+        space.save(tmp_path / "space.json")
+        stratified_sample(space, "workload", 2, 1, seed=1).save(tmp_path / "plan.json")
+        model = SyntheticModel(stratum_factor="workload",
+                               base=(("w1", 1.0), ("w2", 2.0)), sigma=0.1)
+        ex = ExecutorSpec(kind="synthetic", model=model)
+        (tmp_path / "executor.json").write_text(json.dumps(ex.to_dict()))
+        (tmp_path / "o.json").write_text(json.dumps({"object_id": "o"}))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ecbench.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecbench.cli", "run",
+             "--space", str(tmp_path / "space.json"),
+             "--plan", str(tmp_path / "plan.json"),
+             "--executor", str(tmp_path / "executor.json"),
+             "--object", str(tmp_path / "o.json"),
+             "--out", str(tmp_path / "o.jsonl")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "2^63 - 1" in proc.stderr
 
     def test_simulate_and_report(self, workspace, capsys):
         ws = workspace

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ecbench import demo
-from ecbench.design import full_factorial, stratified_sample
-from ecbench.errors import ExecutionError, FingerprintError
+from ecbench.design import PlanEntry, SamplePlan, full_factorial, stratified_sample
+from ecbench.errors import ExecutionError, FingerprintError, SpaceError
+from ecbench.fingerprints import fingerprint
 from ecbench.model import SyntheticModel, synth_time
 from ecbench.runner import ExecutorSpec, aggregate, execute_plan, measure
 from ecbench.space import Factor, ObjectConfig, build_space
@@ -102,6 +105,41 @@ class TestSynthTime:
         assert abs(vals.std() - 3.0) < 0.05
 
 
+def binary_space(n_factors):
+    """2^n_factors points; the stratum factor comes first."""
+    return build_space([Factor("workload", ("w1", "w2"))] + [
+        Factor(f"f{i}", ("0", "1")) for i in range(n_factors - 1)
+    ])
+
+
+class TestCardinalityLimit:
+    model = SyntheticModel(stratum_factor="workload",
+                           base=(("w1", 10.0), ("w2", 20.0)),
+                           sigma=1.0, noise_seed=5)
+
+    def test_space_of_2_pow_63_points_rejected(self):
+        space = binary_space(63)
+        with pytest.raises(SpaceError, match=r"limit of 2\^63 - 1"):
+            self.model.compile(space)
+        with pytest.raises(SpaceError, match=r"limit of 2\^63 - 1"):
+            synth_time(self.model, space, ObjectConfig("o"),
+                       space.config_at(space.cardinality - 1), 0)
+
+    def test_space_of_2_pow_62_points_runs_to_its_last_index(self):
+        space = binary_space(62)
+        last = space.cardinality - 1
+        plan = SamplePlan(
+            design="stratified", entries=(PlanEntry(last, "w2"),), reps=2,
+            seed=0, space_fingerprint=fingerprint(space.to_dict()),
+        )
+        ex = ExecutorSpec(kind="synthetic", model=self.model)
+        rs = execute_plan(ex, ObjectConfig("o"), space, plan)
+        expected = tuple(synth_time(self.model, space, ObjectConfig("o"),
+                                    space.config_at(last), r) for r in range(2))
+        assert rs.measurements[(last, 0)].replicates == expected
+        assert all(v != 20.0 for v in expected)
+
+
 class TestMeasure:
     def test_constant_model_any_reps(self):
         space = one_point_space()
@@ -188,7 +226,6 @@ class TestExecutePlan:
         space = one_point_space()
         plan = full_factorial(space, reps=1)
         # duplicate every entry by executing a handcrafted plan
-        from ecbench.design import PlanEntry, SamplePlan
         dup = SamplePlan(
             design="stratified",
             entries=tuple(
@@ -198,8 +235,109 @@ class TestExecutePlan:
             reps=1, seed=0, space_fingerprint=plan.space_fingerprint,
         )
         ex = ExecutorSpec(kind="synthetic", model=constant_model())
-        rs = execute_plan(ex, ObjectConfig("o"), space, dup)
+        seen = []
+        rs = execute_plan(ex, ObjectConfig("o"), space, dup,
+                          on_measurement=lambda key, m: seen.append((key, m)))
         assert set(rs.measurements) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        # one callback per entry, in plan order, after the result set has it
+        assert [key for key, _ in seen] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(rs.measurements[key] is m for key, m in seen)
+
+    def test_already_done_keys_are_skipped(self):
+        space = one_point_space()
+        plan = full_factorial(space, reps=2)
+        ex = ExecutorSpec(kind="synthetic", model=constant_model())
+        seen = []
+        rs = execute_plan(ex, ObjectConfig("o"), space, plan,
+                          on_measurement=lambda key, m: seen.append(key),
+                          already_done={(0, 0)})
+        assert seen == [(1, 0)] and set(rs.measurements) == {(1, 0)}
+
+    @pytest.mark.parametrize("skip_failures", [False, True])
+    def test_out_of_range_entry_fails_before_any_measurement(self, skip_failures):
+        space = one_point_space()
+        plan = SamplePlan(
+            design="stratified",
+            entries=(PlanEntry(0, "w1"), PlanEntry(1, "w1"), PlanEntry(2, "w1")),
+            reps=1, seed=0, space_fingerprint=fingerprint(space.to_dict()),
+        )
+        ex = ExecutorSpec(kind="synthetic", model=constant_model())
+        seen = []
+        with pytest.raises(SpaceError, match="index 2 out of range for cardinality 2"):
+            execute_plan(ex, ObjectConfig("o"), space, plan,
+                         skip_failures=skip_failures,
+                         on_measurement=lambda key, m: seen.append(key))
+        assert seen == []
+
+    def test_unknown_policy_recorded_per_entry_when_skipping(self):
+        space = one_point_space()
+        plan = full_factorial(space, reps=1)
+        ex = ExecutorSpec(kind="synthetic", model=constant_model())
+        rs = execute_plan(ex, ObjectConfig("o"), space, plan,
+                          skip_failures=True, policy="mode")
+        assert len(rs.measurements) == 0
+        assert [m.ec_index for m in rs.failures] == [0, 1]
+        assert all("mode" in m.error for m in rs.failures)
+
+
+def on_billion_space(model: SyntheticModel) -> SyntheticModel:
+    """The demo model's structure carried onto the billion-point space: tables
+    cycle their values over the larger factors' levels. The shared dataset
+    effect is left out, because a full table over 60,000 levels is slow to
+    compile; cpu_b's sparse dataset deltas stay on the first ten datasets."""
+    space = demo.demo_space_billion()
+
+    def cover(factor, table, sparse=False):
+        labels = space.factor(factor).levels
+        values = [v for _, v in table]
+        n = len(values) if sparse else len(labels)
+        return tuple((labels[i], values[i % len(values)]) for i in range(n))
+
+    return dataclasses.replace(
+        model,
+        base=cover("workload", model.base),
+        effects=tuple((f, cover(f, tab)) for f, tab in model.effects
+                      if f != "dataset"),
+        object_effects=tuple(
+            (oid, tuple((f, cover(f, tab, sparse=True)) for f, tab in eff))
+            for oid, eff in model.object_effects
+        ),
+    )
+
+
+@pytest.mark.parametrize("model_name", ["gaussian", "skewed"])
+@pytest.mark.parametrize("obj", [demo.OBJECT_A, demo.OBJECT_B],
+                         ids=lambda o: o.object_id)
+@pytest.mark.parametrize("plan_kind", ["full_factorial_720", "stratified_billion"])
+def test_batched_plan_matches_scalar_reference(model_name, obj, plan_kind):
+    # the runner evaluates a plan in one call; every replicate must equal the
+    # per-replicate scalar path bit for bit, under either aggregation policy
+    model = {"gaussian": demo.gaussian_model, "skewed": demo.skewed_model}[model_name]()
+    if plan_kind == "full_factorial_720":
+        space = demo.demo_space_720()
+        plan = full_factorial(space, reps=3)
+    else:
+        space = demo.demo_space_billion()
+        model = on_billion_space(model)
+        plan = stratified_sample(space, "workload", 2, 3, seed=17)
+        assert max(e.ec_index for e in plan.entries) > 10**8
+    ex = ExecutorSpec(kind="synthetic", model=model)
+    expected = {
+        e.ec_index: tuple(synth_time(model, space, obj, space.config_at(e.ec_index), r)
+                          for r in range(plan.reps))
+        for e in plan.entries
+    }
+    for policy in ("mean", "median"):
+        rs = execute_plan(ex, obj, space, plan, policy=policy)
+        assert len(rs.measurements) == len(plan.entries)
+        for (idx, _), m in rs.measurements.items():
+            assert m.replicates == expected[idx]
+            assert m.aggregate == aggregate(list(expected[idx]), policy)
+            assert m.policy == policy
+        for e in plan.entries[:3]:
+            single = measure(ex, obj, space, space.config_at(e.ec_index),
+                             plan.reps, policy)
+            assert single == rs.measurements[(e.ec_index, 0)]
 
 
 def test_full_factorial_sigma_zero_matches_analytic():
