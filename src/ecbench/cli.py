@@ -111,9 +111,14 @@ def _cmd_run(args) -> int:
     append = False
     out = Path(args.out)
     if args.resume and out.exists():
+        data = out.read_bytes()
+        complete = data[:data.rfind(b"\n") + 1]
+        if len(complete) < len(data):  # a torn last line: drop it, re-run its entry
+            with out.open("r+b") as fh:
+                fh.truncate(len(complete))
         occurrence: dict[int, int] = {}
         already_done = set()
-        for line in out.read_text().splitlines():
+        for line in complete.decode().splitlines():
             if not line.strip():
                 continue
             doc = json.loads(line)

@@ -3,6 +3,13 @@
 All generators are deterministic functions of (space, parameters, seed); the
 seeded stream is a PCG64 generator, which produces identical draws on every
 platform, so plan files are reproducible byte-for-byte.
+
+Each random design has one draw path, a function that returns index arrays
+(`stratified_indices`, `factorial_2k_indices`, `rct_indices`); the plan
+generators wrap it, and the Monte Carlo oracle calls it directly. A draw makes
+one `rng.integers` call over the radices of every free factor of every index.
+Indices are int64 up to 2^63 - 1 points and Python ints (object arrays)
+beyond, up to the 2^128 - 1 limit of a space.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .fingerprints import fingerprint
 from .space import ConfigSpace, Configuration
 
 FULL_FACTORIAL_CAP = 10**6
+INT64_MAX = 2**63 - 1
 
 DESIGN_KINDS = ("stratified", "factorial2k", "full_factorial", "rct_arm", "spec_point")
 
@@ -124,47 +132,77 @@ def _check_space_fingerprint(space: ConfigSpace) -> str:
     return fingerprint(space.to_dict())
 
 
-def _random_index(space: ConfigSpace, rng: np.random.Generator,
-                  pinned: dict[str, int] | None = None) -> int:
-    """Uniform index over the space: one uniform level draw per factor, so
-    arbitrary cardinalities never hit integer-width limits."""
-    index = 0
-    for f in space.factors:
-        m = len(f.levels)
-        if pinned is not None and f.name in pinned:
-            level = pinned[f.name]
-        else:
-            level = int(rng.integers(0, m))
-        index = index * m + level
+def _index_dtype(space: ConfigSpace) -> type:
+    """int64 while every index fits, Python ints (object arrays) beyond."""
+    return np.int64 if space.cardinality <= INT64_MAX else object
+
+
+def _compose(space: ConfigSpace, levels: list) -> np.ndarray:
+    """Mixed-radix index of each row of per-factor level arrays (one per
+    factor, in factor order, broadcast against each other)."""
+    dtype = _index_dtype(space)
+    index = np.zeros((), dtype=dtype)
+    for f, level in zip(space.factors, levels):
+        level = np.asarray(level).astype(dtype) if dtype is object else level
+        index = index * len(f.levels) + level
     return index
+
+
+def _random_indices(space: ConfigSpace, rng: np.random.Generator, count: int,
+                    pinned: dict | None = None) -> np.ndarray:
+    """`count` uniform indices from one draw: a level for every free factor of
+    every index, index-major then factor order. PCG64 gives the same stream
+    for an array of bounds as for one bound at a time, so this equals a
+    per-factor scalar loop. `pinned` maps a factor name to a level index, or
+    to one level index per draw."""
+    pinned = pinned or {}
+    free = [len(f.levels) for f in space.factors if f.name not in pinned]
+    draws = iter(rng.integers(0, free, size=(count, len(free))).T if free else ())
+    return _compose(space, [pinned[f.name] if f.name in pinned else next(draws)
+                            for f in space.factors])
+
+
+def _entries(indices: np.ndarray, strata: list | None = None
+             ) -> tuple[PlanEntry, ...]:
+    if strata is None:
+        return tuple(PlanEntry(ec_index=i) for i in indices.tolist())
+    return tuple(PlanEntry(ec_index=i, stratum=s)
+                 for i, s in zip(indices.tolist(), strata))
+
+
+def stratified_indices(space: ConfigSpace, stratum_factor: str,
+                       iterations: int, seed: int) -> np.ndarray:
+    """Per iteration, one uniform draw of every non-stratum factor for each
+    stratum level, iteration-major; draws across iterations are independent
+    (duplicates kept)."""
+    if iterations < 1:
+        raise PlanError("iterations must be >= 1")
+    strata = len(space.factor(stratum_factor).levels)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _random_indices(
+        space, rng, iterations * strata,
+        pinned={stratum_factor: np.arange(iterations * strata) % strata},
+    )
 
 
 def stratified_sample(space: ConfigSpace, stratum_factor: str, iterations: int,
                       reps: int, seed: int) -> SamplePlan:
-    """Per iteration, one uniform draw of every non-stratum factor for each
-    stratum level; draws across iterations are independent (duplicates kept)."""
-    if iterations < 1:
-        raise PlanError("iterations must be >= 1")
-    strat = space.factor(stratum_factor)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    entries: list[PlanEntry] = []
-    for _ in range(iterations):
-        for s_level, s_label in enumerate(strat.levels):
-            idx = _random_index(space, rng, pinned={stratum_factor: s_level})
-            entries.append(PlanEntry(ec_index=idx, stratum=s_label))
+    indices = stratified_indices(space, stratum_factor, iterations, seed)
+    labels = space.factor(stratum_factor).levels
     return SamplePlan(
         design="stratified",
-        entries=tuple(entries),
+        entries=_entries(indices, list(labels) * iterations),
         reps=reps,
         seed=seed,
         space_fingerprint=_check_space_fingerprint(space),
     )
 
 
-def factorial_2k(space: ConfigSpace, split: FactorSplit,
-                 defaults: dict[str, int], reps: int, seed: int) -> SamplePlan:
+def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
+                         defaults: dict[str, int], seed: int) -> np.ndarray:
     """2^k design: one random representative from each factor's low and high
-    sets, all 2^k combinations emitted; unselected factors pinned to defaults."""
+    sets, all 2^k combinations in binary order (first selected factor is the
+    most significant bit); unselected factors pinned to defaults."""
     selected = split.factor_names
     if len(selected) > len(space.factors):
         raise PlanError("more selected factors than the space has")
@@ -185,44 +223,53 @@ def factorial_2k(space: ConfigSpace, split: FactorSplit,
         reps_levels[name] = (lo, hi)
 
     k = len(selected)
-    entries = []
-    for combo in range(2**k):
-        pinned = dict(defaults)
-        for j, name in enumerate(selected):
-            bit = (combo >> (k - 1 - j)) & 1
-            pinned[name] = reps_levels[name][bit]
-        index = 0
-        for f in space.factors:
-            index = index * len(f.levels) + pinned[f.name]
-        entries.append(PlanEntry(ec_index=index))
+    combos = np.arange(2**k)
+    levels = []
+    for f in space.factors:
+        if f.name in reps_levels:
+            lo, hi = reps_levels[f.name]
+            bit = (combos >> (k - 1 - selected.index(f.name))) & 1
+            levels.append(np.where(bit == 1, hi, lo))
+        else:
+            levels.append(np.full(2**k, defaults[f.name]))
+    return _compose(space, levels)
+
+
+def factorial_2k(space: ConfigSpace, split: FactorSplit,
+                 defaults: dict[str, int], reps: int, seed: int) -> SamplePlan:
     return SamplePlan(
         design="factorial2k",
-        entries=tuple(entries),
+        entries=_entries(factorial_2k_indices(space, split, defaults, seed)),
         reps=reps,
         seed=seed,
         space_fingerprint=_check_space_fingerprint(space),
     )
 
 
-def full_factorial(space: ConfigSpace, reps: int,
-                   cap: int = FULL_FACTORIAL_CAP) -> SamplePlan:
+def full_factorial_indices(space: ConfigSpace,
+                           cap: int = FULL_FACTORIAL_CAP) -> np.ndarray:
     if space.cardinality > cap:
         raise PlanError(
             f"cardinality {space.cardinality} exceeds the full-factorial cap {cap}"
         )
-    entries = tuple(PlanEntry(ec_index=i) for i in range(space.cardinality))
+    return np.arange(space.cardinality, dtype=np.int64)
+
+
+def full_factorial(space: ConfigSpace, reps: int,
+                   cap: int = FULL_FACTORIAL_CAP) -> SamplePlan:
     return SamplePlan(
         design="full_factorial",
-        entries=entries,
+        entries=_entries(full_factorial_indices(space, cap)),
         reps=reps,
         seed=0,
         space_fingerprint=_check_space_fingerprint(space),
     )
 
 
-def rct_assign(space: ConfigSpace, per_arm: int, reps: int, seed: int) -> RctAssignment:
+def rct_indices(space: ConfigSpace, per_arm: int,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Without-replacement draw of 2*per_arm distinct indices, randomly split
-    into equal control and treatment arms."""
+    into equal (control, treatment) arms."""
     if per_arm < 1:
         raise PlanError("per_arm must be >= 1")
     if 2 * per_arm > space.cardinality:
@@ -233,25 +280,30 @@ def rct_assign(space: ConfigSpace, per_arm: int, reps: int, seed: int) -> RctAss
     drawn: list[int] = []
     seen: set[int] = set()
     while len(drawn) < 2 * per_arm:  # rejection sampling; works at any cardinality
-        idx = _random_index(space, rng)
-        if idx not in seen:
-            seen.add(idx)
-            drawn.append(idx)
-    perm = rng.permutation(2 * per_arm)
-    shuffled = [drawn[i] for i in perm]
+        # exactly the missing count: the stream stops where one-at-a-time would
+        for idx in _random_indices(space, rng, 2 * per_arm - len(drawn)).tolist():
+            if idx not in seen:
+                seen.add(idx)
+                drawn.append(idx)
+    shuffled = np.array(drawn, dtype=_index_dtype(space))[
+        rng.permutation(2 * per_arm)]
+    return shuffled[:per_arm], shuffled[per_arm:]
+
+
+def rct_assign(space: ConfigSpace, per_arm: int, reps: int, seed: int) -> RctAssignment:
+    control, treatment = rct_indices(space, per_arm, seed)
     fp = _check_space_fingerprint(space)
 
-    def arm(indices: list[int]) -> SamplePlan:
+    def arm(indices: np.ndarray) -> SamplePlan:
         return SamplePlan(
             design="rct_arm",
-            entries=tuple(PlanEntry(ec_index=i) for i in indices),
+            entries=_entries(indices),
             reps=reps,
             seed=seed,
             space_fingerprint=fp,
         )
 
-    return RctAssignment(control=arm(shuffled[:per_arm]),
-                         treatment=arm(shuffled[per_arm:]))
+    return RctAssignment(control=arm(control), treatment=arm(treatment))
 
 
 def spec_point(space: ConfigSpace, recommended: Configuration,

@@ -9,6 +9,7 @@ vectorized numpy expressions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -28,34 +29,52 @@ NOISE_CLIP_SIGMA = 6.0
 MAX_CARDINALITY = 2**63 - 1
 
 
-def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """splitmix64 finalizer; full avalanche on 64-bit inputs."""
-    with np.errstate(over="ignore"):
-        z = x + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array; full avalanche on 64-bit
+    inputs. Array arithmetic wraps modulo 2^64 without warnings."""
+    z = x + _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
+@functools.lru_cache(maxsize=256)
 def _object_key(object_id: str) -> np.uint64:
     digest = hashlib.sha256(object_id.encode("utf-8")).digest()
     return np.uint64(int.from_bytes(digest[:8], "little"))
 
 
-def counter_normal(seed: int, ec_index: np.ndarray, object_id: str,
+def counter_normal(seed: int | np.ndarray, ec_index: np.ndarray, object_id: str,
                    replicate: np.ndarray) -> np.ndarray:
     """Standard-normal draws addressed by (seed, ec index, object, replicate),
-    truncated at +/- NOISE_CLIP_SIGMA."""
-    ec = np.asarray(ec_index, dtype=np.uint64)
-    rep = np.asarray(replicate, dtype=np.uint64)
-    h = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    h = _mix64(h ^ ec)
+    truncated at +/- NOISE_CLIP_SIGMA. `seed` is one noise seed, or an array
+    of per-element seeds broadcast against the indices."""
+    if np.ndim(seed) == 0:
+        seeds = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    else:
+        seeds = np.asarray(seed, dtype=np.uint64)
+    h = _mix64(seeds)
+    h = _mix64(h ^ np.asarray(ec_index, dtype=np.uint64))
     h = _mix64(h ^ _object_key(object_id))
-    h = _mix64(h ^ rep)
-    u1 = ((_mix64(h) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    u2 = ((_mix64(h ^ _GOLDEN) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return np.clip(z, -NOISE_CLIP_SIGMA, NOISE_CLIP_SIGMA)
+    h = _mix64(h ^ np.asarray(replicate, dtype=np.uint64))
+    u1 = (_mix64(h) >> np.uint64(11)).astype(np.float64)
+    u1 += 0.5
+    u1 *= 2.0**-53
+    h ^= _GOLDEN
+    u2 = (_mix64(h) >> np.uint64(11)).astype(np.float64)
+    u2 += 0.5
+    u2 *= 2.0**-53
+    # z = sqrt(-2 ln u1) cos(2 pi u2), evaluated in place
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return np.clip(u1, -NOISE_CLIP_SIGMA, NOISE_CLIP_SIGMA, out=u1)
 
 
 @dataclass(frozen=True)
@@ -263,13 +282,17 @@ class CompiledModel:
 
     def noisy_values(self, indices: np.ndarray, object_id: str,
                      replicate: np.ndarray, noise_seed: int | None = None) -> np.ndarray:
+        """Model value plus seeded noise at each (index, replicate) pair.
+        `noise_seed` overrides the model's seed: one seed, or one per index."""
         det = self.deterministic_values(indices, object_id)
         if self.model.sigma == 0.0:
-            return np.maximum(det, MIN_DURATION)
+            return np.maximum(det, MIN_DURATION, out=det)
         seed = self.model.noise_seed if noise_seed is None else noise_seed
         z = counter_normal(seed, np.asarray(indices), object_id,
                            np.asarray(replicate))
-        return np.maximum(det + self.model.sigma * z, MIN_DURATION)
+        z *= self.model.sigma
+        z += det
+        return np.maximum(z, MIN_DURATION, out=z)
 
 
 def synth_time(model: SyntheticModel, space: ConfigSpace, obj: ObjectConfig,

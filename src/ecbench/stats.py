@@ -8,6 +8,7 @@ normal-limit interval for large n.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -81,38 +82,66 @@ def geometric_mean(values: tuple[float, ...] | list[float]) -> float:
     return math.exp(statistics.fmean(math.log(v) for v in values))
 
 
-def t_quantile(p: float, df: float) -> float:
+def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
     """Inverse CDF of Student's t, by bisection on the regularized incomplete
     beta representation of the CDF, refined to ~1e-12. Fractional df is
-    accepted for Welch intervals."""
+    accepted for Welch intervals. An array `df` runs one bisection for all
+    elements, in which each element takes the steps a scalar call would take
+    and stops by the same rule. A scalar `df` returns a float."""
     if not 0 < p < 1:
         raise StatsError("p must be in (0, 1)")
-    if df <= 0:
+    dfs = np.asarray(df, dtype=np.float64)
+    if np.any(dfs <= 0):
         raise StatsError("df must be positive")
+    if dfs.ndim == 0:
+        return _scalar_t_quantile(p, float(dfs))
+    return np.array(_t_quantiles(p, dfs.ravel().tolist())).reshape(dfs.shape)
+
+
+@functools.lru_cache(maxsize=1024)
+def _scalar_t_quantile(p: float, df: float) -> float:
+    # scalar callers repeat (level, n - 1) for every group of one size
+    return _t_quantiles(p, [df])[0]
+
+
+def _t_quantiles(p: float, dfs: list[float]) -> list[float]:
     if p == 0.5:
-        return 0.0
+        return [0.0] * len(dfs)
     if p < 0.5:
-        return -t_quantile(1.0 - p, df)
+        return [-t for t in _t_quantiles(1.0 - p, dfs)]
 
-    def cdf(t: float) -> float:
-        # P(T <= t) for t >= 0 via I_x(df/2, 1/2) with x = df / (df + t^2)
-        x = df / (df + t * t)
-        return 1.0 - 0.5 * float(special.betainc(df / 2.0, 0.5, x))
+    def below_p(ts: list[float], at: list[int]) -> list[bool]:
+        # P(T <= t) < p for t >= 0, via I_x(df/2, 1/2) with x = df / (df + t^2);
+        # one betainc call for every element still in play
+        ds = [dfs[i] for i in at]
+        x = [d / (d + t * t) for t, d in zip(ts, ds)]
+        tails = special.betainc([d / 2.0 for d in ds], 0.5, x).tolist()
+        return [1.0 - 0.5 * b < p for b in tails]
 
-    lo, hi = 0.0, 1.0
-    while cdf(hi) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise StatsError("t quantile diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
+    lo, hi = [0.0] * len(dfs), [1.0] * len(dfs)
+    grow = list(range(len(dfs)))
+    while grow:
+        grow = [i for i, below in zip(grow, below_p([hi[i] for i in grow], grow))
+                if below]
+        for i in grow:
+            hi[i] *= 2.0
+            if hi[i] > 1e300:
+                raise StatsError("t quantile diverged")
+    active = list(range(len(dfs)))
+    for _ in range(200):  # an element leaves once it meets the stopping rule
+        if not active:
             break
-    return 0.5 * (lo + hi)
+        mids = [0.5 * (lo[i] + hi[i]) for i in active]
+        going = []
+        for i, mid, below in zip(active, mids, below_p(mids, active)):
+            if below:
+                lo[i] = mid
+            else:
+                hi[i] = mid
+            if hi[i] - lo[i] > 1e-12 * max(1.0, hi[i]):
+                going.append(i)
+        active = going
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def confidence_interval(sample: Sample, level: float) -> Interval:
@@ -132,36 +161,50 @@ def confidence_interval(sample: Sample, level: float) -> Interval:
 
 
 def mean_ci_from_array(values: np.ndarray, level: float,
-                       t_crit: float | None = None) -> tuple[float, float, float]:
-    """Fast-path CI on a numpy array: (low, mean, high). Used by the Monte
-    Carlo oracle where the t critical value is hoisted out of the loop."""
-    n = values.size
-    mean = float(values.mean())
+                       t_crit: float | None = None) -> tuple:
+    """Fast-path CI over the last axis of a numpy array: (low, mean, high),
+    floats for a 1-D array and one element per row for a 2-D array. Used by
+    the Monte Carlo oracle where the t critical value is hoisted out of the
+    loop."""
+    n = values.shape[-1]
     if n < 2:
         raise StatsError("confidence interval needs n >= 2")
-    s = float(values.std(ddof=1))
+    mean = values.mean(axis=-1)
+    s = values.std(ddof=1, axis=-1)
     if t_crit is None:
         t_crit = t_quantile((1.0 + level) / 2.0, n - 1)
     half = t_crit * s / math.sqrt(n)
+    if values.ndim == 1:
+        mean, half = float(mean), float(half)
     return mean - half, mean, mean + half
+
+
+def welch_bounds(a: np.ndarray, b: np.ndarray,
+                 level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise two-independent-sample CI for mean(a) - mean(b) with Welch
+    df, over the last axis of 2-D arrays: (low, center, high) per row."""
+    na, nb = a.shape[-1], b.shape[-1]
+    if na < 2 or nb < 2:
+        raise StatsError("Welch interval needs n >= 2 per arm")
+    ea, eb = a.var(ddof=1, axis=-1) / na, b.var(ddof=1, axis=-1) / nb
+    se2 = ea + eb
+    center = a.mean(axis=-1) - b.mean(axis=-1)
+    half = np.zeros(se2.shape)
+    spread = se2 != 0.0  # zero spread: a degenerate interval at the center
+    # float_power squares through pow(), as float64 scalar `**` does; the
+    # ndarray `**` squares by multiplication, which can differ in the last bit
+    sq = np.float_power
+    df = sq(se2[spread], 2) / (sq(ea[spread], 2) / (na - 1)
+                               + sq(eb[spread], 2) / (nb - 1))
+    half[spread] = t_quantile((1.0 + level) / 2.0, df) * np.sqrt(se2[spread])
+    return center - half, center, center + half
 
 
 def welch_interval(a: np.ndarray, b: np.ndarray, level: float) -> Interval:
     """Two-independent-sample CI for mean(a) - mean(b) with Welch df."""
-    na, nb = a.size, b.size
-    if na < 2 or nb < 2:
-        raise StatsError("Welch interval needs n >= 2 per arm")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / na + vb / nb
-    center = float(a.mean() - b.mean())
-    if se2 == 0.0:
-        return Interval(low=center, high=center, level=level, center=center,
-                        n=na + nb)
-    df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    t_crit = t_quantile((1.0 + level) / 2.0, df)
-    half = t_crit * math.sqrt(se2)
-    return Interval(low=center - half, high=center + half, level=level,
-                    center=center, n=na + nb)
+    low, center, high = welch_bounds(a[np.newaxis], b[np.newaxis], level)
+    return Interval(low=float(low[0]), high=float(high[0]), level=level,
+                    center=float(center[0]), n=a.size + b.size)
 
 
 def _paired_keys(a: ResultSet, b: ResultSet) -> list[tuple[int, int]]:

@@ -2,8 +2,11 @@
 
 Deliberately written on different mathematical routes from the package code:
 the t quantile comes from direct numerical integration of the density (no
-incomplete beta function), and the population enumerator walks the raw JSON
-documents with itertools.product (no numpy, no mixed-radix decode).
+incomplete beta function), the population enumerator walks the raw JSON
+documents with itertools.product (no numpy, no mixed-radix decode), the
+samplers draw one level at a time with scalar rng calls and compose indices
+in Python ints, and the Welch interval is plain float64-scalar arithmetic on
+one pair of samples.
 """
 
 from __future__ import annotations
@@ -85,3 +88,75 @@ def brute_force_population_mean(space_doc: dict, model_doc: dict,
             values.append(value_at(labels, objects[0])
                           - value_at(labels, objects[1]))
     return statistics.fmean(values)
+
+
+def random_index_reference(space, rng, pinned=None) -> int:
+    """One uniform index: a scalar level draw per unpinned factor, in factor
+    order, composed in Python ints."""
+    index = 0
+    for f in space.factors:
+        m = len(f.levels)
+        if pinned is not None and f.name in pinned:
+            level = pinned[f.name]
+        else:
+            level = int(rng.integers(0, m))
+        index = index * m + level
+    return index
+
+
+def stratified_reference(space, stratum_factor, iterations, seed):
+    """[(index, stratum label)], iteration-major then stratum order."""
+    strat = space.factor(stratum_factor)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [(random_index_reference(space, rng, {stratum_factor: s}), label)
+            for _ in range(iterations)
+            for s, label in enumerate(strat.levels)]
+
+
+def rct_reference(space, per_arm, seed):
+    """(control, treatment) index lists: one candidate at a time until
+    2*per_arm distinct indices, then a permutation split in half."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    drawn: list[int] = []
+    while len(drawn) < 2 * per_arm:
+        idx = random_index_reference(space, rng)
+        if idx not in drawn:
+            drawn.append(idx)
+    shuffled = [drawn[i] for i in rng.permutation(2 * per_arm)]
+    return shuffled[:per_arm], shuffled[per_arm:]
+
+
+def factorial_2k_reference(space, split, defaults, seed):
+    """All 2^k combinations of one drawn low and one drawn high level per
+    selected factor, first selected factor as the most significant bit."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chosen = {}
+    for name, low, high in split.splits:
+        chosen[name] = (int(rng.choice(np.array(low))),
+                        int(rng.choice(np.array(high))))
+    names = [name for name, _, _ in split.splits]
+    k = len(names)
+    out = []
+    for combo in range(2**k):
+        levels = dict(defaults)
+        for j, name in enumerate(names):
+            levels[name] = chosen[name][(combo >> (k - 1 - j)) & 1]
+        index = 0
+        for f in space.factors:
+            index = index * len(f.levels) + levels[f.name]
+        out.append(index)
+    return out
+
+
+def welch_reference(a: np.ndarray, b: np.ndarray, level: float, t_quantile):
+    """(low, center, high) of the Welch interval for one pair of samples,
+    in float64 scalar arithmetic, with the given t quantile function."""
+    na, nb = a.size, b.size
+    va, vb = a.var(ddof=1), b.var(ddof=1)
+    se2 = va / na + vb / nb
+    center = float(a.mean() - b.mean())
+    if se2 == 0.0:
+        return center, center, center
+    df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    half = t_quantile((1.0 + level) / 2.0, float(df)) * math.sqrt(se2)
+    return center - half, center, center + half

@@ -2,6 +2,8 @@ import collections
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecbench import demo
 from ecbench.design import (
@@ -15,6 +17,7 @@ from ecbench.design import (
 )
 from ecbench.errors import PlanError
 from ecbench.space import Factor, build_space
+from oracles import factorial_2k_reference, rct_reference, stratified_reference
 
 
 def small_space():
@@ -237,3 +240,118 @@ def test_plans_fingerprint_changes_with_space():
     plan_a = stratified_sample(small_space(), "workload", 3, 1, seed=1)
     plan_b = stratified_sample(demo.demo_space_720(), "workload", 3, 1, seed=1)
     assert plan_a.space_fingerprint != plan_b.space_fingerprint
+
+
+# Bit-identity of the vectorised samplers against the scalar per-factor loop.
+
+def space_4_pow_40():
+    space = build_space([Factor(f"f{i:02d}", ("a", "b", "c", "d"))
+                         for i in range(40)])
+    assert space.cardinality == 4**40 > 2**64
+    return space
+
+
+@st.composite
+def small_spaces(draw):
+    radices = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    return build_space([Factor(f"f{i}", tuple(f"l{j}" for j in range(m)))
+                        for i, m in enumerate(radices)])
+
+
+def stratified_entries(plan):
+    return [(e.ec_index, e.stratum) for e in plan.entries]
+
+
+def rct_arms(assignment):
+    return ([e.ec_index for e in assignment.control.entries],
+            [e.ec_index for e in assignment.treatment.entries])
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=small_spaces(), data=st.data(), seed=st.integers(0, 2**64 - 1),
+       iterations=st.integers(1, 6))
+def test_stratified_matches_scalar_reference_on_small_spaces(space, data, seed,
+                                                              iterations):
+    factor = data.draw(st.sampled_from([f.name for f in space.factors]))
+    plan = stratified_sample(space, factor, iterations, 1, seed)
+    assert stratified_entries(plan) == stratified_reference(space, factor,
+                                                            iterations, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=small_spaces(), data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_rct_matches_scalar_reference_on_small_spaces(space, data, seed):
+    per_arm = data.draw(st.integers(1, max(1, space.cardinality // 2)))
+    if 2 * per_arm > space.cardinality:
+        return
+    assert rct_arms(rct_assign(space, per_arm, 1, seed)) == rct_reference(
+        space, per_arm, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=small_spaces(), data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_factorial_2k_matches_scalar_reference_on_small_spaces(space, data, seed):
+    splits, defaults = [], {}
+    for f in space.factors:
+        m = len(f.levels)
+        if m >= 2 and data.draw(st.booleans()):
+            cut = data.draw(st.integers(1, m - 1))
+            splits.append((f.name, tuple(range(cut)), tuple(range(cut, m))))
+        else:
+            defaults[f.name] = data.draw(st.integers(0, m - 1))
+    split = FactorSplit(splits=tuple(splits))
+    plan = factorial_2k(space, split, defaults, 1, seed)
+    assert [e.ec_index for e in plan.entries] == factorial_2k_reference(
+        space, split, defaults, seed)
+
+
+@pytest.mark.parametrize("make_space, factor", [
+    (demo.demo_space_720, "workload"),  # one stratum
+    (demo.demo_space_billion, "workload"),  # 43 strata
+    (space_4_pow_40, "f07"),  # indices beyond 2^64
+])
+def test_stratified_matches_scalar_reference_on_demo_spaces(make_space, factor):
+    space = make_space()
+    for seed in (0, 1, 2**63 + 5):
+        plan = stratified_sample(space, factor, 4, 3, seed)
+        assert stratified_entries(plan) == stratified_reference(space, factor,
+                                                                4, seed)
+
+
+@pytest.mark.parametrize("make_space, per_arm", [
+    (demo.demo_space_720, 360),  # every point: duplicate-heavy rejection
+    (demo.demo_space_720, 32),
+    (demo.demo_space_billion, 32),
+    (space_4_pow_40, 16),
+])
+def test_rct_matches_scalar_reference_on_demo_spaces(make_space, per_arm):
+    space = make_space()
+    for seed in (3, 4):
+        assert rct_arms(rct_assign(space, per_arm, 1, seed)) == rct_reference(
+            space, per_arm, seed)
+
+
+def test_factorial_2k_matches_scalar_reference_on_demo_spaces():
+    big = space_4_pow_40()
+    cases = [
+        (demo.demo_space_720(), demo.demo_factor_split(), {"workload": 0}),
+        (demo.demo_space_billion(),
+         FactorSplit(splits=(("dataset", (0, 1), (59998, 59999)),
+                             ("threads", (0,), (130,)))),
+         {"workload": 42, "flags": 1}),
+        (big, FactorSplit(splits=(("f00", (0,), (3,)), ("f39", (1,), (2,)))),
+         {f.name: 3 for f in big.factors}),
+    ]
+    for space, split, defaults in cases:
+        for seed in (5, 6):
+            plan = factorial_2k(space, split, defaults, 1, seed)
+            assert [e.ec_index for e in plan.entries] == factorial_2k_reference(
+                space, split, defaults, seed)
+
+
+def test_indices_beyond_int64_are_python_ints():
+    space = space_4_pow_40()
+    plan = stratified_sample(space, "f00", 2, 1, seed=9)
+    assert all(type(e.ec_index) is int for e in plan.entries)
+    assert any(e.ec_index > 2**63 for e in plan.entries)
+    assert all(0 <= e.ec_index < space.cardinality for e in plan.entries)

@@ -263,18 +263,38 @@ class TestCli:
 
         run(ws / "full.jsonl")
         full = (ws / "full.jsonl").read_bytes()
-        lines = full.splitlines(keepends=True)
-        assert len(lines) == 20
+        assert len(full.splitlines()) == 20
 
-        @settings(max_examples=25, deadline=None)
-        @given(k=st.integers(0, len(lines)))
+        # any byte offset: line boundaries, a line without its newline, or a
+        # tear inside a line, as a killed process may leave
+        @settings(max_examples=40, deadline=None)
+        @given(k=st.integers(0, len(full)))
         def check(k):
             resumed = ws / "resumed.jsonl"
-            resumed.write_bytes(b"".join(lines[:k]))
+            resumed.write_bytes(full[:k])
             run(resumed, "--resume")
             assert resumed.read_bytes() == full
+            results, _ = load_results(resumed)
+            assert len(results.measurements) == 20
 
         check()
+
+    @pytest.mark.parametrize("cut", [1, 40], ids=["newline_only", "mid_line"])
+    def test_resume_drops_torn_last_line(self, workspace, cut):
+        ws = workspace
+        plan = self.plan_run_compare(ws)
+        full = (ws / "cpu_a.jsonl").read_bytes()
+        lines = full.splitlines(keepends=True)
+        torn = b"".join(lines[:5]) + lines[5][:len(lines[5]) - cut]
+        (ws / "cpu_a.jsonl").write_bytes(torn)
+        assert main(["run", "--space", str(ws / "space.json"),
+                     "--plan", str(plan),
+                     "--executor", str(ws / "executor.json"),
+                     "--object", str(ws / "cpu_a.json"),
+                     "--out", str(ws / "cpu_a.jsonl"), "--resume"]) == 0
+        assert (ws / "cpu_a.jsonl").read_bytes() == full
+        results, _ = load_results(ws / "cpu_a.jsonl")  # manifest hash holds
+        assert len(results.measurements) == 16
 
     def test_synthetic_run_beyond_int64_exits_2(self, tmp_path):
         space = build_space([Factor("workload", ("w1", "w2"))] + [

@@ -154,6 +154,19 @@ class TestCoverageExperiment:
                                 Methodology(kind="latin_hypercube"), 2, 0.95,
                                 0, ("cpu_a", "cpu_b"))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("full_factorial", {}),
+        ("stratified", {"stratum_factor": "workload", "iterations": 4}),
+        ("factorial2k", {"split": demo.demo_factor_split(),
+                         "defaults": {"workload": 0}}),
+        ("rct", {"per_arm": 4}),
+    ])
+    def test_zero_reps_rejected(self, kind, params):
+        with pytest.raises(PlanError):
+            coverage_experiment(demo.gaussian_model(), demo.demo_space_720(),
+                                Methodology(kind=kind, params={**params, "reps": 0}),
+                                2, 0.95, 0, ("cpu_a", "cpu_b"))
+
     def test_comparison_preserves_order(self):
         space = demo.demo_space_720()
         model = demo.gaussian_model()
@@ -228,3 +241,13 @@ def test_skewed_factorial2k_undercovers_stratified():
         }),
         200, 0.99, 7, ("cpu_a", "cpu_b"))
     assert f2k.coverage < strat.coverage - 0.1
+
+
+def test_names_patched_by_the_benchmark_tracer_stay_bound():
+    # benchmarks/tracing.py rebinds these module attributes by name
+    import ecbench.model
+    import ecbench.oracle
+    for name in ("t_quantile", "mean_ci_from_array", "welch_interval",
+                 "population_mean", "coverage_experiment"):
+        assert callable(getattr(ecbench.oracle, name)), name
+    assert callable(ecbench.model.counter_normal)

@@ -7,7 +7,7 @@ from ecbench import demo
 from ecbench.design import PlanEntry, SamplePlan, full_factorial, stratified_sample
 from ecbench.errors import ExecutionError, FingerprintError, SpaceError
 from ecbench.fingerprints import fingerprint
-from ecbench.model import SyntheticModel, synth_time
+from ecbench.model import SyntheticModel, counter_normal, synth_time
 from ecbench.runner import ExecutorSpec, aggregate, execute_plan, measure
 from ecbench.space import Factor, ObjectConfig, build_space
 
@@ -359,3 +359,28 @@ def test_full_factorial_sigma_zero_matches_analytic():
     )
     for (idx, _), m in rs.measurements.items():
         assert m.aggregate == pytest.approx(expected[idx], rel=1e-12)
+
+
+def test_counter_normal_per_element_seeds_match_scalar_seeds():
+    rng = np.random.Generator(np.random.PCG64(31))
+    ec = rng.integers(0, 2**62, 500)
+    rep = rng.integers(0, 4, 500)
+    seeds = [0, 1, 2**63 + 11, 2**64 - 1]
+    per_element = np.repeat(np.array(seeds, dtype=np.uint64), 125)
+    got = counter_normal(per_element, ec, "cpu_a", rep)
+    want = np.concatenate([
+        counter_normal(s, ec[125 * j:125 * (j + 1)], "cpu_a",
+                       rep[125 * j:125 * (j + 1)])
+        for j, s in enumerate(seeds)])
+    assert np.array_equal(got, want)
+    # negative seeds wrap into 64 bits
+    assert np.array_equal(counter_normal(-1, ec, "o", rep),
+                          counter_normal(2**64 - 1, ec, "o", rep))
+
+
+def test_counter_normal_raises_no_overflow_warning():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counter_normal(2**64 - 1, np.arange(10), "cpu_b", np.zeros(10, dtype=np.int64))
+        counter_normal(7, np.array([2**62]), "cpu_b", np.array([0]))

@@ -19,9 +19,10 @@ from ecbench.stats import (
     ratio_diagnostics,
     summary,
     t_quantile,
+    welch_bounds,
     welch_interval,
 )
-from oracles import t_quantile_oracle
+from oracles import t_quantile_oracle, welch_reference
 
 
 def result_set(object_id: str, values: list[float]) -> ResultSet:
@@ -98,6 +99,22 @@ class TestTQuantile:
             t_quantile(1.0, 5)
         with pytest.raises(StatsError):
             t_quantile(0.9, 0)
+        with pytest.raises(StatsError):
+            t_quantile(0.9, np.array([3.0, -1.0]))
+
+    def test_scalar_df_returns_float(self):
+        for df in (7, 7.5, np.float64(7.5), np.array(7.5)):
+            assert type(t_quantile(0.975, df)) is float
+        assert type(t_quantile(0.5, 7)) is float
+
+    def test_array_df_keeps_shape(self):
+        dfs = np.array([[1.0, 2.5], [30.0, 400.0]])
+        q = t_quantile(0.95, dfs)
+        assert q.shape == (2, 2)
+        assert q[1, 0] == t_quantile(0.95, 30.0)
+        assert t_quantile(0.05, dfs).tolist() == (-q).tolist()
+        assert t_quantile(0.5, dfs).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert t_quantile(0.95, np.array([])).shape == (0,)
 
 
 class TestConfidenceInterval:
@@ -181,6 +198,29 @@ class TestWelch:
     def test_needs_two_per_arm(self):
         with pytest.raises(StatsError):
             welch_interval(np.array([1.0]), np.array([1.0, 2.0]), 0.95)
+
+    def test_rows_match_scalar_reference(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        a = rng.normal(0.0, 1.0, (400, 32)) * rng.uniform(0.1, 5.0, (400, 1))
+        b = rng.normal(1.0, 3.0, (400, 32))
+        b[7] = 4.0  # zero spread in one arm
+        a[9], b[9] = 2.0, 1.0  # zero spread in both: a degenerate interval
+        low, center, high = welch_bounds(a, b, 0.99)
+        for i in range(400):
+            ref = welch_reference(a[i], b[i], 0.99, t_quantile)
+            assert (low[i], center[i], high[i]) == ref, i
+            iv = welch_interval(a[i], b[i], 0.99)
+            assert (iv.low, iv.center, iv.high) == ref
+        assert low[9] == center[9] == high[9] == 1.0
+
+
+def test_mean_ci_rows_match_one_dimensional_calls():
+    rng = np.random.Generator(np.random.PCG64(22))
+    values = rng.normal(5.0, 2.0, (300, 96))
+    t_crit = t_quantile(0.995, 95)
+    low, mean, high = mean_ci_from_array(values, 0.99, t_crit=t_crit)
+    for i in range(300):
+        assert mean_ci_from_array(values[i], 0.99) == (low[i], mean[i], high[i])
 
 
 class TestPairedDifferences:
