@@ -218,8 +218,9 @@ def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
     rng = np.random.Generator(np.random.PCG64(seed))
     reps_levels: dict[str, tuple[int, int]] = {}
     for name, low, high in split.splits:  # draws in split order, part of the stream
-        lo = int(rng.choice(np.array(low)))
-        hi = int(rng.choice(np.array(high)))
+        # the same draw as rng.choice(np.array(low)), without building an array
+        lo = low[int(rng.integers(0, len(low)))]
+        hi = high[int(rng.integers(0, len(high)))]
         reps_levels[name] = (lo, hi)
 
     k = len(selected)

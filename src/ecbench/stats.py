@@ -85,9 +85,10 @@ def geometric_mean(values: tuple[float, ...] | list[float]) -> float:
 def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
     """Inverse CDF of Student's t, by bisection on the regularized incomplete
     beta representation of the CDF, refined to ~1e-12. Fractional df is
-    accepted for Welch intervals. An array `df` runs one bisection for all
-    elements, in which each element takes the steps a scalar call would take
-    and stops by the same rule. A scalar `df` returns a float."""
+    accepted for Welch intervals. An array `df` runs one bisection per
+    element in lockstep, with one betainc call per step for all of them; each
+    element takes the steps a scalar call would take and stops by the same
+    rule. A scalar `df` returns a float."""
     if not 0 < p < 1:
         raise StatsError("p must be in (0, 1)")
     dfs = np.asarray(df, dtype=np.float64)
@@ -105,43 +106,54 @@ def _scalar_t_quantile(p: float, df: float) -> float:
 
 
 def _t_quantiles(p: float, dfs: list[float]) -> list[float]:
+    """Quantiles for every df: the scalar bisections advance in lockstep, and
+    each step evaluates the CDF for all of them in one betainc call."""
     if p == 0.5:
         return [0.0] * len(dfs)
     if p < 0.5:
         return [-t for t in _t_quantiles(1.0 - p, dfs)]
-
-    def below_p(ts: list[float], at: list[int]) -> list[bool]:
-        # P(T <= t) < p for t >= 0, via I_x(df/2, 1/2) with x = df / (df + t^2);
-        # one betainc call for every element still in play
-        ds = [dfs[i] for i in at]
-        x = [d / (d + t * t) for t, d in zip(ts, ds)]
-        tails = special.betainc([d / 2.0 for d in ds], 0.5, x).tolist()
-        return [1.0 - 0.5 * b < p for b in tails]
-
-    lo, hi = [0.0] * len(dfs), [1.0] * len(dfs)
-    grow = list(range(len(dfs)))
-    while grow:
-        grow = [i for i, below in zip(grow, below_p([hi[i] for i in grow], grow))
-                if below]
-        for i in grow:
-            hi[i] *= 2.0
-            if hi[i] > 1e300:
-                raise StatsError("t quantile diverged")
-    active = list(range(len(dfs)))
-    for _ in range(200):  # an element leaves once it meets the stopping rule
-        if not active:
-            break
-        mids = [0.5 * (lo[i] + hi[i]) for i in active]
+    out = [0.0] * len(dfs)
+    live = []  # (position, df, its bisection, the t whose CDF it asks for)
+    for i, df in enumerate(dfs):
+        bisection = _t_bisection(p)
+        live.append((i, df, bisection, next(bisection)))
+    while live:
+        # P(T <= t) for t >= 0 via I_x(df/2, 1/2) with x = df / (df + t^2);
+        # a lone bisection calls betainc on floats, skipping the array round trip
+        if len(live) == 1:
+            _, df, _, t = live[0]
+            tails = [float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))]
+        else:
+            tails = special.betainc([df / 2.0 for _, df, _, _ in live], 0.5,
+                                    [df / (df + t * t) for _, df, _, t in live]
+                                    ).tolist()
         going = []
-        for i, mid, below in zip(active, mids, below_p(mids, active)):
-            if below:
-                lo[i] = mid
-            else:
-                hi[i] = mid
-            if hi[i] - lo[i] > 1e-12 * max(1.0, hi[i]):
-                going.append(i)
-        active = going
-    return [0.5 * (a + b) for a, b in zip(lo, hi)]
+        for (i, df, bisection, _), tail in zip(live, tails):
+            try:
+                going.append((i, df, bisection, bisection.send(1.0 - 0.5 * tail)))
+            except StopIteration as done:
+                out[i] = done.value
+        live = going
+    return out
+
+
+def _t_bisection(p: float):
+    """Bisection for the t with CDF(t) = p > 0.5: yields each t whose CDF it
+    needs and is sent that CDF; returns the quantile."""
+    lo, hi = 0.0, 1.0
+    while (yield hi) < p:
+        hi *= 2.0
+        if hi > 1e300:
+            raise StatsError("t quantile diverged")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (yield mid) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def confidence_interval(sample: Sample, level: float) -> Interval:
