@@ -6,10 +6,12 @@ platform, so plan files are reproducible byte-for-byte.
 
 Each random design has one draw path, a function that returns index arrays
 (`stratified_indices`, `factorial_2k_indices`, `rct_indices`); the plan
-generators wrap it, and the Monte Carlo oracle calls it directly. A draw makes
-one `rng.integers` call over the radices of every free factor of every index.
-Indices are int64 up to 2^63 - 1 points and Python ints (object arrays)
-beyond, up to the 2^128 - 1 limit of a space.
+generators wrap it, and the Monte Carlo oracle calls it directly. A stratified
+draw, and each rct rejection round, makes one `rng.integers` call over the
+radices of every free factor of every index; a 2^k draw makes one call per
+low set and one per high set, to pick each representative. Indices are
+int64 up to 2^63 - 1 points and Python ints (object arrays) beyond, up to the
+2^128 - 1 limit of a space.
 """
 
 from __future__ import annotations

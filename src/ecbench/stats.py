@@ -8,7 +8,6 @@ normal-limit interval for large n.
 
 from __future__ import annotations
 
-import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -95,14 +94,8 @@ def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
     if np.any(dfs <= 0):
         raise StatsError("df must be positive")
     if dfs.ndim == 0:
-        return _scalar_t_quantile(p, float(dfs))
+        return _t_quantiles(p, [float(dfs)])[0]
     return np.array(_t_quantiles(p, dfs.ravel().tolist())).reshape(dfs.shape)
-
-
-@functools.lru_cache(maxsize=1024)
-def _scalar_t_quantile(p: float, df: float) -> float:
-    # scalar callers repeat (level, n - 1) for every group of one size
-    return _t_quantiles(p, [df])[0]
 
 
 def _t_quantiles(p: float, dfs: list[float]) -> list[float]:
@@ -118,15 +111,10 @@ def _t_quantiles(p: float, dfs: list[float]) -> list[float]:
         bisection = _t_bisection(p)
         live.append((i, df, bisection, next(bisection)))
     while live:
-        # P(T <= t) for t >= 0 via I_x(df/2, 1/2) with x = df / (df + t^2);
-        # a lone bisection calls betainc on floats, skipping the array round trip
-        if len(live) == 1:
-            _, df, _, t = live[0]
-            tails = [float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))]
-        else:
-            tails = special.betainc([df / 2.0 for _, df, _, _ in live], 0.5,
-                                    [df / (df + t * t) for _, df, _, t in live]
-                                    ).tolist()
+        # P(T <= t) for t >= 0 via I_x(df/2, 1/2) with x = df / (df + t^2)
+        tails = special.betainc([df / 2.0 for _, df, _, _ in live], 0.5,
+                                [df / (df + t * t) for _, df, _, t in live]
+                                ).tolist()
         going = []
         for (i, df, bisection, _), tail in zip(live, tails):
             try:
