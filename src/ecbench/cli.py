@@ -23,7 +23,14 @@ from .design import (
 )
 from .errors import EcbenchError, FingerprintError, PairingError
 from .fingerprints import fingerprint
-from .manifest import ResultWriter, RunManifest, emit_report, load_results
+from .manifest import (
+    ResultWriter,
+    RunManifest,
+    check_resumable,
+    emit_report,
+    load_results,
+    parse_results,
+)
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
 from .runner import ExecutorSpec, execute_plan
@@ -107,28 +114,6 @@ def _cmd_run(args) -> int:
     executor = ExecutorSpec.from_dict(executor_doc)
     obj = _load_object(args.object)
 
-    already_done: set[tuple[int, int]] | None = None
-    append = False
-    out = Path(args.out)
-    if args.resume and out.exists():
-        data = out.read_bytes()
-        complete = data[:data.rfind(b"\n") + 1]
-        if len(complete) < len(data):  # a torn last line: drop it, re-run its entry
-            with out.open("r+b") as fh:
-                fh.truncate(len(complete))
-        occurrence: dict[int, int] = {}
-        already_done = set()
-        for line in complete.decode().splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            if doc.get("error") is not None:
-                continue
-            ordinal = occurrence.get(doc["ec_index"], 0)
-            occurrence[doc["ec_index"]] = ordinal + 1
-            already_done.add((doc["ec_index"], ordinal))
-        append = True
-
     manifest = RunManifest(
         space_fingerprint=fingerprint(space.to_dict()),
         plan_fingerprint=plan.fingerprint,
@@ -137,6 +122,20 @@ def _cmd_run(args) -> int:
                        "settings": dict(obj.settings)},
         seeds={"plan_seed": plan.seed},
     )
+    already_done: set[tuple[int, int]] | None = None
+    append = False
+    out = Path(args.out)
+    if args.resume and out.exists():
+        check_resumable(out, manifest)
+        data = out.read_bytes()
+        complete = data[:data.rfind(b"\n") + 1]
+        if len(complete) < len(data):  # a torn last line: drop it, re-run its entry
+            with out.open("r+b") as fh:
+                fh.truncate(len(complete))
+        already_done = set(parse_results(
+            complete, out, obj.object_id, manifest.plan_fingerprint).measurements)
+        append = True
+
     writer = ResultWriter(out, manifest, append=append)
     try:
         results = execute_plan(
@@ -153,12 +152,24 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _group_map(plan_path: str, plan_fingerprint: str
+               ) -> dict[tuple[int, int], str]:
+    """The group map of the plan the runs were made under."""
+    plan = SamplePlan.load(plan_path)
+    if plan.fingerprint != plan_fingerprint:
+        raise PairingError(
+            f"{plan_path} has plan fingerprint {plan.fingerprint}, "
+            f"the runs have {plan_fingerprint}"
+        )
+    return plan_group_map(plan)
+
+
 def _cmd_compare(args) -> int:
     a, _ = load_results(args.a)
     b, _ = load_results(args.b)
     group_by = None
     if args.group_by_plan:
-        group_by = plan_group_map(SamplePlan.load(args.group_by_plan))
+        group_by = _group_map(args.group_by_plan, a.plan_fingerprint)
     report = compare_objects(a, b, args.level, group_by=group_by)
     emit_report(report, "json", args.out)
     if args.csv:

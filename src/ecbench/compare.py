@@ -16,12 +16,18 @@ from .stats import (
     Interval,
     RatioDiagnostics,
     Sample,
-    confidence_interval,
+    confidence_intervals,
     geometric_mean,
+    paired_aggregates,
+    ratio_summary,
+)
+from .stats import StatsError
+# stay bound here: benchmarks/tracing.py patches them in this module
+from .stats import (  # noqa: F401
+    confidence_interval,
     paired_differences,
     ratio_diagnostics,
 )
-from .stats import StatsError
 
 
 class Verdict(enum.Enum):
@@ -103,28 +109,26 @@ def compare_objects(a: ResultSet, b: ResultSet, level: float,
                     ) -> ComparisonReport:
     """Paired differences a - b with an overall CI/verdict and, when a
     grouping map is given, one CI/verdict per group."""
-    diffs = paired_differences(a, b)
-    overall_iv = confidence_interval(diffs, level)
-    overall = GroupResult(group="overall", n=diffs.n, interval=overall_iv,
-                          verdict=verdict_of(overall_iv))
-
-    groups: list[GroupResult] = []
+    keys, xa, xb = paired_aggregates(a, b)
+    diffs = (xa - xb).tolist()
+    samples = [Sample(values=tuple(diffs))]
     if group_by is not None:
-        keys = sorted(a.measurements)
         missing = [k for k in keys if k not in group_by]
         if missing:
             raise PairingError(
                 f"group map misses keys, e.g. {missing[:5]}"
             )
         by_label: dict[str, list[float]] = {}
-        for k in keys:
-            d = a.measurements[k].aggregate - b.measurements[k].aggregate
+        for k, d in zip(keys, diffs):
             by_label.setdefault(group_by[k], []).append(d)
-        for label in sorted(by_label):
-            s = Sample(values=tuple(by_label[label]), label=label)
-            iv = confidence_interval(s, level)
-            groups.append(GroupResult(group=label, n=s.n, interval=iv,
-                                      verdict=verdict_of(iv)))
+        samples += [Sample(values=tuple(by_label[label]), label=label)
+                    for label in sorted(by_label)]
+    overall_iv, *group_ivs = confidence_intervals(samples, level)
+    overall = GroupResult(group="overall", n=overall_iv.n, interval=overall_iv,
+                          verdict=verdict_of(overall_iv))
+    groups = [GroupResult(group=s.label, n=iv.n, interval=iv,
+                          verdict=verdict_of(iv))
+              for s, iv in zip(samples[1:], group_ivs)]
 
     policies = {m.policy for m in a.measurements.values()}
     policies |= {m.policy for m in b.measurements.values()}
@@ -165,15 +169,18 @@ class AsymmetryReport:
 
 
 def asymmetry_report(a: ResultSet, b: ResultSet, level: float) -> AsymmetryReport:
-    diff_ab = confidence_interval(paired_differences(a, b), level)
-    diff_ba = confidence_interval(paired_differences(b, a), level)
-    diag_b = ratio_diagnostics(a, b, baseline="b")
-    diag_a = ratio_diagnostics(a, b, baseline="a")
+    _, xa, xb = paired_aggregates(a, b)
+    diffs_ab = Sample(values=tuple((xa - xb).tolist()))
+    diffs_ba = Sample(values=tuple((xb - xa).tolist()))
+    diag_b = ratio_summary(xa, xb)
+    diag_a = ratio_summary(xb, xa)
+    diff_ab, diff_ba, ratio_b, ratio_a = confidence_intervals(
+        [diffs_ab, diffs_ba, diag_b.ratios, diag_a.ratios], level)
     return AsymmetryReport(
         diff_ab=diff_ab,
         diff_ba=diff_ba,
-        ratio_base_b=confidence_interval(diag_b.ratios, level),
-        ratio_base_a=confidence_interval(diag_a.ratios, level),
+        ratio_base_b=ratio_b,
+        ratio_base_a=ratio_a,
         diag_base_b=diag_b,
         diag_base_a=diag_a,
     )

@@ -135,31 +135,80 @@ def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
             raise FingerprintError(
                 f"results file hash {actual[:12]}... does not match manifest"
             )
+    results = parse_results(
+        data, path, str(manifest.object_config.get("object_id", "")),
+        manifest.plan_fingerprint)
+    return results, manifest
 
+
+_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def _decode_line(line: str):
+    """`json.loads(line)`, decoding a well-formed line only once."""
+    text = line.strip(_JSON_WHITESPACE)
+    try:
+        doc, end = _DECODER.raw_decode(text)
+        if end == len(text):
+            return doc
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # raises json.loads' own error for this line
+
+
+def parse_results(data: bytes, path: str | Path, object_id: str,
+                  plan_fingerprint: str) -> ResultSet:
+    """The result set in the bytes of a results file: one JSON measurement a
+    line, blank lines skipped, keyed (ec_index, occurrence ordinal) in file
+    order. `object_id` names the set only when no line does."""
     results: ResultSet | None = None
     occurrence: dict[int, int] = {}
     for lineno, line in enumerate(data.decode().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
+            doc = _decode_line(line)
         except json.JSONDecodeError as e:
             raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
         m = Measurement.from_dict(doc)
         if results is None:
             results = ResultSet(object_id=m.object_id,
-                                plan_fingerprint=manifest.plan_fingerprint)
+                                plan_fingerprint=plan_fingerprint)
         if m.error is not None:
             results.failures.append(m)
             continue
         ordinal = occurrence.get(m.ec_index, 0)
         occurrence[m.ec_index] = ordinal + 1
-        key = (m.ec_index, ordinal)
-        results.add(key, m)
+        results.add((m.ec_index, ordinal), m)
     if results is None:
-        results = ResultSet(object_id=str(manifest.object_config.get("object_id", "")),
-                            plan_fingerprint=manifest.plan_fingerprint)
-    return results, manifest
+        results = ResultSet(object_id=object_id,
+                            plan_fingerprint=plan_fingerprint)
+    return results
+
+
+def check_resumable(path: str | Path, manifest: RunManifest) -> None:
+    """Refuse to append to `path` under `manifest` when the manifest beside
+    it records another space, plan, executor or object. A file without a
+    manifest (a run killed before it finalized) may be resumed."""
+    mpath = manifest_path(path)
+    if not mpath.exists():
+        return
+    recorded = RunManifest.from_dict(json.loads(mpath.read_text()))
+    for what, before, now in (
+        ("space fingerprint", recorded.space_fingerprint,
+         manifest.space_fingerprint),
+        ("plan fingerprint", recorded.plan_fingerprint,
+         manifest.plan_fingerprint),
+        ("executor hash", recorded.executor_hash, manifest.executor_hash),
+        ("object id", recorded.object_config.get("object_id"),
+         manifest.object_config.get("object_id")),
+    ):
+        if before != now:
+            raise FingerprintError(
+                f"cannot resume {path}: its manifest records {what} {before}, "
+                f"this run has {now}"
+            )
 
 
 def _fmt(x: float) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class Sample:
     def __post_init__(self) -> None:
         if not self.values:
             raise StatsError("sample must be non-empty")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise StatsError("sample contains non-finite values")
 
     @property
@@ -146,18 +147,35 @@ def _t_bisection(p: float):
 
 def confidence_interval(sample: Sample, level: float) -> Interval:
     """Mean CI: x_bar +/- t_{(1+level)/2, n-1} * s / sqrt(n)."""
+    return confidence_intervals([sample], level)[0]
+
+
+def confidence_intervals(samples: Sequence[Sample],
+                         level: float) -> list[Interval]:
+    """The mean CI of each sample, x_bar +/- t_{(1+level)/2, n-1} * s /
+    sqrt(n), a point at x_bar when s = 0. The t quantiles of all samples come
+    from one array `t_quantile` call, each element equal to a scalar call;
+    x_bar is `fmean` and s the exact `stdev`, so the bits do not depend on
+    how samples are batched."""
     if not 0 < level < 1:
         raise StatsError("confidence level must be in (0, 1)")
-    n = sample.n
-    if n < 2:
+    if any(s.n < 2 for s in samples):
         raise StatsError("confidence interval needs n >= 2")
-    mean = statistics.fmean(sample.values)
-    s = statistics.stdev(sample.values)
-    if s == 0.0:
-        return Interval(low=mean, high=mean, level=level, center=mean, n=n)
-    half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
-    return Interval(low=mean - half, high=mean + half, level=level,
-                    center=mean, n=n)
+    crit = t_quantile((1.0 + level) / 2.0,
+                      np.array([s.n - 1 for s in samples], dtype=np.float64))
+    out = []
+    for sample, t in zip(samples, crit.tolist()):
+        n = sample.n
+        mean = statistics.fmean(sample.values)
+        s = statistics.stdev(sample.values)
+        if s == 0.0:
+            out.append(Interval(low=mean, high=mean, level=level, center=mean,
+                                n=n))
+            continue
+        half = t * s / math.sqrt(n)
+        out.append(Interval(low=mean - half, high=mean + half, level=level,
+                            center=mean, n=n))
+    return out
 
 
 def mean_ci_from_array(values: np.ndarray, level: float,
@@ -207,26 +225,34 @@ def welch_interval(a: np.ndarray, b: np.ndarray, level: float) -> Interval:
                     center=float(center[0]), n=a.size + b.size)
 
 
-def _paired_keys(a: ResultSet, b: ResultSet) -> list[tuple[int, int]]:
-    ka, kb = set(a.measurements), set(b.measurements)
-    if ka != kb:
-        missing_a = sorted(kb - ka)[:5]
-        missing_b = sorted(ka - kb)[:5]
+def paired_aggregates(a: ResultSet, b: ResultSet,
+                      ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The sorted (ec_index, ordinal) keys both result sets cover, with each
+    set's aggregates in that order as float64 arrays. Result sets from
+    different plans, or covering different keys, do not pair."""
+    if a.plan_fingerprint != b.plan_fingerprint:
+        raise PairingError(
+            "result sets come from different plans: plan fingerprint "
+            f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
+        )
+    ma, mb = a.measurements, b.measurements
+    if ma.keys() != mb.keys():
+        missing_a = sorted(mb.keys() - ma.keys())[:5]
+        missing_b = sorted(ma.keys() - mb.keys())[:5]
         raise PairingError(
             "result sets cover different (ec_index, ordinal) keys; "
             f"examples missing from a: {missing_a}, from b: {missing_b}"
         )
-    return sorted(ka)
+    keys = sorted(ma)
+    return (keys, np.array([ma[k].aggregate for k in keys], dtype=np.float64),
+            np.array([mb[k].aggregate for k in keys], dtype=np.float64))
 
 
 def paired_differences(a: ResultSet, b: ResultSet,
                        label: str | None = None) -> Sample:
     """Per matched key, aggregate(a) - aggregate(b), in sorted key order."""
-    keys = _paired_keys(a, b)
-    diffs = tuple(
-        a.measurements[k].aggregate - b.measurements[k].aggregate for k in keys
-    )
-    return Sample(values=diffs, label=label)
+    _, xa, xb = paired_aggregates(a, b)
+    return Sample(values=tuple((xa - xb).tolist()), label=label)
 
 
 @dataclass(frozen=True)
@@ -243,18 +269,21 @@ def ratio_diagnostics(a: ResultSet, b: ResultSet,
     Jensen asymmetry product that quantifies why ratios mislead."""
     if baseline not in ("a", "b"):
         raise StatsError("baseline must be 'a' or 'b'")
-    keys = _paired_keys(a, b)
-    num, den = (a, b) if baseline == "b" else (b, a)
-    ratios = []
-    for k in keys:
-        d = den.measurements[k].aggregate
-        if d <= 0 or num.measurements[k].aggregate <= 0:
-            raise StatsError("ratios require positive aggregates")
-        ratios.append(num.measurements[k].aggregate / d)
-    mean_r = statistics.fmean(ratios)
-    mean_inv = statistics.fmean(1.0 / r for r in ratios)
+    _, xa, xb = paired_aggregates(a, b)
+    return ratio_summary(xa, xb) if baseline == "b" else ratio_summary(xb, xa)
+
+
+def ratio_summary(num: np.ndarray, den: np.ndarray) -> RatioDiagnostics:
+    """Ratio diagnostics of aligned aggregate arrays, numerator over
+    denominator."""
+    if np.any(den <= 0) or np.any(num <= 0):
+        raise StatsError("ratios require positive aggregates")
+    ratios = num / den
+    values = ratios.tolist()
+    mean_r = statistics.fmean(values)
+    mean_inv = statistics.fmean((1.0 / ratios).tolist())
     return RatioDiagnostics(
-        ratios=Sample(values=tuple(ratios)),
+        ratios=Sample(values=tuple(values)),
         mean_ratio=mean_r,
         mean_reciprocal=mean_inv,
         asymmetry_product=mean_r * mean_inv,

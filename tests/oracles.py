@@ -12,6 +12,7 @@ one pair of samples.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import statistics
 
@@ -22,18 +23,13 @@ import numpy as np
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(400)
 
 
-def _t_cdf_quadrature(t: float, df: float) -> float:
-    """P(T <= t) via the angular substitution T = sqrt(df) tan(theta), under
-    which the density is proportional to cos^(df-1)(theta) on (-pi/2, pi/2)."""
-
-    def integral(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        theta = mid + half * _NODES
-        return half * float(np.sum(_WEIGHTS * np.cos(theta) ** (df - 1.0)))
-
-    upper = math.atan(t / math.sqrt(df))
-    total = integral(-math.pi / 2, math.pi / 2)
-    return integral(-math.pi / 2, upper) / total
+def _t_density_integral(a: float, b: float, df: float) -> float:
+    """Integral of cos^(df-1)(theta) over (a, b): under the substitution
+    T = sqrt(df) tan(theta) the t density is proportional to it on
+    (-pi/2, pi/2)."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    theta = mid + half * _NODES
+    return half * float(np.sum(_WEIGHTS * np.cos(theta) ** (df - 1.0)))
 
 
 def t_quantile_oracle(p: float, df: float) -> float:
@@ -42,12 +38,18 @@ def t_quantile_oracle(p: float, df: float) -> float:
         return 0.0
     if p < 0.5:
         return -t_quantile_oracle(1.0 - p, df)
+    total = _t_density_integral(-math.pi / 2, math.pi / 2, df)  # df only
+
+    def cdf(t: float) -> float:
+        upper = math.atan(t / math.sqrt(df))
+        return _t_density_integral(-math.pi / 2, upper, df) / total
+
     lo, hi = 0.0, 1.0
-    while _t_cdf_quadrature(hi, df) < p:
+    while cdf(hi) < p:
         hi *= 2.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _t_cdf_quadrature(mid, df) < p:
+        if cdf(mid) < p:
             lo = mid
         else:
             hi = mid
@@ -160,3 +162,34 @@ def welch_reference(a: np.ndarray, b: np.ndarray, level: float, t_quantile):
     df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     half = t_quantile((1.0 + level) / 2.0, float(df)) * math.sqrt(se2)
     return center - half, center, center + half
+
+
+class LineParseError(Exception):
+    """A results line that `json.loads` rejects: "line number: message"."""
+
+
+def parse_lines_reference(data: bytes):
+    """Yield (line number, value) for each line of a results file, one
+    `json.loads` call per line, skipping the lines `str.strip` finds blank;
+    raise LineParseError at the first line that does not parse."""
+    for lineno, line in enumerate(data.decode().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise LineParseError(f"{lineno}: parse failure: {e}") from e
+        yield lineno, value
+
+
+def confidence_interval_reference(values, level: float, t_quantile):
+    """(low, high, center) of the one-sample mean CI, one scalar t quantile
+    per sample: fmean, exact stdev, and a degenerate interval at zero
+    spread."""
+    n = len(values)
+    mean = statistics.fmean(values)
+    s = statistics.stdev(values)
+    if s == 0.0:
+        return mean, mean, mean
+    half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
+    return mean - half, mean + half, mean

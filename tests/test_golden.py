@@ -1,16 +1,28 @@
-"""Golden values: exact Monte Carlo hit counts and t quantile bits.
+"""Golden values: exact Monte Carlo hit counts, t quantile bits and compare
+report bytes.
 
-The numbers were recorded from the per-iteration (unvectorised) Monte Carlo
-loop and the scalar t quantile. The vectorised code must reproduce them
-exactly, not just within the acceptance gate's statistical bounds, so a
-change of draw order, noise stream or interval arithmetic shows up here.
+The hit counts and quantiles were recorded from the per-iteration
+(unvectorised) Monte Carlo loop and the scalar t quantile. The vectorised code
+must reproduce them exactly, not just within the acceptance gate's statistical
+bounds, so a change of draw order, noise stream or interval arithmetic shows
+up here. The report digests were recorded from the per-line `json.loads`
+loader and the per-key pairing, with one scalar t quantile per interval.
 """
+
+import hashlib
+import statistics
 
 import numpy as np
 import pytest
 
 from ecbench import demo, oracle
+from ecbench.cli import main
+from ecbench.compare import asymmetry_report, compare_objects
+from ecbench.design import PlanEntry, SamplePlan
+from ecbench.fingerprints import fingerprint
+from ecbench.manifest import RunManifest, emit_report, persist_results
 from ecbench.oracle import Methodology, coverage_experiment, methodology_comparison
+from ecbench.runner import Measurement, ResultSet
 from ecbench.stats import t_quantile
 
 OBJECTS = ("cpu_a", "cpu_b")
@@ -121,3 +133,87 @@ def test_t_quantile_array_equals_scalar_calls(p):
     q = t_quantile(p, dfs)
     assert q.shape == dfs.shape
     assert all(q[i] == t_quantile(p, float(dfs[i])) for i in range(dfs.size))
+
+
+def persisted_pair(work, rows=2000, repeats=100, seed=7):
+    """Two result files of `rows` rows in the 43 workload groups of the
+    billion-point space, written by persist_results; the last `repeats` rows
+    measure earlier entries again (ordinal 1), and cpu_a ends with one
+    failure line."""
+    space = demo.demo_space_billion()
+    workloads = space.factor("workload").levels
+    rng = np.random.Generator(np.random.PCG64(seed))
+    within = space.cardinality // len(workloads)
+    drawn = rows - repeats
+    strata = rng.integers(0, len(workloads), drawn)
+    indices = strata * within + rng.integers(0, within, drawn)
+    strata = np.concatenate([strata, strata[:repeats]])
+    indices = np.concatenate([indices, indices[:repeats]])
+    plan = SamplePlan(
+        design="stratified",
+        entries=tuple(PlanEntry(ec_index=int(i), stratum=workloads[s])
+                      for i, s in zip(indices.tolist(), strata.tolist())),
+        reps=3, seed=seed, space_fingerprint=fingerprint(space.to_dict()))
+    plan.save(work / "plan.json")
+    base = rng.uniform(50.0, 400.0, len(workloads))[strata]
+    delta = rng.uniform(-5.0, 5.0, len(workloads))[strata]
+    for oid, shift in zip(OBJECTS, (0.0, delta)):
+        values = (base + shift)[:, None] + rng.normal(0.0, 2.0, (rows, 3))
+        results = ResultSet(object_id=oid, plan_fingerprint=plan.fingerprint)
+        seen: dict[int, int] = {}
+        for index, reps in zip(indices.tolist(), values.tolist()):
+            ordinal = seen.get(index, 0)
+            seen[index] = ordinal + 1
+            results.add((index, ordinal), Measurement(
+                ec_index=index, object_id=oid, replicates=tuple(reps),
+                aggregate=statistics.fmean(reps), policy="mean"))
+        if oid == "cpu_a":
+            results.failures.append(Measurement(
+                ec_index=int(indices[0]), object_id=oid, replicates=(),
+                aggregate=float("nan"), policy="mean", error="timed out"))
+        manifest = RunManifest(
+            space_fingerprint=plan.space_fingerprint,
+            plan_fingerprint=plan.fingerprint, executor_hash="recorded",
+            object_config={"object_id": oid})
+        persist_results(results, manifest, work / f"{oid}.jsonl")
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+REPORT_SHA256 = {
+    "report.json": "f8a76d396beab959f4fd84c2e80f1d067f164dcde8807f3d96c11cfc3b079ea4",
+    "report.csv": "81ef8714bf915a0eb0fdc89fa6943ecf2b9d22bce6b27b57641ecc661f3199bf",
+    "asymmetry.json": "1a4fccfba8f1f5cc2c2eba740436e92214585118ec56cefe2984fc4c760de0da",
+}
+
+
+def test_compare_report_bytes(tmp_path):
+    persisted_pair(tmp_path)
+    argv = ["compare", "--a", str(tmp_path / "cpu_a.jsonl"),
+            "--b", str(tmp_path / "cpu_b.jsonl"), "--level", "0.95",
+            "--group-by-plan", str(tmp_path / "plan.json"),
+            "--out", str(tmp_path / "report.json"),
+            "--csv", str(tmp_path / "report.csv"),
+            "--asymmetry", str(tmp_path / "asymmetry.json")]
+    assert main(argv) == 0
+    assert {name: sha256_of(tmp_path / name)
+            for name in REPORT_SHA256} == REPORT_SHA256
+
+
+DEMO_SHA256 = {
+    "report.json": "06fef1722302700fc6d47dbc6b8b27d992e6e98c81218c4a2dfc08337d999d75",
+    "report.csv": "cf593affbccf0cca61124e1500f3705933268cfb62e2190303131e789b37e1d2",
+    "asymmetry.json": "0fc6e208693b2c93544c7ec100fa7330aea79f756ff77790af0ff82e89a57aa5",
+}
+
+
+def test_asymmetry_demo_report_bytes(tmp_path):
+    a, b = demo.asymmetry_demo_results()
+    report = compare_objects(a, b, 0.95)
+    emit_report(report, "json", tmp_path / "report.json")
+    emit_report(report, "csv", tmp_path / "report.csv")
+    emit_report(asymmetry_report(a, b, 0.95), "json", tmp_path / "asymmetry.json")
+    assert {name: sha256_of(tmp_path / name)
+            for name in DEMO_SHA256} == DEMO_SHA256

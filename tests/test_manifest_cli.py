@@ -15,7 +15,7 @@ from ecbench.cli import main, plan_group_map
 from ecbench.compare import compare_objects
 from ecbench.design import SamplePlan, full_factorial, stratified_sample
 from ecbench.errors import FingerprintError
-from ecbench.fingerprints import fingerprint
+from ecbench.fingerprints import canonical_json, fingerprint, fingerprint_bytes
 from ecbench.manifest import (
     RunManifest,
     emit_report,
@@ -24,8 +24,9 @@ from ecbench.manifest import (
     persist_results,
 )
 from ecbench.model import SyntheticModel
-from ecbench.runner import ExecutorSpec, execute_plan
+from ecbench.runner import ExecutorSpec, Measurement, execute_plan
 from ecbench.space import Factor, build_space
+from oracles import LineParseError, parse_lines_reference
 
 
 def run_demo(tmp_path, obj, plan=None, space=None):
@@ -95,6 +96,52 @@ class TestPersistLoad:
         )
         with pytest.raises(FingerprintError):
             persist_results(results, manifest, tmp_path / "r.jsonl")
+
+    def test_lines_parse_as_json_loads_parses_them(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        manifest = RunManifest(space_fingerprint="s", plan_fingerprint="p",
+                               executor_hash="e",
+                               object_config={"object_id": "cpu_a"})
+        doc = st.builds(
+            lambda i, v: canonical_json(Measurement(
+                ec_index=i, object_id="cpu_a", replicates=(v, v),
+                aggregate=v, policy="mean").to_dict()),
+            st.integers(0, 3), st.floats(-1e6, 1e6, allow_nan=False))
+        # space, tab, NBSP, form feed and carriage return: JSON whitespace,
+        # Unicode-only whitespace and str.splitlines boundaries
+        pad = st.text(alphabet=" \t\xa0\x0c\r", max_size=3)
+        line = st.one_of(
+            st.tuples(pad, doc, pad).map("".join),
+            st.tuples(doc, pad, doc).map("".join),  # two values on one line
+            st.tuples(doc, st.integers(1, 40)).map(lambda t: t[0][:-t[1]]),
+            st.text(alphabet='{}[]":,.-0e1nultr \t\xa0', max_size=6),
+            pad,
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(lines=st.lists(line, max_size=5),
+               end=st.sampled_from(["", "\n", "\r\n"]))
+        def check(lines, end):
+            data = ("\n".join(lines) + end).encode()
+            path.write_bytes(data)
+            manifest.results_sha256 = fingerprint_bytes(data)
+            manifest_path(path).write_text(json.dumps(manifest.to_dict()))
+            wanted = []
+            try:  # lines are read in order: the first bad line decides
+                for _, value in parse_lines_reference(data):
+                    wanted.append(Measurement.from_dict(value))
+            except LineParseError as e:
+                with pytest.raises(FingerprintError) as got:
+                    load_results(path)
+                assert str(got.value) == f"{path}:{e}"
+            except (TypeError, KeyError, AttributeError) as e:
+                with pytest.raises(type(e)):
+                    load_results(path)
+            else:
+                results, _ = load_results(path)
+                assert list(results.measurements.values()) == wanted
+
+        check()
 
     def test_byte_identical_across_runs(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -219,6 +266,42 @@ class TestCli:
                      "--b", str(ws / "cpu_b.jsonl"), "--level", "0.95",
                      "--out", str(ws / "cmp.json")]) == 3
 
+    def test_runs_of_different_plans_do_not_compare(self, workspace, capsys):
+        ws = workspace
+        fingerprints = []
+        for oid, reps in (("cpu_a", "3"), ("cpu_b", "1")):
+            plan = ws / f"plan_{oid}.json"
+            assert main(["plan", "full-factorial", "--space", str(ws / "space.json"),
+                         "--reps", reps, "--out", str(plan)]) == 0
+            assert main(["run", "--space", str(ws / "space.json"),
+                         "--plan", str(plan),
+                         "--executor", str(ws / "executor.json"),
+                         "--object", str(ws / f"{oid}.json"),
+                         "--out", str(ws / f"{oid}.jsonl")]) == 0
+            fingerprints.append(SamplePlan.load(plan).fingerprint)
+        capsys.readouterr()
+        assert main(["compare", "--a", str(ws / "cpu_a.jsonl"),
+                     "--b", str(ws / "cpu_b.jsonl"), "--level", "0.95",
+                     "--out", str(ws / "cmp.json")]) == 3
+        err = capsys.readouterr().err
+        assert all(fp in err for fp in fingerprints)
+        assert not (ws / "cmp.json").exists()
+
+    def test_group_plan_must_be_the_runs_plan(self, workspace, capsys):
+        ws = workspace
+        ran = SamplePlan.load(self.plan_run_compare(ws)).fingerprint
+        assert main(["plan", "stratified", "--space", str(ws / "space.json"),
+                     "--stratum-factor", "workload", "--iterations", "16",
+                     "--seed", "6", "--out", str(ws / "other.json")]) == 0
+        other = SamplePlan.load(ws / "other.json").fingerprint
+        capsys.readouterr()
+        assert main(["compare", "--a", str(ws / "cpu_a.jsonl"),
+                     "--b", str(ws / "cpu_b.jsonl"), "--level", "0.95",
+                     "--group-by-plan", str(ws / "other.json"),
+                     "--out", str(ws / "cmp.json")]) == 3
+        err = capsys.readouterr().err
+        assert ran in err and other in err
+
     def test_run_byte_identical_between_invocations(self, workspace):
         ws = workspace
         self.plan_run_compare(ws)
@@ -295,6 +378,59 @@ class TestCli:
         assert (ws / "cpu_a.jsonl").read_bytes() == full
         results, _ = load_results(ws / "cpu_a.jsonl")  # manifest hash holds
         assert len(results.measurements) == 16
+
+    @pytest.mark.parametrize("changed", ["space", "plan", "executor", "object"])
+    def test_resume_refuses_another_run(self, workspace, capsys, changed):
+        ws = workspace
+        plan = self.plan_run_compare(ws)
+        argv = {"space": ws / "space.json", "plan": plan,
+                "executor": ws / "executor.json", "object": ws / "cpu_a.json"}
+        if changed == "space":
+            doc = json.loads(argv["space"].read_text())
+            doc["factors"][0]["name"] = "benchmark"
+            argv["space"] = ws / "space2.json"
+            argv["space"].write_text(json.dumps(doc))
+        elif changed == "plan":
+            argv["plan"] = ws / "plan6.json"
+            assert main(["plan", "stratified", "--space", str(ws / "space.json"),
+                         "--stratum-factor", "workload", "--iterations", "16",
+                         "--seed", "6", "--out", str(argv["plan"])]) == 0
+        elif changed == "executor":
+            model = demo.gaussian_model().to_dict()
+            model["noise_seed"] += 1
+            argv["executor"] = ws / "executor2.json"
+            argv["executor"].write_text(json.dumps(
+                {"kind": "synthetic", "model": model}))
+        else:
+            argv["object"] = ws / "cpu_b.json"
+        out = ws / "cpu_a.jsonl"
+        lines = out.read_bytes().splitlines(keepends=True)
+        interrupted = b"".join(lines[:5]) + lines[5][:40]
+        out.write_bytes(interrupted)
+        recorded = manifest_path(out).read_bytes()
+        capsys.readouterr()
+        assert main(["run", *(a for k, v in argv.items()
+                              for a in (f"--{k}", str(v))),
+                     "--out", str(out), "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and changed in err
+        assert out.read_bytes() == interrupted
+        assert manifest_path(out).read_bytes() == recorded
+
+    def test_resume_without_manifest(self, workspace):
+        # a run killed before it finalized leaves no manifest
+        ws = workspace
+        plan = self.plan_run_compare(ws)
+        out = ws / "cpu_a.jsonl"
+        full = out.read_bytes()
+        out.write_bytes(full[:len(full) // 2])
+        manifest_path(out).unlink()
+        assert main(["run", "--space", str(ws / "space.json"),
+                     "--plan", str(plan),
+                     "--executor", str(ws / "executor.json"),
+                     "--object", str(ws / "cpu_a.json"),
+                     "--out", str(out), "--resume"]) == 0
+        assert out.read_bytes() == full
 
     def test_synthetic_run_beyond_int64_exits_2(self, tmp_path):
         space = build_space([Factor("workload", ("w1", "w2"))] + [

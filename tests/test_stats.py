@@ -13,6 +13,7 @@ from ecbench.stats import (
     Sample,
     StatsError,
     confidence_interval,
+    confidence_intervals,
     geometric_mean,
     mean_ci_from_array,
     paired_differences,
@@ -22,7 +23,11 @@ from ecbench.stats import (
     welch_bounds,
     welch_interval,
 )
-from oracles import t_quantile_oracle, welch_reference
+from oracles import (
+    confidence_interval_reference,
+    t_quantile_oracle,
+    welch_reference,
+)
 
 
 def result_set(object_id: str, values: list[float]) -> ResultSet:
@@ -214,6 +219,25 @@ class TestWelch:
         assert low[9] == center[9] == high[9] == 1.0
 
 
+def test_confidence_intervals_match_one_sample_reference():
+    rng = np.random.Generator(np.random.PCG64(5))
+    samples = [Sample((1.0, 2.0)), Sample((-3.5, 7.25)), Sample((4.0, 4.0)),
+               Sample((-0.0, -0.0)), Sample((2.0,) * 9)]
+    samples += [Sample(tuple(rng.normal(m, sd, n).tolist()))
+                for m, sd, n in ((300.0, 6.0, 3), (-2.0, 0.5, 31),
+                                 (0.0, 1e-9, 465), (50.0, 20.0, 2000))]
+    for level in (0.9, 0.95, 0.99):
+        expected = [tuple(map(repr, confidence_interval_reference(
+            s.values, level, t_quantile))) for s in samples]
+        batch = confidence_intervals(samples, level)
+        assert [tuple(map(repr, (iv.low, iv.high, iv.center)))
+                for iv in batch] == expected
+        assert [(iv.n, iv.level) for iv in batch] == [(s.n, level)
+                                                      for s in samples]
+        assert [confidence_interval(s, level) for s in samples] == batch
+    assert confidence_intervals([], 0.95) == []
+
+
 def test_mean_ci_rows_match_one_dimensional_calls():
     rng = np.random.Generator(np.random.PCG64(22))
     values = rng.normal(5.0, 2.0, (300, 96))
@@ -241,6 +265,15 @@ class TestPairedDifferences:
         b = result_set("b", [1.0])
         with pytest.raises(PairingError):
             paired_differences(a, b)
+
+    def test_different_plans_rejected(self):
+        a = result_set("a", [5.0, 7.0])
+        b = result_set("b", [1.0, 2.0])
+        b.plan_fingerprint = "another"
+        with pytest.raises(PairingError, match="test.*another"):
+            paired_differences(a, b)
+        with pytest.raises(PairingError, match="test.*another"):
+            ratio_diagnostics(a, b)
 
 
 class TestRatioDiagnostics:
