@@ -16,6 +16,7 @@ int64 up to 2^63 - 1 points and Python ints (object arrays) beyond, up to the
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,8 +56,10 @@ class SamplePlan:
         if self.policy not in ("mean", "median"):
             raise PlanError(f"unknown aggregation policy {self.policy!r}")
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
+        # hashed once per plan object; the cache sits in the instance dict,
+        # which a frozen dataclass leaves writable to cached_property
         return fingerprint(self.to_dict())
 
     def to_dict(self) -> dict:

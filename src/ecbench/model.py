@@ -4,7 +4,11 @@ The noise stream is counter-based (splitmix64 mixing + Box-Muller), so each
 replicate's perturbation is a pure function of (noise seed, ec index, object
 id, replicate ordinal). That makes measurements bit-reproducible across runs
 and platforms, and lets the Monte Carlo oracle evaluate whole plans as single
-vectorized numpy expressions.
+vectorized numpy expressions. Seeds, indices and replicate ordinals broadcast
+against each other, and every step is element-wise, so a value does not depend
+on the shape of the call that made it: the oracle passes (k, 1) seeds, (k, n)
+indices and (reps, 1, 1) replicates, the runner (n, 1) indices and (reps,)
+replicates, and each gets the bits of the flat one-value-per-element call.
 """
 
 from __future__ import annotations
@@ -50,8 +54,12 @@ def _object_key(object_id: str) -> np.uint64:
 def counter_normal(seed: int | np.ndarray, ec_index: np.ndarray, object_id: str,
                    replicate: np.ndarray) -> np.ndarray:
     """Standard-normal draws addressed by (seed, ec index, object, replicate),
-    truncated at +/- NOISE_CLIP_SIGMA. `seed` is one noise seed, or an array
-    of per-element seeds broadcast against the indices."""
+    truncated at +/- NOISE_CLIP_SIGMA. `seed` is one noise seed (wrapped into
+    64 bits; it counts as shape (1,)) or a uint64 array of seeds. Seeds,
+    indices and replicates broadcast, and the result has their broadcast
+    shape. Each mixing round runs at the broadcast shape of the inputs it has
+    used so far: seed, then seed x index (also the object round), then x
+    replicate, so inputs that vary along fewer axes are mixed only once."""
     if np.ndim(seed) == 0:
         seeds = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     else:
@@ -257,9 +265,9 @@ class CompiledModel:
             )
 
     def decode_levels(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized mixed-radix decode; shape (n_factors, len(indices))."""
+        """Vectorized mixed-radix decode; shape (n_factors, *indices.shape)."""
         idx = np.asarray(indices, dtype=np.int64)
-        out = np.empty((len(self._radices), idx.size), dtype=np.int64)
+        out = np.empty((len(self._radices),) + idx.shape, dtype=np.int64)
         rem = idx.copy()
         for pos in range(len(self._radices) - 1, -1, -1):
             m = self._radices[pos]
@@ -268,7 +276,8 @@ class CompiledModel:
         return out
 
     def deterministic_values(self, indices: np.ndarray, object_id: str) -> np.ndarray:
-        """Noise-free model value at each index (the per-point true value)."""
+        """Noise-free model value at each index (the per-point true value), in
+        the shape of `indices`."""
         levels = self.decode_levels(indices)
         vals = self._base[levels[self._strat_pos]].copy()
         for pos, vec in self._effect_vectors:
@@ -281,13 +290,22 @@ class CompiledModel:
         return vals
 
     def noisy_values(self, indices: np.ndarray, object_id: str,
-                     replicate: np.ndarray, noise_seed: int | None = None) -> np.ndarray:
+                     replicate: np.ndarray, noise_seed: int | np.ndarray | None = None,
+                     values: np.ndarray | None = None) -> np.ndarray:
         """Model value plus seeded noise at each (index, replicate) pair.
-        `noise_seed` overrides the model's seed: one seed, or one per index."""
-        det = self.deterministic_values(indices, object_id)
-        if self.model.sigma == 0.0:
-            return np.maximum(det, MIN_DURATION, out=det)
+        `noise_seed` overrides the model's seed: one seed, or an array of
+        seeds. Indices, replicates and seeds broadcast as in `counter_normal`,
+        and the result has their broadcast shape, also when sigma is 0.
+        `values`, if given, are the noise-free values at `indices` (e.g.
+        gathered from a table of `deterministic_values` over the space), so
+        the indices need not be decoded again."""
+        det = values if values is not None else self.deterministic_values(
+            indices, object_id)
         seed = self.model.noise_seed if noise_seed is None else noise_seed
+        if self.model.sigma == 0.0:
+            shape = np.broadcast_shapes(np.shape(indices), np.shape(replicate),
+                                        np.shape(seed) or (1,))
+            return np.maximum(np.broadcast_to(det, shape), MIN_DURATION)
         z = counter_normal(seed, np.asarray(indices), object_id,
                            np.asarray(replicate))
         z *= self.model.sigma

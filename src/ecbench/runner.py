@@ -182,12 +182,11 @@ def _synthetic_replicates(model: SyntheticModel, obj: ObjectConfig,
     if not indices:
         return []
     compiled = model.compile(space)
-    n = len(indices)
     vals = compiled.noisy_values(
-        np.repeat(np.array(indices, dtype=np.int64), reps), obj.object_id,
-        np.tile(np.arange(reps, dtype=np.int64), n),
+        np.array(indices, dtype=np.int64)[:, None], obj.object_id,
+        np.arange(reps, dtype=np.int64),
     )
-    return vals.reshape(n, reps).tolist()
+    return vals.tolist()
 
 
 def _synthetic_measurement(ec_index: int, obj: ObjectConfig,

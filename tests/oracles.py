@@ -5,8 +5,9 @@ the t quantile comes from direct numerical integration of the density (no
 incomplete beta function), the population enumerator walks the raw JSON
 documents with itertools.product (no numpy, no mixed-radix decode), the
 samplers draw one level at a time with scalar rng calls and compose indices
-in Python ints, and the Welch interval is plain float64-scalar arithmetic on
-one pair of samples.
+in Python ints, the Welch interval is plain float64-scalar arithmetic on
+one pair of samples, and the noise references spell out one element per
+(index, replicate) pair instead of broadcasting.
 """
 
 from __future__ import annotations
@@ -193,3 +194,28 @@ def confidence_interval_reference(values, level: float, t_quantile):
         return mean, mean, mean
     half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
     return mean - half, mean + half, mean
+
+
+def flat_noise_layout(indices: np.ndarray, reps: int, seeds):
+    """One element per (row, index, replicate) in row-major order: indices
+    and replicate ordinals spelled out with repeat/tile, and per-row seeds
+    repeated to match; a scalar seed stays scalar."""
+    k, n = indices.shape
+    flat_seeds = seeds if np.ndim(seeds) == 0 else np.repeat(seeds, n * reps)
+    return (np.repeat(indices.ravel(), reps),
+            np.tile(np.arange(reps, dtype=np.int64), k * n), flat_seeds)
+
+
+def simulate_aggregates_reference(compiled, indices: np.ndarray, object_id: str,
+                                  reps: int, noise_seeds: np.ndarray,
+                                  policy: str) -> np.ndarray:
+    """Replicate aggregates of a (k, n) index array from one flat noisy_values
+    call, every value decoded from its index and reduced over a contiguous
+    replicate axis."""
+    k, n = indices.shape
+    idx, rep, seeds = flat_noise_layout(indices, reps, noise_seeds)
+    vals = compiled.noisy_values(idx, object_id, rep,
+                                 noise_seed=seeds).reshape(k, n, reps)
+    if policy == "median":
+        return np.median(vals, axis=2)
+    return vals.mean(axis=2)

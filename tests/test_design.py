@@ -1,10 +1,12 @@
 import collections
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecbench.design
 from ecbench import demo
 from ecbench.design import (
     FactorSplit,
@@ -16,6 +18,7 @@ from ecbench.design import (
     stratified_sample,
 )
 from ecbench.errors import PlanError
+from ecbench.fingerprints import fingerprint
 from ecbench.space import Factor, build_space
 from oracles import factorial_2k_reference, rct_reference, stratified_reference
 
@@ -234,6 +237,25 @@ def test_plan_json_roundtrip(tmp_path):
     loaded = SamplePlan.load(path)
     assert loaded == plan
     assert loaded.fingerprint == plan.fingerprint
+
+
+def test_plan_fingerprint_is_hashed_once_per_plan(monkeypatch):
+    # through design's module-level fingerprint, which the benchmark tracer
+    # counts
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return fingerprint(doc)
+
+    monkeypatch.setattr(ecbench.design, "fingerprint", counted)
+    plan = stratified_sample(small_space(), "workload", 6, 2, seed=42)
+    calls.clear()  # the generator hashed the space
+    first, second = plan.fingerprint, plan.fingerprint
+    assert len(calls) == 1
+    assert first == second == fingerprint(plan.to_dict())
+    replaced = dataclasses.replace(plan, reps=3)
+    assert replaced.fingerprint == fingerprint(replaced.to_dict()) != first
 
 
 def test_plans_fingerprint_changes_with_space():

@@ -1,9 +1,11 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from ecbench import demo
+from ecbench.cli import main
 from ecbench.errors import PlanError, SpaceError
 from ecbench.model import SyntheticModel
 from ecbench.oracle import (
@@ -16,6 +18,13 @@ from ecbench.oracle import (
 from ecbench.runner import Measurement, ResultSet
 from ecbench.space import Factor, build_space
 from oracles import brute_force_population_mean
+
+# model.values counted by the benchmark tracer for the simulate call in
+# test_simulate_noise_stays_visible_to_the_benchmark_tracer, recorded with the
+# flat (index x replicate) noise layout: 5 iterations x 2 objects x 3 reps x
+# (720 + 4 + 8 + 8 + 1 points), plus the spec_point margin probe's
+# 200 x 2 x 3 x 32
+SIMULATE_NOISE_VALUES = 60630
 
 
 class TestPopulationMean:
@@ -246,13 +255,19 @@ def test_skewed_factorial2k_undercovers_stratified():
     assert f2k.coverage < strat.coverage - 0.1
 
 
-def test_names_patched_by_the_benchmark_tracer_stay_bound():
-    # benchmarks/tracing.py rebinds module and class attributes by name; each
-    # must stay bound, also where ecbench itself no longer calls it
+def bench_tracing():
+    """benchmarks/tracing.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_names_patched_by_the_benchmark_tracer_stay_bound():
+    # benchmarks/tracing.py rebinds module and class attributes by name; each
+    # must stay bound, also where ecbench itself no longer calls it
+    tracing = bench_tracing()
     names = [(owner, attr) for owner, attr, _, _ in tracing._span_table()]
     names += [(owner, attr) for owner, attr, _ in tracing._COUNTER_TABLE]
     for owner, attr in names:
@@ -265,3 +280,37 @@ def test_names_patched_by_the_benchmark_tracer_stay_bound():
     with tracing.installed(tracing.Tracer()):
         pass
     assert [getattr(owner, attr) for owner, attr in names] == before
+
+
+def test_simulate_noise_stays_visible_to_the_benchmark_tracer(tmp_path):
+    # the oracle's noise must keep going through CompiledModel.noisy_values
+    # and model.counter_normal, and every noise value must be counted
+    tracing = bench_tracing()
+    space = demo.demo_space_720()
+    space.save(tmp_path / "space.json")
+    demo.skewed_model().save(tmp_path / "model.json")
+    split = {n: {"low": list(lo), "high": list(hi)}
+             for n, lo, hi in demo.demo_factor_split().splits}
+    (tmp_path / "meth.json").write_text(json.dumps({
+        "objects": ["cpu_a", "cpu_b"],
+        "methodologies": [
+            {"kind": "full_factorial"},
+            {"kind": "stratified",
+             "params": {"stratum_factor": "workload", "iterations": 4}},
+            {"kind": "factorial2k",
+             "params": {"split": split, "defaults": {"workload": 0}}},
+            {"kind": "rct", "params": {"per_arm": 8}},
+            {"kind": "spec_point",
+             "params": {"recommended_index": demo.demo_recommended_index(space)}},
+        ],
+    }))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["simulate", "--space", str(tmp_path / "space.json"),
+                     "--model", str(tmp_path / "model.json"),
+                     "--methodologies", str(tmp_path / "meth.json"),
+                     "--iterations", "5", "--level", "0.99", "--seed", "3",
+                     "--out", str(tmp_path / "cov.csv")]) == 0
+    assert tracer.counts["model.values"] == SIMULATE_NOISE_VALUES
+    assert tracer.calls["model.noisy_values"] > 0
+    assert tracer.calls["model.counter_normal"] > 0

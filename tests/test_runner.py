@@ -1,15 +1,20 @@
 import dataclasses
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecbench import demo
+from ecbench import demo, oracle
 from ecbench.design import PlanEntry, SamplePlan, full_factorial, stratified_sample
 from ecbench.errors import ExecutionError, FingerprintError, SpaceError
 from ecbench.fingerprints import fingerprint
-from ecbench.model import SyntheticModel, counter_normal, synth_time
+from ecbench.model import Interaction, SyntheticModel, counter_normal, synth_time
 from ecbench.runner import ExecutorSpec, aggregate, execute_plan, measure
 from ecbench.space import Factor, ObjectConfig, build_space
+from oracles import flat_noise_layout, simulate_aggregates_reference
 
 
 def constant_model(value=100.0):
@@ -384,3 +389,192 @@ def test_counter_normal_raises_no_overflow_warning():
         warnings.simplefilter("error")
         counter_normal(2**64 - 1, np.arange(10), "cpu_b", np.zeros(10, dtype=np.int64))
         counter_normal(7, np.array([2**62]), "cpu_b", np.array([0]))
+
+
+# Broadcast noise calls against the flat layout: the oracle passes (k, 1)
+# seeds, (k, n) indices and (reps, 1, 1) replicates, the runner (n, 1) indices
+# and (reps,) replicates; both must give the bits of one element per
+# (index, replicate) pair.
+
+OBJECTS = ("cpu_a", "cpu_b")
+SCALAR_SEEDS = st.sampled_from([-1, 0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+ROW_SEEDS = st.sampled_from([0, 1, 2**63 + 11, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def replicate_major(reps: int) -> np.ndarray:
+    return np.arange(reps, dtype=np.int64).reshape(reps, 1, 1)
+
+
+def to_flat(vals: np.ndarray) -> np.ndarray:
+    """(reps, k, n) -> the flat (k, n, reps) order."""
+    return np.moveaxis(vals, 0, -1).ravel()
+
+
+def per_row(seeds):
+    return seeds if np.ndim(seeds) == 0 else seeds[:, None]
+
+
+@st.composite
+def noise_layouts(draw, max_index: int, scalar_seeds: bool = True):
+    """(k, n) indices up to max_index, reps, and one scalar seed or a (k,)
+    uint64 array of per-row seeds."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    reps = draw(st.integers(1, 10))
+    indices = np.array(draw(st.lists(st.integers(0, max_index),
+                                     min_size=k * n, max_size=k * n)),
+                       dtype=np.int64).reshape(k, n)
+    if scalar_seeds and draw(st.booleans()):
+        return indices, reps, draw(SCALAR_SEEDS)
+    seeds = draw(st.lists(ROW_SEEDS, min_size=k, max_size=k))
+    return indices, reps, np.array(seeds, dtype=np.uint64)
+
+
+def wide_model() -> SyntheticModel:
+    """Every kind of model term on binary_space(62)."""
+    return SyntheticModel(
+        stratum_factor="workload", base=(("w1", 10.0), ("w2", 20.0)),
+        effects=(("f0", (("0", 0.0), ("1", 1.5))),),
+        interactions=(Interaction("f1", "f2", (("1", "1", 0.25),)),),
+        object_offsets=(("cpu_b", 3.0),),
+        object_effects=(("cpu_b", (("f3", (("1", -0.5),)),)),),
+        sigma=1.0, noise_seed=5,
+    )
+
+
+NOISE_CASES = {
+    "skewed_720": (demo.demo_space_720, demo.skewed_model),
+    "wide_2_pow_62": (lambda: binary_space(62), wide_model),
+}
+
+
+@functools.cache
+def compiled_case(case: str, noisy: bool):
+    space_of, model_of = NOISE_CASES[case]
+    model = model_of()
+    if not noisy:
+        model = dataclasses.replace(model, sigma=0.0)
+    return model.compile(space_of())
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=noise_layouts(2**62), object_id=st.sampled_from(OBJECTS))
+def test_broadcast_counter_normal_matches_flat_layout(layout, object_id):
+    indices, reps, seeds = layout
+    got = counter_normal(per_row(seeds), indices, object_id, replicate_major(reps))
+    assert got.shape == (reps,) + indices.shape
+    idx, rep, flat_seeds = flat_noise_layout(indices, reps, seeds)
+    assert same_bits(to_flat(got), counter_normal(flat_seeds, idx, object_id, rep))
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["sigma", "sigma0"])
+@pytest.mark.parametrize("case", list(NOISE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_broadcast_noisy_values_match_flat_layout(case, noisy, data):
+    compiled = compiled_case(case, noisy)
+    indices, reps, seeds = data.draw(
+        noise_layouts(compiled.space.cardinality - 1), label="layout")
+    object_id = data.draw(st.sampled_from(OBJECTS), label="object_id")
+    k, n = indices.shape
+
+    levels = compiled.decode_levels(indices)
+    assert same_bits(levels, compiled.decode_levels(indices.ravel()).reshape(
+        (len(compiled.space.factors), k, n)))
+    det = compiled.deterministic_values(indices, object_id)
+    assert same_bits(det, compiled.deterministic_values(
+        indices.ravel(), object_id).reshape(k, n))
+
+    got = compiled.noisy_values(indices, object_id, replicate_major(reps),
+                                noise_seed=per_row(seeds))
+    assert got.shape == (reps, k, n)  # also with sigma 0
+    idx, rep, flat_seeds = flat_noise_layout(indices, reps, seeds)
+    want = compiled.noisy_values(idx, object_id, rep, noise_seed=flat_seeds)
+    assert same_bits(to_flat(got), want)
+    # noise-free values handed in give the same bits and are left unchanged
+    handed = det.copy()
+    assert same_bits(compiled.noisy_values(indices, object_id, replicate_major(reps),
+                                           noise_seed=per_row(seeds), values=handed),
+                     got)
+    assert same_bits(handed, det)
+
+    # the runner's layout: one row per index, the model's own seed
+    rows = compiled.noisy_values(indices.reshape(-1, 1), object_id,
+                                 np.arange(reps, dtype=np.int64))
+    assert rows.shape == (k * n, reps)
+    idx, rep, _ = flat_noise_layout(indices, reps, 0)
+    assert same_bits(rows.ravel(), compiled.noisy_values(idx, object_id, rep))
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["sigma", "sigma0"])
+@settings(max_examples=40, deadline=None)
+@given(layout=noise_layouts(719, scalar_seeds=False),
+       object_id=st.sampled_from(OBJECTS),
+       policy=st.sampled_from(["mean", "median"]))
+def test_simulate_aggregates_match_flat_layout(noisy, layout, object_id, policy):
+    # reps up to 10 crosses numpy's switch to pairwise summation at 8 terms
+    indices, reps, seeds = layout
+    compiled = compiled_case("skewed_720", noisy)
+    table = oracle._value_table(compiled, object_id)
+    got = oracle._simulate_aggregates(compiled, table, indices, object_id,
+                                      reps, seeds, policy)
+    want = simulate_aggregates_reference(compiled, indices, object_id, reps,
+                                         seeds, policy)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("model_of", [demo.gaussian_model, demo.skewed_model])
+def test_value_table_matches_decode_on_the_720_point_space(model_of):
+    compiled = model_of().compile(demo.demo_space_720())
+    every = np.arange(720, dtype=np.int64)
+    for object_id in OBJECTS:
+        table = oracle._value_table(compiled, object_id)
+        shuffled = np.random.default_rng(5).permutation(every).reshape(24, 30)
+        assert same_bits(table[shuffled],
+                         compiled.deterministic_values(shuffled, object_id))
+        one_by_one = [compiled.deterministic_values(np.array([i]), object_id)[0]
+                      for i in every]
+        assert same_bits(table, np.array(one_by_one))
+
+
+@st.composite
+def small_models(draw):
+    """A random space of 2 to 4 factors and a model using every term kind."""
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    factors = [Factor(f"f{i}", tuple(f"l{j}" for j in range(draw(st.integers(1, 5)))))
+               for i in range(draw(st.integers(2, 4)))]
+    first, last = factors[0], factors[-1]
+    model = SyntheticModel(
+        stratum_factor=first.name,
+        base=tuple((lab, draw(value)) for lab in first.levels),
+        effects=tuple((f.name, tuple((lab, draw(value)) for lab in f.levels))
+                      for f in factors[1:] if draw(st.booleans())),
+        interactions=(Interaction(first.name, last.name, tuple(
+            (a, b, draw(value)) for a in first.levels for b in last.levels
+            if draw(st.booleans()))),),
+        object_offsets=(("cpu_b", draw(value)),),
+        object_effects=(("cpu_b", ((last.name, tuple(
+            (lab, draw(value)) for lab in last.levels if draw(st.booleans()))),)),),
+    )
+    return build_space(factors), model
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_models(), data=st.data())
+def test_value_table_matches_decode_on_small_spaces(case, data):
+    space, model = case
+    compiled = model.compile(space)
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6)), label="shape")
+    indices = np.array(data.draw(st.lists(
+        st.integers(0, space.cardinality - 1),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]),
+        label="indices"), dtype=np.int64).reshape(shape)
+    for object_id in OBJECTS:
+        table = oracle._value_table(compiled, object_id)
+        assert same_bits(table[indices],
+                         compiled.deterministic_values(indices, object_id))
