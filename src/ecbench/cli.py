@@ -35,6 +35,7 @@ from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
 from .runner import ExecutorSpec, execute_plan
 from .space import ConfigSpace, ObjectConfig
+from .stats import paired_aggregates
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,12 +171,15 @@ def _cmd_compare(args) -> int:
     group_by = None
     if args.group_by_plan:
         group_by = _group_map(args.group_by_plan, a.plan_fingerprint)
-    report = compare_objects(a, b, args.level, group_by=group_by)
+    aligned = paired_aggregates(a, b)
+    report = compare_objects(a, b, args.level, group_by=group_by,
+                             aligned=aligned)
     emit_report(report, "json", args.out)
     if args.csv:
         emit_report(report, "csv", args.csv)
     if args.asymmetry:
-        emit_report(asymmetry_report(a, b, args.level), "json", args.asymmetry)
+        emit_report(asymmetry_report(a, b, args.level, aligned=aligned),
+                    "json", args.asymmetry)
     g = report.overall
     print(f"{report.minuend_id} - {report.subtrahend_id}: "
           f"mean {g.interval.center:.6f}, "

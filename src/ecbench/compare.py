@@ -10,14 +10,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PairingError
 from .runner import ResultSet
 from .stats import (
     Interval,
     RatioDiagnostics,
-    Sample,
-    confidence_intervals,
     geometric_mean,
+    mean_intervals,
     paired_aggregates,
     ratio_summary,
 )
@@ -104,31 +105,40 @@ class ComparisonReport:
         )
 
 
+Aligned = tuple[list[tuple[int, int]], np.ndarray, np.ndarray]
+
+
 def compare_objects(a: ResultSet, b: ResultSet, level: float,
                     group_by: dict[tuple[int, int], str] | None = None,
-                    ) -> ComparisonReport:
+                    aligned: Aligned | None = None) -> ComparisonReport:
     """Paired differences a - b with an overall CI/verdict and, when a
-    grouping map is given, one CI/verdict per group."""
-    keys, xa, xb = paired_aggregates(a, b)
-    diffs = (xa - xb).tolist()
-    samples = [Sample(values=tuple(diffs))]
+    grouping map is given, one CI/verdict per group. `aligned` is
+    `paired_aggregates(a, b)` when the caller has already computed it."""
+    keys, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
+    diffs = xa - xb
+    samples, labels = [diffs], []
     if group_by is not None:
-        missing = [k for k in keys if k not in group_by]
-        if missing:
+        try:
+            key_labels = list(map(group_by.__getitem__, keys))
+        except KeyError:
+            missing = [k for k in keys if k not in group_by]
             raise PairingError(
                 f"group map misses keys, e.g. {missing[:5]}"
-            )
-        by_label: dict[str, list[float]] = {}
-        for k, d in zip(keys, diffs):
-            by_label.setdefault(group_by[k], []).append(d)
-        samples += [Sample(values=tuple(by_label[label]), label=label)
-                    for label in sorted(by_label)]
-    overall_iv, *group_ivs = confidence_intervals(samples, level)
+            ) from None
+        labels = sorted(set(key_labels))
+        code = {label: i for i, label in enumerate(labels)}
+        codes = np.fromiter(map(code.__getitem__, key_labels), np.intp,
+                            len(key_labels))
+        sizes = np.bincount(codes, minlength=len(labels))
+        # fsum and exact_stdev ignore the order of values within a group
+        samples += np.split(diffs[np.argsort(codes, kind="stable")],
+                            np.cumsum(sizes)[:-1])
+    overall_iv, *group_ivs = mean_intervals(samples, level)
     overall = GroupResult(group="overall", n=overall_iv.n, interval=overall_iv,
                           verdict=verdict_of(overall_iv))
-    groups = [GroupResult(group=s.label, n=iv.n, interval=iv,
+    groups = [GroupResult(group=label, n=iv.n, interval=iv,
                           verdict=verdict_of(iv))
-              for s, iv in zip(samples[1:], group_ivs)]
+              for label, iv in zip(labels, group_ivs)]
 
     policies = {m.policy for m in a.measurements.values()}
     policies |= {m.policy for m in b.measurements.values()}
@@ -168,14 +178,15 @@ class AsymmetryReport:
         }
 
 
-def asymmetry_report(a: ResultSet, b: ResultSet, level: float) -> AsymmetryReport:
-    _, xa, xb = paired_aggregates(a, b)
-    diffs_ab = Sample(values=tuple((xa - xb).tolist()))
-    diffs_ba = Sample(values=tuple((xb - xa).tolist()))
+def asymmetry_report(a: ResultSet, b: ResultSet, level: float,
+                     aligned: Aligned | None = None) -> AsymmetryReport:
+    """`aligned` is `paired_aggregates(a, b)` when the caller has already
+    computed it."""
+    _, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
     diag_b = ratio_summary(xa, xb)
     diag_a = ratio_summary(xb, xa)
-    diff_ab, diff_ba, ratio_b, ratio_a = confidence_intervals(
-        [diffs_ab, diffs_ba, diag_b.ratios, diag_a.ratios], level)
+    diff_ab, diff_ba, ratio_b, ratio_a = mean_intervals(
+        [xa - xb, xb - xa, xa / xb, xb / xa], level)
     return AsymmetryReport(
         diff_ab=diff_ab,
         diff_ba=diff_ba,

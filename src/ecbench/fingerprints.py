@@ -6,9 +6,13 @@ import hashlib
 import json
 
 
+# `json.dumps` with these arguments builds this same encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc) -> str:
     """Deterministic JSON encoding: sorted keys, compact separators."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def fingerprint(doc) -> str:

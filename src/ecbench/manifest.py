@@ -82,8 +82,9 @@ def measurement_line(m: Measurement) -> str:
 
 
 class ResultWriter:
-    """Incremental JSON Lines writer: one flushed line per measurement, with
-    the manifest (including the results-file hash) written at finalize."""
+    """Incremental JSON Lines writer: one flushed line per measurement, so a
+    crashed run keeps every line it wrote, with the manifest (including the
+    results-file hash) written at finalize."""
 
     def __init__(self, path: str | Path, manifest: RunManifest,
                  append: bool = False):
@@ -94,6 +95,12 @@ class ResultWriter:
 
     def write(self, key: tuple[int, int], m: Measurement) -> None:
         self._fh.write(measurement_line(m) + "\n")
+        self._fh.flush()
+
+    def write_all(self, measurements: list[Measurement]) -> None:
+        """The lines `write` would give for each measurement, in one write."""
+        self._fh.write("".join([measurement_line(m) + "\n"
+                                for m in measurements]))
         self._fh.flush()
 
     def finalize(self) -> None:
@@ -110,11 +117,10 @@ def persist_results(results: ResultSet, manifest: RunManifest,
         raise FingerprintError(
             "manifest plan fingerprint does not match the result set"
         )
+    measurements = results.measurements
     writer = ResultWriter(path, manifest)
-    for key in sorted(results.measurements):
-        writer.write(key, results.measurements[key])
-    for m in results.failures:
-        writer.write((m.ec_index, -1), m)
+    writer.write_all([*(measurements[k] for k in sorted(measurements)),
+                      *results.failures])
     writer.finalize()
 
 

@@ -4,6 +4,16 @@ intervals, paired differences, and ratio-asymmetry diagnostics.
 Intervals use Student's t with n-1 degrees of freedom: conservative at the
 n ~ 32 sample sizes the sampling designs produce, and converging to the
 normal-limit interval for large n.
+
+The s of a mean interval is exact: `exact_stdev` sums each value's integer
+mantissa and its square in integer arithmetic, so the sums carry no rounding
+error and do not depend on the order of the values, and then rounds the
+square root of the exact variance once, correctly. The one-pass formula
+n*sum(x^2) - sum(x)^2 it uses is unstable in floating point but exact in
+integers. A correctly rounded result is unique, so the bits equal
+`statistics.stdev` on Python 3.11+ (which rounds the same way) and are the
+same on every supported Python; 3.10's `statistics.stdev` rounds twice and
+can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -67,7 +77,8 @@ class Summary:
 def summary(sample: Sample) -> Summary:
     vals = sample.values
     mean = statistics.fmean(vals)
-    std = statistics.stdev(vals) if len(vals) > 1 else 0.0
+    std = (exact_stdev(np.array(vals, dtype=np.float64)) if len(vals) > 1
+           else 0.0)
     med = statistics.median(vals)
     if all(v > 0 for v in vals):
         gmean = math.exp(statistics.fmean(math.log(v) for v in vals))
@@ -152,22 +163,30 @@ def confidence_interval(sample: Sample, level: float) -> Interval:
 
 def confidence_intervals(samples: Sequence[Sample],
                          level: float) -> list[Interval]:
-    """The mean CI of each sample, x_bar +/- t_{(1+level)/2, n-1} * s /
-    sqrt(n), a point at x_bar when s = 0. The t quantiles of all samples come
-    from one array `t_quantile` call, each element equal to a scalar call;
-    x_bar is `fmean` and s the exact `stdev`, so the bits do not depend on
-    how samples are batched."""
+    """The mean CI of each sample; see `mean_intervals`."""
+    return mean_intervals([np.array(s.values, dtype=np.float64)
+                           for s in samples], level)
+
+
+def mean_intervals(samples: Sequence[np.ndarray],
+                   level: float) -> list[Interval]:
+    """The mean CI of each 1-D float64 array, x_bar +/- t_{(1+level)/2, n-1}
+    * s / sqrt(n), a point at x_bar when s = 0. The t quantiles of all
+    samples come from one array `t_quantile` call, each element equal to a
+    scalar call; x_bar is fsum / n as in `statistics.fmean` and s is
+    `exact_stdev`, so the bits depend neither on how samples are batched nor
+    on the order of the values within a sample."""
     if not 0 < level < 1:
         raise StatsError("confidence level must be in (0, 1)")
-    if any(s.n < 2 for s in samples):
+    if any(values.size < 2 for values in samples):
         raise StatsError("confidence interval needs n >= 2")
     crit = t_quantile((1.0 + level) / 2.0,
-                      np.array([s.n - 1 for s in samples], dtype=np.float64))
+                      np.array([v.size - 1 for v in samples], dtype=np.float64))
     out = []
-    for sample, t in zip(samples, crit.tolist()):
-        n = sample.n
-        mean = statistics.fmean(sample.values)
-        s = statistics.stdev(sample.values)
+    for values, t in zip(samples, crit.tolist()):
+        n = values.size
+        s = exact_stdev(values)  # first: it rejects non-finite values
+        mean = math.fsum(values.tolist()) / n
         if s == 0.0:
             out.append(Interval(low=mean, high=mean, level=level, center=mean,
                                 n=n))
@@ -176,6 +195,88 @@ def confidence_intervals(samples: Sequence[Sample],
         out.append(Interval(low=mean - half, high=mean + half, level=level,
                             center=mean, n=n))
     return out
+
+
+# frexp writes a finite float64 as m * 2**e with |m| < 2**53 an integer once
+# scaled by 2**53. Split |m| = hi * 2**27 + lo (hi < 2**26, lo < 2**27): then
+# |m| < 2**53, hi*hi < 2**52, hi*lo < 2**53 and lo*lo < 2**54, so a sum of at
+# most 2**8 of any of them is below 2**62 and cannot overflow int64. The chunk
+# length is that proven bound, not a tuning knob.
+_MANT_BITS = 53
+_LO_BITS = 27
+_CHUNK = 256
+# bits of the scaled variance whose integer square root keeps >= 55 bits: two
+# more than a float64 mantissa, as round-to-odd needs (as in CPython 3.11+)
+_SQRT_BITS = 2 * _MANT_BITS + 3
+
+
+def exact_stdev(values: np.ndarray) -> float:
+    """The sample standard deviation of a 1-D array of finite float64 values,
+    correctly rounded: the float nearest sqrt(sum((x - x_bar)^2) / (n - 1))
+    computed exactly.
+
+    Each value is m * 2**(e - 53) with an integer |m| < 2**53 (`np.frexp`).
+    Within one exponent e, sum(m) and sum(m^2) are exact int64 sums
+    (`np.add.reduceat`) over chunks of at most 256 values, m^2 taken in three
+    partial products of 27-bit halves; see `_CHUNK` for why none overflows.
+    Python ints then shift each chunk to the smallest exponent E and add them,
+    giving S1 = sum(x) / 2**E and S2 = sum(x^2) / 2**(2E) exactly. The
+    variance is (n*S2 - S1^2) * 4**E / (n*(n-1)) exactly, and its square
+    root is rounded once: an integer square root with round-to-odd keeps at
+    least 55 bits, so the final int / int division (itself correctly rounded)
+    rounds to the nearest float. Integer addition is exact and associative,
+    so the result does not depend on the order of the values.
+    """
+    n = values.size
+    if n < 2:
+        raise StatsError("standard deviation needs n >= 2")
+    if not np.isfinite(values).all():
+        raise StatsError("sample contains non-finite values")
+    frac, exp = np.frexp(values.ravel())
+    # exponents lie in [-1073, 1024]; as int16 they sort by radix
+    order = np.argsort(exp.astype(np.int16), kind="stable")
+    exp = exp[order]
+    mant = np.ldexp(frac[order], _MANT_BITS).astype(np.int64)
+    # chunks break at every change of exponent and every _CHUNK positions
+    starts = np.union1d(np.flatnonzero(np.diff(exp)) + 1,
+                        np.arange(0, n, _CHUNK))
+    mag = np.abs(mant)
+    hi, lo = mag >> _LO_BITS, mag & ((1 << _LO_BITS) - 1)
+    sums = zip(np.add.reduceat(mant, starts).tolist(),
+               np.add.reduceat(hi * hi, starts).tolist(),
+               np.add.reduceat(hi * lo, starts).tolist(),
+               np.add.reduceat(lo * lo, starts).tolist())
+    low = int(exp[0])
+    s1 = s2 = 0
+    for (m, hh, hl, ll), e in zip(sums, (exp[starts] - low).tolist()):
+        s1 += m << e
+        s2 += ((hh << 2 * _LO_BITS) + (hl << _LO_BITS + 1) + ll) << 2 * e
+    num, den = n * s2 - s1 * s1, n * (n - 1)
+    shift = 2 * (low - _MANT_BITS)
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return _sqrt_of_ratio(num, den)
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for integers num >= 0 and den > 0:
+    scale by an even power of two so the integer square root has at least 55
+    bits, round it to odd (a set last bit records an inexact root), and let
+    the correctly rounded int / int division round it to a float."""
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        root, scale = _isqrt_rto(num, den << 2 * q) << q, 1
+    else:
+        root, scale = _isqrt_rto(num << -2 * q, den), 1 << -q
+    return root / scale
+
+
+def _isqrt_rto(num: int, den: int) -> int:
+    """floor(sqrt(num / den)) with its last bit set when it is not exact."""
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
 
 
 def mean_ci_from_array(values: np.ndarray, level: float,

@@ -6,8 +6,10 @@ incomplete beta function), the population enumerator walks the raw JSON
 documents with itertools.product (no numpy, no mixed-radix decode), the
 samplers draw one level at a time with scalar rng calls and compose indices
 in Python ints, the Welch interval is plain float64-scalar arithmetic on
-one pair of samples, and the noise references spell out one element per
-(index, replicate) pair instead of broadcasting.
+one pair of samples, the standard deviation is a two-pass Fraction variance
+whose root is rounded by exact comparison with float midpoints, and the
+noise references spell out one element per (index, replicate) pair instead
+of broadcasting.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import itertools
 import json
 import math
 import statistics
+import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -183,13 +187,46 @@ def parse_lines_reference(data: bytes):
         yield lineno, value
 
 
+def _odd(x: float) -> bool:
+    return struct.unpack("<q", struct.pack("<d", x))[0] & 1 == 1
+
+
+def nearest_float_sqrt(v: Fraction) -> float:
+    """The float nearest sqrt(v), ties to even: start from a float estimate,
+    then step to a neighbour while v lies beyond the square of the midpoint
+    between the two, compared exactly in Fractions."""
+    if v == 0:
+        return 0.0
+    k = (v.numerator.bit_length() - v.denominator.bit_length()) // 2
+    r = math.ldexp(math.sqrt(float(v / Fraction(4) ** k)), k)
+    while True:
+        down, up = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+        low = ((Fraction(down) + Fraction(r)) / 2) ** 2
+        high = ((Fraction(r) + Fraction(up)) / 2) ** 2
+        if v < low or (v == low and _odd(r)):
+            r = down
+        elif v > high or (v == high and _odd(r)):
+            r = up
+        else:
+            return r
+
+
+def stdev_reference(values) -> float:
+    """Sample standard deviation without `statistics`: the exact two-pass
+    variance sum((x - mean)^2) / (n - 1) in Fractions, and its square root
+    rounded to the nearest float."""
+    xs = [Fraction(x) for x in values]
+    mean = sum(xs) / len(xs)
+    return nearest_float_sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1))
+
+
 def confidence_interval_reference(values, level: float, t_quantile):
     """(low, high, center) of the one-sample mean CI, one scalar t quantile
-    per sample: fmean, exact stdev, and a degenerate interval at zero
+    per sample: fmean, `stdev_reference`, and a degenerate interval at zero
     spread."""
     n = len(values)
     mean = statistics.fmean(values)
-    s = statistics.stdev(values)
+    s = stdev_reference(values)
     if s == 0.0:
         return mean, mean, mean
     half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)

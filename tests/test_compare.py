@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecbench.cli
+import ecbench.compare
 from ecbench import demo
 from ecbench.compare import (
     ComparisonReport,
@@ -14,8 +16,11 @@ from ecbench.compare import (
     spec_composite,
     verdict_of,
 )
+from ecbench.cli import main
+from ecbench.design import PlanEntry, SamplePlan
 from ecbench.errors import PairingError
-from ecbench.stats import Interval, StatsError
+from ecbench.manifest import RunManifest, persist_results
+from ecbench.stats import Interval, StatsError, paired_aggregates
 from test_stats import result_set
 
 
@@ -171,3 +176,57 @@ def test_mirror_holds_on_simulated_runs():
     r = compare_objects(a, b, 0.99)
     assert r.overall.verdict is Verdict.SUBTRAHEND_OUTPERFORMS
     assert r.overall.interval.contains(25.0)
+
+
+class TestCompareCommand:
+    """`ecbench compare` on files written by persist_results."""
+
+    def write(self, tmp_path, plan_entries=6, keys_a=6, keys_b=6,
+              plan_b=None):
+        plan = SamplePlan(design="stratified", reps=1, seed=1,
+                          space_fingerprint="space",
+                          entries=tuple(PlanEntry(i, f"g{i % 2}")
+                                        for i in range(plan_entries)))
+        plan.save(tmp_path / "plan.json")
+        for oid, n, fp in (("a", keys_a, plan.fingerprint),
+                           ("b", keys_b, plan_b or plan.fingerprint)):
+            rs = result_set(oid, [float(10 + i * i) if oid == "a" else
+                                  float(i + 1) for i in range(n)])
+            rs.plan_fingerprint = fp
+            persist_results(rs, RunManifest(
+                space_fingerprint="space", plan_fingerprint=fp,
+                executor_hash="x", object_config={"object_id": oid}),
+                tmp_path / f"{oid}.jsonl")
+
+    def compare(self, tmp_path, *extra):
+        return main(["compare", "--a", str(tmp_path / "a.jsonl"),
+                     "--b", str(tmp_path / "b.jsonl"), "--level", "0.95",
+                     "--group-by-plan", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path / "report.json"), *extra])
+
+    def test_aligns_once(self, tmp_path, monkeypatch):
+        self.write(tmp_path)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.object_id, b.object_id))
+            return paired_aggregates(a, b)
+
+        for module in (ecbench.cli, ecbench.compare):
+            monkeypatch.setattr(module, "paired_aggregates", counted)
+        assert self.compare(tmp_path, "--csv", str(tmp_path / "report.csv"),
+                            "--asymmetry", str(tmp_path / "asym.json")) == 0
+        assert calls == [("a", "b")]
+
+    @pytest.mark.parametrize("case, message", [
+        ({"plan_b": "another"}, "result sets come from different plans"),
+        ({"keys_b": 5}, "result sets cover different (ec_index, ordinal) keys"),
+        ({"plan_entries": 4}, "group map misses keys, e.g. [(4, 0), (5, 0)]"),
+    ])
+    def test_pairing_errors_exit_3(self, tmp_path, capsys, case, message):
+        self.write(tmp_path, **case)
+        capsys.readouterr()
+        assert self.compare(tmp_path, "--asymmetry",
+                            str(tmp_path / "asym.json")) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()

@@ -17,6 +17,7 @@ from ecbench.design import SamplePlan, full_factorial, stratified_sample
 from ecbench.errors import FingerprintError
 from ecbench.fingerprints import canonical_json, fingerprint, fingerprint_bytes
 from ecbench.manifest import (
+    ResultWriter,
     RunManifest,
     emit_report,
     load_results,
@@ -96,6 +97,38 @@ class TestPersistLoad:
         )
         with pytest.raises(FingerprintError):
             persist_results(results, manifest, tmp_path / "r.jsonl")
+
+    def test_persist_writes_what_a_line_writer_writes(self, tmp_path):
+        space = demo.demo_space_720()
+        plan = stratified_sample(space, "workload", 4, 2, seed=9)
+        ex = ExecutorSpec(kind="synthetic", model=demo.gaussian_model())
+        results = execute_plan(ex, demo.OBJECT_A, space, plan)
+        assert list(results.measurements) != sorted(results.measurements)
+        results.failures += [
+            Measurement(ec_index=i, object_id="cpu_a", replicates=(),
+                        aggregate=float("nan"), policy="mean", error=err)
+            for i, err in ((7, "exit 1"), (3, "timeout"))]
+
+        def manifest():
+            return RunManifest(space_fingerprint="s",
+                               plan_fingerprint=plan.fingerprint,
+                               executor_hash="e", created_at=1.5,
+                               object_config={"object_id": "cpu_a"})
+
+        persist_results(results, manifest(), tmp_path / "all.jsonl")
+        writer = ResultWriter(tmp_path / "lines.jsonl", manifest())
+        for key in sorted(results.measurements):
+            writer.write(key, results.measurements[key])
+        for m in results.failures:
+            writer.write((m.ec_index, -1), m)
+        writer.finalize()
+        for name in ("{}.jsonl", "{}.jsonl.manifest.json"):
+            assert ((tmp_path / name.format("all")).read_bytes()
+                    == (tmp_path / name.format("lines")).read_bytes())
+        lines = (tmp_path / "all.jsonl").read_text().splitlines()
+        assert len(lines) == len(results.measurements) + 2
+        assert [json.loads(line)["error"] for line in lines[-3:]] == [
+            None, "exit 1", "timeout"]
 
     def test_lines_parse_as_json_loads_parses_them(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -515,6 +548,21 @@ class TestCli:
 def plan_group_map_keys(plan_path):
     from ecbench.design import SamplePlan
     return list(plan_group_map(SamplePlan.load(plan_path)))
+
+
+json_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(),
+              st.integers(min_value=-2**200, max_value=2**200), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=25)
+
+
+@given(json_docs)
+@settings(max_examples=150)
+def test_canonical_json_is_sorted_compact_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True,
+                                             separators=(",", ":"))
 
 
 def test_plan_group_map_tracks_occurrences():

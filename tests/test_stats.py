@@ -1,10 +1,12 @@
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecbench.errors import PairingError
 from ecbench.runner import Measurement, ResultSet
@@ -14,8 +16,10 @@ from ecbench.stats import (
     StatsError,
     confidence_interval,
     confidence_intervals,
+    exact_stdev,
     geometric_mean,
     mean_ci_from_array,
+    mean_intervals,
     paired_differences,
     ratio_diagnostics,
     summary,
@@ -25,9 +29,14 @@ from ecbench.stats import (
 )
 from oracles import (
     confidence_interval_reference,
+    stdev_reference,
     t_quantile_oracle,
     welch_reference,
 )
+
+# statistics.stdev rounds its result correctly from Python 3.11 on; before,
+# it rounded the variance to a float first and could differ in the last bit
+STDEV_CORRECTLY_ROUNDED = sys.version_info >= (3, 11)
 
 
 def result_set(object_id: str, values: list[float]) -> ResultSet:
@@ -245,6 +254,85 @@ def test_mean_ci_rows_match_one_dimensional_calls():
     low, mean, high = mean_ci_from_array(values, 0.99, t_crit=t_crit)
     for i in range(300):
         assert mean_ci_from_array(values[i], 0.99) == (low[i], mean[i], high[i])
+
+
+def assert_exact_stdev(values: np.ndarray) -> None:
+    s = exact_stdev(values)
+    assert s == stdev_reference(values.tolist())
+    assert exact_stdev(values[::-1].copy()) == s  # order does not matter
+    if STDEV_CORRECTLY_ROUNDED:
+        assert s == statistics.stdev(values.tolist())
+
+
+finite_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-1074, max_value=996)))
+
+
+@st.composite
+def float_arrays(draw):
+    """Length 2-3000: repeats from a pool of up to 64 drawn floats (exact
+    ties, all-equal arrays, subnormals to 1e300), optionally half replaced by
+    distinct values spread over a drawn band of binades. Hypothesis draws the
+    pool and the band; numpy fills the array, which keeps long arrays cheap."""
+    n = draw(st.integers(min_value=2, max_value=3000))
+    pool = np.array(draw(st.lists(finite_floats, min_size=1, max_size=64)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    values = pool[rng.integers(0, pool.size, n)]
+    if draw(st.booleans()):
+        low = draw(st.integers(min_value=-1074, max_value=996))
+        high = draw(st.integers(min_value=low, max_value=996))
+        spread = np.ldexp(rng.uniform(-1.0, 1.0, n),
+                          rng.integers(low, high + 1, n))
+        values = np.where(rng.random(n) < 0.5, values, spread)
+    return values
+
+
+class TestExactStdev:
+    @given(float_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, values):
+        assert_exact_stdev(values)
+
+    @given(st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
+           st.integers(min_value=2, max_value=3000))
+    @settings(max_examples=50, deadline=None)
+    def test_all_equal_is_zero_and_degenerate(self, x, n):
+        values = np.full(n, x)
+        assert exact_stdev(values) == 0.0
+        iv, = mean_intervals([values], 0.95)
+        assert iv.low == iv.high == iv.center == math.fsum([x] * n) / n
+
+    def test_fixed_20k_sample(self):
+        rng = np.random.Generator(np.random.PCG64(20_000))
+        values = rng.normal(300.0, 6.0, 20_000) - rng.normal(295.0, 6.0, 20_000)
+        assert_exact_stdev(values)
+
+    def test_largest_mantissas_at_one_exponent(self):
+        # |m| = 2^53 - 1 maximises every int64 partial sum of a 256-value chunk
+        big = float(2**53 - 1)
+        for n in (256, 257, 512, 3000):
+            values = np.full(n, big)
+            values[0] = -big
+            assert_exact_stdev(values)
+            assert_exact_stdev(values * 2.0**-1000)
+            assert_exact_stdev(-np.abs(values))
+
+    def test_subnormal_spread_rounds_to_nearest(self):
+        # one 5e-324 among zeros: s = 5e-324 / sqrt(n) rounds to 5e-324 for
+        # n < 4, ties to even (0) at n = 4 and rounds to 0 beyond
+        for n in range(2, 9):
+            values = np.zeros(n)
+            values[-1] = 5e-324
+            assert exact_stdev(values) == (5e-324 if n < 4 else 0.0)
+            assert_exact_stdev(values)
+
+    def test_rejects_short_and_nonfinite(self):
+        with pytest.raises(StatsError):
+            exact_stdev(np.array([1.0]))
+        with pytest.raises(StatsError):
+            exact_stdev(np.array([1.0, np.inf]))
 
 
 class TestPairedDifferences:
