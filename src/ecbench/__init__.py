@@ -34,8 +34,6 @@ from .stats import (  # noqa: F401
     Interval,
     Sample,
     confidence_interval,
-    paired_differences,
-    ratio_diagnostics,
     summary,
     t_quantile,
 )
@@ -44,6 +42,8 @@ from .compare import (  # noqa: F401
     Verdict,
     asymmetry_report,
     compare_objects,
+    paired_differences,
+    ratio_diagnostics,
     spec_composite,
     verdict_of,
 )

@@ -11,9 +11,16 @@ import json
 import sys
 from pathlib import Path
 
-from .compare import ComparisonReport, asymmetry_report, compare_objects
+from .compare import (
+    ComparisonReport,
+    asymmetry_report,
+    compare_objects,
+    paired_aggregates,
+)
 from .design import (
+    DESIGNS,
     FactorSplit,
+    RctAssignment,
     SamplePlan,
     factorial_2k,
     full_factorial,
@@ -33,9 +40,8 @@ from .manifest import (
 )
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
-from .runner import ExecutorSpec, execute_plan
+from .runner import ExecutorSpec, execute_plan, occurrence_keys
 from .space import ConfigSpace, ObjectConfig
-from .stats import paired_aggregates
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,13 +66,8 @@ def _load_object(path: str) -> ObjectConfig:
 
 def plan_group_map(plan: SamplePlan) -> dict[tuple[int, int], str]:
     """Key -> stratum label, replaying the plan's occurrence ordering."""
-    occurrence: dict[int, int] = {}
-    mapping: dict[tuple[int, int], str] = {}
-    for entry in plan.entries:
-        ordinal = occurrence.get(entry.ec_index, 0)
-        occurrence[entry.ec_index] = ordinal + 1
-        mapping[(entry.ec_index, ordinal)] = entry.stratum or ""
-    return mapping
+    keys = occurrence_keys([entry.ec_index for entry in plan.entries])
+    return dict(zip(keys, (entry.stratum or "" for entry in plan.entries)))
 
 
 def _cmd_space_info(args) -> int:
@@ -80,28 +81,12 @@ def _cmd_space_info(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    space = ConfigSpace.load(args.space)
-    if args.design == "stratified":
-        plan = stratified_sample(space, args.stratum_factor, args.iterations,
-                                 args.reps, args.seed)
-    elif args.design == "factorial2k":
-        split = FactorSplit.from_dict(json.loads(Path(args.split).read_text()))
-        defaults = {
-            k: int(v) for k, v in (d.split("=", 1) for d in args.default)
-        }
-        plan = factorial_2k(space, split, defaults, args.reps, args.seed)
-    elif args.design == "full-factorial":
-        plan = full_factorial(space, args.reps)
-    elif args.design == "rct":
-        assignment = rct_assign(space, args.per_arm, args.reps, args.seed)
-        assignment.control.save(args.out_control)
-        assignment.treatment.save(args.out_treatment)
+    plan = args.generate(ConfigSpace.load(args.space), args)
+    if isinstance(plan, RctAssignment):
+        plan.control.save(args.out_control)
+        plan.treatment.save(args.out_treatment)
         print(f"wrote {args.out_control} and {args.out_treatment}")
         return EXIT_OK
-    else:  # spec-point
-        labels = dict(kv.split("=", 1) for kv in args.level_label)
-        cfg = space.config_from_labels(labels)
-        plan = spec_point(space, cfg, stratum_factor=args.stratum_factor)
     plan.save(args.out)
     print(f"wrote {args.out} ({len(plan.entries)} entries, "
           f"fingerprint {plan.fingerprint[:12]})")
@@ -235,46 +220,56 @@ def build_parser() -> _Parser:
     p_plan = sub.add_parser("plan", help="generate a sampling plan")
     plan_sub = p_plan.add_subparsers(dest="design", required=True)
 
-    ps = plan_sub.add_parser("stratified")
-    ps.add_argument("--space", required=True)
-    ps.add_argument("--stratum-factor", required=True)
-    ps.add_argument("--iterations", type=int, required=True)
-    ps.add_argument("--reps", type=int, default=3)
-    ps.add_argument("--seed", type=int, required=True)
-    ps.add_argument("--out", required=True)
+    shared = {"--reps": {"type": int, "default": 3},
+              "--seed": {"type": int, "required": True},
+              "--out": {"required": True}}
 
-    pf = plan_sub.add_parser("factorial2k")
-    pf.add_argument("--space", required=True)
-    pf.add_argument("--split", required=True,
-                    help="JSON file: {factor: {low: [...], high: [...]}}")
-    pf.add_argument("--default", action="append", default=[],
-                    metavar="FACTOR=LEVEL_INDEX")
-    pf.add_argument("--reps", type=int, default=3)
-    pf.add_argument("--seed", type=int, required=True)
-    pf.add_argument("--out", required=True)
+    def plan_parser(design: str, *options, generate) -> None:
+        """`ecbench plan` for a design, by its alias if it has one: --space,
+        then `options`, each a key of `shared` or a (flag, keywords) pair.
+        `generate(space, args)` calls the design's plan generator."""
+        p = plan_sub.add_parser(DESIGNS[design].alias or design)
+        p.add_argument("--space", required=True)
+        for option in options:
+            flag, kw = ((option, shared[option]) if isinstance(option, str)
+                        else option)
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=_cmd_plan, generate=generate)
 
-    pff = plan_sub.add_parser("full-factorial")
-    pff.add_argument("--space", required=True)
-    pff.add_argument("--reps", type=int, default=3)
-    pff.add_argument("--out", required=True)
-
-    pr = plan_sub.add_parser("rct")
-    pr.add_argument("--space", required=True)
-    pr.add_argument("--per-arm", type=int, required=True)
-    pr.add_argument("--reps", type=int, default=3)
-    pr.add_argument("--seed", type=int, required=True)
-    pr.add_argument("--out-control", required=True)
-    pr.add_argument("--out-treatment", required=True)
-
-    pp = plan_sub.add_parser("spec-point")
-    pp.add_argument("--space", required=True)
-    pp.add_argument("--level-label", action="append", required=True,
-                    metavar="FACTOR=LABEL")
-    pp.add_argument("--stratum-factor", default=None)
-    pp.add_argument("--out", required=True)
-
-    for p in (ps, pf, pff, pr, pp):
-        p.set_defaults(func=_cmd_plan)
+    plan_parser("stratified",
+                ("--stratum-factor", {"required": True}),
+                ("--iterations", {"type": int, "required": True}),
+                "--reps", "--seed", "--out",
+                generate=lambda space, a: stratified_sample(
+                    space, a.stratum_factor, a.iterations, a.reps, a.seed))
+    plan_parser("factorial2k",
+                ("--split", {"required": True, "help":
+                             "JSON file: {factor: {low: [...], high: [...]}}"}),
+                ("--default", {"action": "append", "default": [],
+                               "metavar": "FACTOR=LEVEL_INDEX"}),
+                "--reps", "--seed", "--out",
+                generate=lambda space, a: factorial_2k(
+                    space,
+                    FactorSplit.from_dict(json.loads(Path(a.split).read_text())),
+                    {k: int(v) for k, v in (d.split("=", 1) for d in a.default)},
+                    a.reps, a.seed))
+    plan_parser("full_factorial", "--reps", "--out",
+                generate=lambda space, a: full_factorial(space, a.reps))
+    plan_parser("rct_arm",
+                ("--per-arm", {"type": int, "required": True}), "--reps", "--seed",
+                ("--out-control", {"required": True}),
+                ("--out-treatment", {"required": True}),
+                generate=lambda space, a: rct_assign(
+                    space, a.per_arm, a.reps, a.seed))
+    plan_parser("spec_point",
+                ("--level-label", {"action": "append", "required": True,
+                                   "metavar": "FACTOR=LABEL"}),
+                ("--stratum-factor", {"default": None}), "--out",
+                generate=lambda space, a: spec_point(
+                    space,
+                    space.config_from_labels(
+                        dict(kv.split("=", 1) for kv in a.level_label)),
+                    stratum_factor=a.stratum_factor))
 
     p_run = sub.add_parser("run", help="execute a plan")
     p_run.add_argument("--space", required=True)

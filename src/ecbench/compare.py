@@ -1,8 +1,10 @@
 """Paired comparison of two evaluated objects under equivalent conditions.
 
-Verdicts are read off difference confidence intervals relative to zero; the
-minuend is always the first argument and both object ids appear in the report
-so signs cannot be misread.
+Pairing happens here: `paired_aggregates` aligns two result sets into arrays,
+and everything after it is `stats` over arrays. Verdicts are read off
+difference confidence intervals relative to zero; the minuend is always the
+first argument and both object ids appear in the report so signs cannot be
+misread.
 """
 
 from __future__ import annotations
@@ -17,18 +19,13 @@ from .runner import ResultSet
 from .stats import (
     Interval,
     RatioDiagnostics,
+    Sample,
+    StatsError,
     geometric_mean,
     mean_intervals,
-    paired_aggregates,
     ratio_summary,
 )
-from .stats import StatsError
-# stay bound here: benchmarks/tracing.py patches them in this module
-from .stats import (  # noqa: F401
-    confidence_interval,
-    paired_differences,
-    ratio_diagnostics,
-)
+from .stats import confidence_interval  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 
 class Verdict(enum.Enum):
@@ -108,6 +105,35 @@ class ComparisonReport:
 Aligned = tuple[list[tuple[int, int]], np.ndarray, np.ndarray]
 
 
+def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
+    """The sorted (ec_index, ordinal) keys both result sets cover, with each
+    set's aggregates in that order as float64 arrays. Result sets from
+    different plans, or covering different keys, do not pair."""
+    if a.plan_fingerprint != b.plan_fingerprint:
+        raise PairingError(
+            "result sets come from different plans: plan fingerprint "
+            f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
+        )
+    ma, mb = a.measurements, b.measurements
+    if ma.keys() != mb.keys():
+        missing_a = sorted(mb.keys() - ma.keys())[:5]
+        missing_b = sorted(ma.keys() - mb.keys())[:5]
+        raise PairingError(
+            "result sets cover different (ec_index, ordinal) keys; "
+            f"examples missing from a: {missing_a}, from b: {missing_b}"
+        )
+    keys = sorted(ma)
+    return (keys, np.array([ma[k].aggregate for k in keys], dtype=np.float64),
+            np.array([mb[k].aggregate for k in keys], dtype=np.float64))
+
+
+def paired_differences(a: ResultSet, b: ResultSet,
+                       label: str | None = None) -> Sample:
+    """Per matched key, aggregate(a) - aggregate(b), in sorted key order."""
+    _, xa, xb = paired_aggregates(a, b)
+    return Sample(values=tuple((xa - xb).tolist()), label=label)
+
+
 def compare_objects(a: ResultSet, b: ResultSet, level: float,
                     group_by: dict[tuple[int, int], str] | None = None,
                     aligned: Aligned | None = None) -> ComparisonReport:
@@ -176,6 +202,16 @@ class AsymmetryReport:
             "jensen_product_baseline_b": self.diag_base_b.asymmetry_product,
             "jensen_product_baseline_a": self.diag_base_a.asymmetry_product,
         }
+
+
+def ratio_diagnostics(a: ResultSet, b: ResultSet,
+                      baseline: str = "b") -> RatioDiagnostics:
+    """Per-key ratios with the chosen baseline as denominator, plus the
+    Jensen asymmetry product that quantifies why ratios mislead."""
+    if baseline not in ("a", "b"):
+        raise StatsError("baseline must be 'a' or 'b'")
+    _, xa, xb = paired_aggregates(a, b)
+    return ratio_summary(xa, xb) if baseline == "b" else ratio_summary(xb, xa)
 
 
 def asymmetry_report(a: ResultSet, b: ResultSet, level: float,

@@ -1,4 +1,7 @@
-"""Experiment-plan generators for the five sampling methodologies.
+"""Experiment-plan generators for the five sampling methodologies, and
+`DESIGNS`, the one registry of their names, params, index draws and fixed
+reps, which plan files, `ecbench plan`, methodology files and the Monte Carlo
+oracle all read.
 
 All generators are deterministic functions of (space, parameters, seed); the
 seeded stream is a PCG64 generator, which produces identical draws on every
@@ -17,7 +20,9 @@ int64 up to 2^63 - 1 points and Python ints (object arrays) beyond, up to the
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +34,6 @@ from .space import ConfigSpace, Configuration
 
 FULL_FACTORIAL_CAP = 10**6
 INT64_MAX = 2**63 - 1
-
-DESIGN_KINDS = ("stratified", "factorial2k", "full_factorial", "rct_arm", "spec_point")
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class SamplePlan:
     policy: str = "mean"  # replicate aggregation; spec_point plans use median
 
     def __post_init__(self) -> None:
-        if self.design not in DESIGN_KINDS:
+        if self.design not in DESIGNS:
             raise PlanError(f"unknown design kind {self.design!r}")
         if self.reps < 1:
             raise PlanError("reps must be >= 1")
@@ -167,12 +170,14 @@ def _random_indices(space: ConfigSpace, rng: np.random.Generator, count: int,
                             for f in space.factors])
 
 
-def _entries(indices: np.ndarray, strata: list | None = None
-             ) -> tuple[PlanEntry, ...]:
-    if strata is None:
-        return tuple(PlanEntry(ec_index=i) for i in indices.tolist())
-    return tuple(PlanEntry(ec_index=i, stratum=s)
-                 for i, s in zip(indices.tolist(), strata))
+def _plan(design: str, indices: np.ndarray, reps: int, seed: int, fp: str,
+          strata: list | None = None, policy: str = "mean") -> SamplePlan:
+    """A plan of one entry per index, each labelled by `strata` if given."""
+    return SamplePlan(
+        design=design,
+        entries=tuple(map(PlanEntry, indices.tolist(),
+                          strata or itertools.repeat(None))),
+        reps=reps, seed=seed, space_fingerprint=fp, policy=policy)
 
 
 def stratified_indices(space: ConfigSpace, stratum_factor: str,
@@ -194,13 +199,8 @@ def stratified_sample(space: ConfigSpace, stratum_factor: str, iterations: int,
                       reps: int, seed: int) -> SamplePlan:
     indices = stratified_indices(space, stratum_factor, iterations, seed)
     labels = space.factor(stratum_factor).levels
-    return SamplePlan(
-        design="stratified",
-        entries=_entries(indices, list(labels) * iterations),
-        reps=reps,
-        seed=seed,
-        space_fingerprint=_check_space_fingerprint(space),
-    )
+    return _plan("stratified", indices, reps, seed,
+                 _check_space_fingerprint(space), list(labels) * iterations)
 
 
 def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
@@ -243,13 +243,8 @@ def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
 
 def factorial_2k(space: ConfigSpace, split: FactorSplit,
                  defaults: dict[str, int], reps: int, seed: int) -> SamplePlan:
-    return SamplePlan(
-        design="factorial2k",
-        entries=_entries(factorial_2k_indices(space, split, defaults, seed)),
-        reps=reps,
-        seed=seed,
-        space_fingerprint=_check_space_fingerprint(space),
-    )
+    return _plan("factorial2k", factorial_2k_indices(space, split, defaults, seed),
+                 reps, seed, _check_space_fingerprint(space))
 
 
 def full_factorial_indices(space: ConfigSpace,
@@ -263,13 +258,8 @@ def full_factorial_indices(space: ConfigSpace,
 
 def full_factorial(space: ConfigSpace, reps: int,
                    cap: int = FULL_FACTORIAL_CAP) -> SamplePlan:
-    return SamplePlan(
-        design="full_factorial",
-        entries=_entries(full_factorial_indices(space, cap)),
-        reps=reps,
-        seed=0,
-        space_fingerprint=_check_space_fingerprint(space),
-    )
+    return _plan("full_factorial", full_factorial_indices(space, cap), reps, 0,
+                 _check_space_fingerprint(space))
 
 
 def rct_indices(space: ConfigSpace, per_arm: int,
@@ -299,31 +289,73 @@ def rct_indices(space: ConfigSpace, per_arm: int,
 def rct_assign(space: ConfigSpace, per_arm: int, reps: int, seed: int) -> RctAssignment:
     control, treatment = rct_indices(space, per_arm, seed)
     fp = _check_space_fingerprint(space)
-
-    def arm(indices: np.ndarray) -> SamplePlan:
-        return SamplePlan(
-            design="rct_arm",
-            entries=_entries(indices),
-            reps=reps,
-            seed=seed,
-            space_fingerprint=fp,
-        )
-
-    return RctAssignment(control=arm(control), treatment=arm(treatment))
+    return RctAssignment(control=_plan("rct_arm", control, reps, seed, fp),
+                         treatment=_plan("rct_arm", treatment, reps, seed, fp))
 
 
 def spec_point(space: ConfigSpace, recommended: Configuration,
                stratum_factor: str | None = None) -> SamplePlan:
-    """Single-point plan mirroring the vendor-recommended configuration:
-    3 runs, median aggregation."""
+    """Single-point plan mirroring the vendor-recommended configuration, with
+    the reps and policy the design fixes (3 runs, median aggregation)."""
     index = space.index_of(recommended)  # validates the configuration
     sf = stratum_factor or space.factors[0].name
     label = space.factor(sf).levels[recommended.level_index(sf)]
-    return SamplePlan(
-        design="spec_point",
-        entries=(PlanEntry(ec_index=index, stratum=label),),
-        reps=3,
-        seed=0,
-        space_fingerprint=_check_space_fingerprint(space),
-        policy="median",
-    )
+    design = DESIGNS["spec_point"]
+    return _plan(design.name, np.array([index]), design.reps, 0,
+                 _check_space_fingerprint(space), [label], design.policy)
+
+
+@dataclass(frozen=True)
+class Design:
+    """One sampling design: its plan-file `name`, the `alias` that `ecbench
+    plan` or a methodology file may use instead, the methodology params it
+    reads, and `draw(space, params, seed)`, which returns the indices of one
+    plan or a tuple of its two arms. `reps` (and `policy`) are set where the
+    design fixes them; otherwise param `reps` sets the reps."""
+
+    name: str
+    alias: str | None
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    draw: Callable[[ConfigSpace, dict, int], np.ndarray | tuple]
+    reps: int | None = None
+    policy: str = "mean"
+
+
+DESIGNS = {d.name: d for d in (
+    Design("stratified", None, ("stratum_factor", "iterations"), ("reps",),
+           lambda space, p, seed: stratified_indices(
+               space, p["stratum_factor"], p["iterations"], seed)),
+    Design("factorial2k", None, ("split", "defaults"), ("reps",),
+           lambda space, p, seed: factorial_2k_indices(
+               space, p["split"], p["defaults"], seed)),
+    Design("full_factorial", "full-factorial", (), ("reps",),
+           lambda space, p, seed: full_factorial_indices(space)),
+    Design("rct_arm", "rct", ("per_arm",), ("reps",),
+           lambda space, p, seed: rct_indices(space, p["per_arm"], seed)),
+    Design("spec_point", "spec-point", ("recommended_index",), ("margin",),
+           lambda space, p, seed: np.array([p["recommended_index"]],
+                                           dtype=np.int64),
+           reps=3, policy="median"),
+)}
+
+
+def design_of(kind: str, params: dict | None = None) -> Design:
+    """The design whose name or alias is `kind`. With `params`, first check
+    them as a methodology's: each required one given, none the design does
+    not read, and reps >= 1."""
+    for design in DESIGNS.values():
+        if kind in (design.name, design.alias):
+            break
+    else:
+        raise PlanError(f"unknown design kind {kind!r}")
+    if params is not None:
+        missing = [k for k in design.required if k not in params]
+        unused = sorted(params.keys() - {*design.required, *design.optional})
+        for what, names in (("missing", missing), ("unused", unused)):
+            if names:
+                raise PlanError(f"design {kind!r}: {what} param(s) "
+                                + ", ".join(map(repr, names)))
+        if params.get("reps", 1) < 1:
+            raise PlanError("reps must be >= 1")
+    return design

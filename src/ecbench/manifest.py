@@ -20,7 +20,7 @@ from .compare import AsymmetryReport, ComparisonReport
 from .errors import FingerprintError
 from .fingerprints import canonical_json, fingerprint_bytes
 from .oracle import CoverageResult
-from .runner import Measurement, ResultSet
+from .runner import Measurement, ResultSet, occurrence_keys
 
 
 def manifest_path(results_path: str | Path) -> Path:
@@ -168,8 +168,7 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     """The result set in the bytes of a results file: one JSON measurement a
     line, blank lines skipped, keyed (ec_index, occurrence ordinal) in file
     order. `object_id` names the set only when no line does."""
-    results: ResultSet | None = None
-    occurrence: dict[int, int] = {}
+    rows = []
     for lineno, line in enumerate(data.decode().splitlines(), start=1):
         if not line.strip():
             continue
@@ -177,20 +176,16 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
             doc = _decode_line(line)
         except json.JSONDecodeError as e:
             raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
-        m = Measurement.from_dict(doc)
-        if results is None:
-            results = ResultSet(object_id=m.object_id,
-                                plan_fingerprint=plan_fingerprint)
-        if m.error is not None:
-            results.failures.append(m)
-            continue
-        ordinal = occurrence.get(m.ec_index, 0)
-        occurrence[m.ec_index] = ordinal + 1
-        results.add((m.ec_index, ordinal), m)
-    if results is None:
-        results = ResultSet(object_id=object_id,
-                            plan_fingerprint=plan_fingerprint)
-    return results
+        rows.append(Measurement.from_dict(doc))
+    measured = [m for m in rows if m.error is None]
+    return ResultSet(
+        object_id=rows[0].object_id if rows else object_id,
+        plan_fingerprint=plan_fingerprint,
+        # occurrence keys are distinct: none needs the duplicate check of add
+        measurements=dict(zip(occurrence_keys([m.ec_index for m in measured]),
+                              measured)),
+        failures=[m for m in rows if m.error is not None],
+    )
 
 
 def check_resumable(path: str | Path, manifest: RunManifest) -> None:

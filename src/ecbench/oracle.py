@@ -4,10 +4,12 @@ spaces and Monte Carlo coverage experiments comparing sampling methodologies.
 Each Monte Carlo iteration derives its own plan seed and noise seed from
 (master seed, iteration index), so iterations are independent, order-stable,
 and reproducible regardless of execution order. Iterations are evaluated in
-chunks: the design's index draw runs once per iteration, then each object's
-noise for the whole chunk is one model call with per-iteration noise seeds,
-and intervals and hits are computed row-wise. Results do not depend on the
-chunk size.
+chunks: the design's index draw (`Design.draw` in `design.DESIGNS`) runs once
+per iteration, then each object's noise for the whole chunk is one model call
+with per-iteration noise seeds, and intervals and hits are computed row-wise.
+Results do not depend on the chunk size. The hit rule follows from what the
+draw returns: two arms are scored by a Welch interval, a single point by a
+margin around the truth, and anything else by the paired-difference CI.
 
 Noise-free values come from one table per object over the enumerated space,
 built once per experiment with the model's own element-wise expression, so a
@@ -20,19 +22,14 @@ loops stay n long.
 
 from __future__ import annotations
 
+import functools
 import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import (
-    FactorSplit,
-    factorial_2k_indices,
-    full_factorial_indices,
-    rct_indices,
-    stratified_indices,
-)
-from .errors import PlanError, SpaceError
+from .design import FactorSplit, design_of, stratified_indices
+from .errors import SpaceError
 from .fingerprints import fingerprint
 from .model import CompiledModel, SyntheticModel
 from .runner import ResultSet
@@ -62,8 +59,11 @@ class PopulationTruth:
 class Methodology:
     """A design kind plus its parameters, as one row of a comparison."""
 
-    kind: str  # stratified | factorial2k | full_factorial | rct | spec_point
+    kind: str  # a name or alias in design.DESIGNS, e.g. stratified or rct
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        design_of(self.kind, self.params)
 
     def describe(self) -> str:
         return ";".join(
@@ -136,21 +136,27 @@ def _iteration_seeds(master_seed: int, iteration: int) -> tuple[int, int]:
 
 
 def _chunks(draw, iterations: int, reps: int, master_seed: int):
-    """Consecutive chunks of iterations as (indices for object a, indices for
-    object b, noise seeds): two (k, n) index arrays drawn by `draw(plan_seed)`
-    and one noise seed per iteration. A chunk holds as many iterations as fit
-    in CHUNK_VALUES noise values, and at least one."""
+    """Consecutive chunks of iterations as (arms, noise seeds): one (k, n)
+    index array per arm of what `draw(plan_seed)` returns (an array, or a
+    tuple of two), and one noise seed per iteration. A chunk holds as many
+    iterations as fit in CHUNK_VALUES noise values, and at least one."""
     i = 0
     while i < iterations:
-        rows, noise = [], []
+        draws, noise, n = [], [], 0
         while i < iterations and (
-                not rows or (len(rows) + 1) * rows[0][0].size * reps <= CHUNK_VALUES):
+                not draws or (len(draws) + 1) * n * reps <= CHUNK_VALUES):
             plan_seed, noise_seed = _iteration_seeds(master_seed, i)
-            rows.append(draw(plan_seed))
+            draws.append(draw(plan_seed))
             noise.append(noise_seed)
             i += 1
-        yield (np.stack([a for a, _ in rows]), np.stack([b for _, b in rows]),
-               np.array(noise, dtype=np.uint64))
+            n = len(draws[0][0] if isinstance(draws[0], tuple) else draws[0])
+        arms = (tuple(map(np.stack, zip(*draws))) if isinstance(draws[0], tuple)
+                else (np.stack(draws),))
+        seeds = np.array(noise, dtype=np.uint64)
+        # dropped before the caller works on the chunk, where it may run the
+        # single-point margin probe: held, they would add to its peak memory
+        del draws, noise
+        yield arms, seeds
 
 
 def _simulate_aggregates(compiled: CompiledModel, table: np.ndarray,
@@ -183,14 +189,10 @@ def _default_spec_margin(compiled: CompiledModel, tables: list[np.ndarray],
                          probe_iterations: int = 200) -> float:
     """Margin for scoring the single-point methodology: the average half-width
     of the stratified (n=32 per stratum) paired-difference CI on this model."""
-
-    def draw(plan_seed: int) -> tuple[np.ndarray, np.ndarray]:
-        indices = stratified_indices(space, model.stratum_factor, 32, plan_seed)
-        return indices, indices
-
+    draw = functools.partial(stratified_indices, space, model.stratum_factor, 32)
     half_widths: list[float] = []
     t_crit = None
-    for idx, _, noise in _chunks(draw, probe_iterations, 3, master_seed ^ 0x5BEC):
+    for (idx,), noise in _chunks(draw, probe_iterations, 3, master_seed ^ 0x5BEC):
         agg_a = _simulate_aggregates(compiled, tables[0], idx, objects[0], 3, noise)
         agg_b = _simulate_aggregates(compiled, tables[1], idx, objects[1], 3, noise)
         if t_crit is None:
@@ -209,66 +211,34 @@ def coverage_experiment(model: SyntheticModel, space: ConfigSpace,
     each draws its plan from its own seed, and each chunk's noise for one
     object is a single model call."""
     compiled, tables, mu = _enumerate(model, space, objects)
-    kind = methodology.kind
+    design = design_of(methodology.kind)
     p = methodology.params
-    reps = p.get("reps", 3)
-    policy = "mean"
-    t_crit_cache: dict[int, float] = {}
-
-    def ci_hits(agg_a: np.ndarray, agg_b: np.ndarray) -> np.ndarray:
-        n = agg_a.shape[1]
-        if n not in t_crit_cache:
-            t_crit_cache[n] = t_quantile((1.0 + level) / 2.0, n - 1)
-        lo, _, hi = mean_ci_from_array(agg_a - agg_b, level,
-                                       t_crit=t_crit_cache[n])
-        return (lo <= mu) & (mu <= hi)
-
-    def welch_hits(agg_a: np.ndarray, agg_b: np.ndarray) -> np.ndarray:
-        lo, _, hi = welch_bounds(agg_a, agg_b, level)
-        return (lo <= mu) & (mu <= hi)
-
-    def margin_hits(agg_a: np.ndarray, agg_b: np.ndarray) -> np.ndarray:
-        return np.abs((agg_a[:, 0] - agg_b[:, 0]) - mu) <= margin
-
-    hits_of = ci_hits
-    if kind == "full_factorial":
-        fixed = full_factorial_indices(space)
-    elif kind == "rct":
-        hits_of = welch_hits
-    elif kind == "spec_point":
-        fixed = np.array([p["recommended_index"]], dtype=np.int64)
-        margin = p.get("margin")
-        if margin is None:
-            margin = _default_spec_margin(compiled, tables, space, model,
-                                          objects, level, master_seed)
-        reps, policy, hits_of = 3, "median", margin_hits
-    elif kind not in ("stratified", "factorial2k"):
-        raise PlanError(f"unknown methodology kind {kind!r}")
-    if reps < 1:
-        raise PlanError("reps must be >= 1")
-
-    def draw(plan_seed: int) -> tuple[np.ndarray, np.ndarray]:
-        if kind == "rct":
-            return rct_indices(space, p["per_arm"], plan_seed)
-        if kind == "stratified":
-            indices = stratified_indices(space, p["stratum_factor"],
-                                         p["iterations"], plan_seed)
-        elif kind == "factorial2k":
-            indices = factorial_2k_indices(space, p["split"], p["defaults"],
-                                           plan_seed)
-        else:
-            indices = fixed
-        return indices, indices
-
+    reps = design.reps or p.get("reps", 3)
+    margin = p.get("margin")
+    t_crit = None
     hits = 0
     cost = 0
-    for idx_a, idx_b, noise in _chunks(draw, iterations, reps, master_seed):
-        agg_a = _simulate_aggregates(compiled, tables[0], idx_a, objects[0], reps,
-                                     noise, policy)
-        agg_b = _simulate_aggregates(compiled, tables[1], idx_b, objects[1], reps,
-                                     noise, policy)
-        hits += int(np.count_nonzero(hits_of(agg_a, agg_b)))
-        cost = idx_a.shape[1]
+    draw = functools.partial(design.draw, space, p)
+    for arms, noise in _chunks(draw, iterations, reps, master_seed):
+        agg_a = _simulate_aggregates(compiled, tables[0], arms[0], objects[0],
+                                     reps, noise, design.policy)
+        agg_b = _simulate_aggregates(compiled, tables[1], arms[-1], objects[1],
+                                     reps, noise, design.policy)
+        cost = arms[0].shape[1]
+        if len(arms) == 2:  # two independent arms: a Welch interval
+            lo, _, hi = welch_bounds(agg_a, agg_b, level)
+        elif cost == 1:  # one point: within a margin of the truth
+            if margin is None:
+                margin = _default_spec_margin(compiled, tables, space, model,
+                                              objects, level, master_seed)
+            hits += int(np.count_nonzero(
+                np.abs((agg_a[:, 0] - agg_b[:, 0]) - mu) <= margin))
+            continue
+        else:  # the paired-difference CI; every draw has the same size
+            if t_crit is None:
+                t_crit = t_quantile((1.0 + level) / 2.0, cost - 1)
+            lo, _, hi = mean_ci_from_array(agg_a - agg_b, level, t_crit=t_crit)
+        hits += int(np.count_nonzero((lo <= mu) & (mu <= hi)))
 
     return CoverageResult(
         methodology=methodology.kind,

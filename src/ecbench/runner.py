@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ExecutionError, FingerprintError, SpaceError
 from .fingerprints import fingerprint
-from .design import PlanEntry, SamplePlan
+from .design import SamplePlan
 # synth_time stays bound here: benchmarks/tracing.py patches runner.synth_time
 from .model import SyntheticModel, synth_time  # noqa: F401
 from .space import ConfigSpace, Configuration, ObjectConfig
@@ -75,6 +75,8 @@ class ExecutorSpec:
                 stratum_factor=doc.get("stratum_factor"),
                 timeout=doc.get("timeout"),
             )
+        if kind != "synthetic":
+            raise ExecutionError(f"unknown executor kind {kind!r}")
         return cls(kind="synthetic", model=SyntheticModel.from_dict(doc["model"]))
 
     def to_dict(self) -> dict:
@@ -137,6 +139,18 @@ class ResultSet:
 
     def aggregates(self) -> dict[tuple[int, int], float]:
         return {k: m.aggregate for k, m in self.measurements.items()}
+
+
+def occurrence_keys(indices: list[int]) -> list[tuple[int, int]]:
+    """The (ec_index, occurrence ordinal) key of each index in order: the
+    ordinal counts the earlier occurrences of the same index."""
+    seen: dict[int, int] = {}
+    keys = []
+    for index in indices:
+        ordinal = seen.get(index, 0)
+        seen[index] = ordinal + 1
+        keys.append((index, ordinal))
+    return keys
 
 
 def aggregate(replicates: list[float], policy: str) -> float:
@@ -254,14 +268,9 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
     executor.validate_against(space)
     policy = policy or plan.policy
     results = ResultSet(object_id=obj.object_id, plan_fingerprint=plan.fingerprint)
-    pending: list[tuple[tuple[int, int], PlanEntry]] = []
-    occurrence: dict[int, int] = {}
-    for entry in plan.entries:
-        ordinal = occurrence.get(entry.ec_index, 0)
-        occurrence[entry.ec_index] = ordinal + 1
-        key = (entry.ec_index, ordinal)
-        if not (already_done and key in already_done):
-            pending.append((key, entry))
+    keys = occurrence_keys([entry.ec_index for entry in plan.entries])
+    pending = [(key, entry) for key, entry in zip(keys, plan.entries)
+               if not (already_done and key in already_done)]
 
     rows = None
     if executor.kind == "synthetic":

@@ -1,5 +1,6 @@
-"""Statistical kernel: summaries, Student-t quantiles, mean confidence
-intervals, paired differences, and ratio-asymmetry diagnostics.
+"""Statistical kernel over numbers and arrays: summaries, Student-t
+quantiles, mean confidence intervals, Welch intervals, and ratio-asymmetry
+diagnostics. Pairing result sets into arrays is `compare`'s job.
 
 Intervals use Student's t with n-1 degrees of freedom: conservative at the
 n ~ 32 sample sizes the sampling designs produce, and converging to the
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import EcbenchError, PairingError
-from .runner import ResultSet
+from .errors import EcbenchError
 
 
 class StatsError(EcbenchError):
@@ -326,52 +326,12 @@ def welch_interval(a: np.ndarray, b: np.ndarray, level: float) -> Interval:
                     center=float(center[0]), n=a.size + b.size)
 
 
-def paired_aggregates(a: ResultSet, b: ResultSet,
-                      ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """The sorted (ec_index, ordinal) keys both result sets cover, with each
-    set's aggregates in that order as float64 arrays. Result sets from
-    different plans, or covering different keys, do not pair."""
-    if a.plan_fingerprint != b.plan_fingerprint:
-        raise PairingError(
-            "result sets come from different plans: plan fingerprint "
-            f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
-        )
-    ma, mb = a.measurements, b.measurements
-    if ma.keys() != mb.keys():
-        missing_a = sorted(mb.keys() - ma.keys())[:5]
-        missing_b = sorted(ma.keys() - mb.keys())[:5]
-        raise PairingError(
-            "result sets cover different (ec_index, ordinal) keys; "
-            f"examples missing from a: {missing_a}, from b: {missing_b}"
-        )
-    keys = sorted(ma)
-    return (keys, np.array([ma[k].aggregate for k in keys], dtype=np.float64),
-            np.array([mb[k].aggregate for k in keys], dtype=np.float64))
-
-
-def paired_differences(a: ResultSet, b: ResultSet,
-                       label: str | None = None) -> Sample:
-    """Per matched key, aggregate(a) - aggregate(b), in sorted key order."""
-    _, xa, xb = paired_aggregates(a, b)
-    return Sample(values=tuple((xa - xb).tolist()), label=label)
-
-
 @dataclass(frozen=True)
 class RatioDiagnostics:
     ratios: Sample
     mean_ratio: float
     mean_reciprocal: float
     asymmetry_product: float  # mean(r) * mean(1/r); >= 1, = 1 iff constant
-
-
-def ratio_diagnostics(a: ResultSet, b: ResultSet,
-                      baseline: str = "b") -> RatioDiagnostics:
-    """Per-key ratios with the chosen baseline as denominator, plus the
-    Jensen asymmetry product that quantifies why ratios mislead."""
-    if baseline not in ("a", "b"):
-        raise StatsError("baseline must be 'a' or 'b'")
-    _, xa, xb = paired_aggregates(a, b)
-    return ratio_summary(xa, xb) if baseline == "b" else ratio_summary(xb, xa)
 
 
 def ratio_summary(num: np.ndarray, den: np.ndarray) -> RatioDiagnostics:

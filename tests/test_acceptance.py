@@ -12,14 +12,20 @@ import pytest
 
 from ecbench import demo
 from ecbench.cli import main
-from ecbench.compare import Verdict, asymmetry_report, compare_objects, verdict_of
+from ecbench.compare import (
+    Verdict,
+    asymmetry_report,
+    compare_objects,
+    ratio_diagnostics,
+    verdict_of,
+)
 from ecbench.design import stratified_sample
 from ecbench.errors import FingerprintError
 from ecbench.manifest import load_results
 from ecbench.oracle import Methodology, methodology_comparison, population_mean
 from ecbench.runner import Measurement, ResultSet
 from ecbench.space import Factor, build_space
-from ecbench.stats import Interval, ratio_diagnostics, t_quantile
+from ecbench.stats import Interval, t_quantile
 from oracles import brute_force_population_mean, t_quantile_oracle
 
 

@@ -13,6 +13,7 @@ from ecbench.compare import (
     Verdict,
     asymmetry_report,
     compare_objects,
+    paired_aggregates,
     spec_composite,
     verdict_of,
 )
@@ -20,7 +21,7 @@ from ecbench.cli import main
 from ecbench.design import PlanEntry, SamplePlan
 from ecbench.errors import PairingError
 from ecbench.manifest import RunManifest, persist_results
-from ecbench.stats import Interval, StatsError, paired_aggregates
+from ecbench.stats import Interval, StatsError
 from test_stats import result_set
 
 

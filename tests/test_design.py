@@ -377,3 +377,28 @@ def test_indices_beyond_int64_are_python_ints():
     assert all(type(e.ec_index) is int for e in plan.entries)
     assert any(e.ec_index > 2**63 for e in plan.entries)
     assert all(0 <= e.ec_index < space.cardinality for e in plan.entries)
+
+
+def test_registry_names_every_design_once():
+    # plan files use the names, `ecbench plan` the alias where there is one,
+    # and methodology files either spelling
+    assert {name: (d.name, d.alias) for name, d in ecbench.design.DESIGNS.items()} == {
+        "stratified": ("stratified", None),
+        "factorial2k": ("factorial2k", None),
+        "full_factorial": ("full_factorial", "full-factorial"),
+        "rct_arm": ("rct_arm", "rct"),
+        "spec_point": ("spec_point", "spec-point"),
+    }
+    for d in ecbench.design.DESIGNS.values():
+        for kind in filter(None, (d.name, d.alias)):
+            assert ecbench.design.design_of(kind) is d
+    with pytest.raises(PlanError, match="unknown design kind 'rct'"):
+        dataclasses.replace(full_factorial(demo.demo_space_720(), 1),
+                            design="rct")
+
+
+def test_spec_point_plan_takes_the_registered_reps_and_policy():
+    space = demo.demo_space_720()
+    plan = spec_point(space, space.config_at(demo.demo_recommended_index(space)))
+    fixed = ecbench.design.DESIGNS["spec_point"]
+    assert (plan.reps, plan.policy) == (fixed.reps, fixed.policy) == (3, "median")

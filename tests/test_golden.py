@@ -10,6 +10,7 @@ loader and the per-key pairing, with one scalar t quantile per interval.
 """
 
 import hashlib
+import json
 import statistics
 
 import numpy as np
@@ -217,3 +218,88 @@ def test_asymmetry_demo_report_bytes(tmp_path):
     emit_report(asymmetry_report(a, b, 0.95), "json", tmp_path / "asymmetry.json")
     assert {name: sha256_of(tmp_path / name)
             for name in DEMO_SHA256} == DEMO_SHA256
+
+
+def plan_and_simulate_outputs(work, monkeypatch, capsys) -> dict[str, str]:
+    """SHA-256 of every file and stdout of the five `ecbench plan`
+    subcommands and of `ecbench simulate` in both formats, on the 720-point
+    demo space with the methodology kinds spelled as the CLI reads them."""
+    monkeypatch.chdir(work)
+    space = demo.demo_space_720()
+    space.save("space.json")
+    demo.skewed_model().save("model.json")
+    split = {n: {"low": list(lo), "high": list(hi)}
+             for n, lo, hi in demo.demo_factor_split().splits}
+    (work / "split.json").write_text(json.dumps(split))
+    (work / "meth.json").write_text(json.dumps({
+        "objects": list(OBJECTS),
+        "methodologies": [
+            {"kind": "full_factorial"},
+            {"kind": "stratified",
+             "params": {"stratum_factor": "workload", "iterations": 8}},
+            {"kind": "factorial2k",
+             "params": {"split": split, "defaults": {"workload": 0}}},
+            {"kind": "rct", "params": {"per_arm": 8}},
+            {"kind": "spec_point",
+             "params": {"recommended_index": demo.demo_recommended_index(space)}},
+        ],
+    }))
+    runs = {
+        "stratified": ["plan", "stratified", "--space", "space.json",
+                       "--stratum-factor", "dataset", "--iterations", "4",
+                       "--seed", "7", "--out", "stratified.json"],
+        "factorial2k": ["plan", "factorial2k", "--space", "space.json",
+                        "--split", "split.json", "--default", "workload=0",
+                        "--reps", "5", "--seed", "7", "--out", "factorial2k.json"],
+        "full-factorial": ["plan", "full-factorial", "--space", "space.json",
+                           "--out", "full.json"],
+        "rct": ["plan", "rct", "--space", "space.json", "--per-arm", "6",
+                "--seed", "7", "--out-control", "control.json",
+                "--out-treatment", "treatment.json"],
+        "spec-point": ["plan", "spec-point", "--space", "space.json",
+                       "--level-label", "dataset=d10", "--level-label", "flags=-O3",
+                       "--level-label", "threads=56", "--level-label",
+                       "workload=exchange2", "--stratum-factor", "flags",
+                       "--out", "spec.json"],
+    }
+    for fmt in ("csv", "json"):
+        runs[f"simulate-{fmt}"] = [
+            "simulate", "--space", "space.json", "--model", "model.json",
+            "--methodologies", "meth.json", "--iterations", "40",
+            "--level", "0.95", "--seed", "5", "--format", fmt,
+            "--out", f"coverage.{fmt}"]
+    digests = {}
+    for name, argv in runs.items():
+        capsys.readouterr()
+        assert main(argv) == 0, name
+        digests[f"{name} stdout"] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    for name in ("stratified.json", "factorial2k.json", "full.json",
+                 "control.json", "treatment.json", "spec.json",
+                 "coverage.csv", "coverage.json"):
+        digests[name] = sha256_of(work / name)
+    return digests
+
+
+PLAN_SIMULATE_SHA256 = {
+    'stratified stdout': '799e3d2411b4935cbad3377a41f8490c855dce67fd28e0215a8b1a2867124e40',
+    'factorial2k stdout': '8510e5ffc4659816ea251156b35750444a9ac8e128a58126d3cd325da9937582',
+    'full-factorial stdout': '9797f766e5d8179986819eeb5e48131852759a2ef338ea3f89a924a789940930',
+    'rct stdout': '79b177b9814cf611406db1294191bb9d431211f0b5f0e9fd62d51793453c87df',
+    'spec-point stdout': 'd7f951cec8645551b2610f3a30303349b6f47c48dbe55758281e5951dd961a82',
+    'simulate-csv stdout': '3c2050df39ff6397b76c42f23aa087a003bc021578f7a47210749ccad3ad76e8',
+    'simulate-json stdout': '3c2050df39ff6397b76c42f23aa087a003bc021578f7a47210749ccad3ad76e8',
+    'stratified.json': '0ce5acb98f4e73b4314b751dc742425747657672d8639e74da027aeb7a2bcc60',
+    'factorial2k.json': 'e1f741363d08f75cacecf895fcaf4794e70ed3d79828c99b091588dbb0f9ad10',
+    'full.json': 'ded10c726223b8b4e24c92a798f5caa6e7251e11a83375e5282d7c6f78db1d69',
+    'control.json': '18a0026286cffb6b5c14bbf4c819961f47d5a22561932ea7d696727444a5f816',
+    'treatment.json': '8cb172755a50d1766571abb6d5037a32ec719c90d2ebce7bb41b2e523470cd1c',
+    'spec.json': 'fb5a75a4eff19e09a4f5ee1f71f920804c0851605c75bd80dea7aca29d7bbe41',
+    'coverage.csv': '40b07d1b718f26cdf64396782dab65653e04c139cff6907f3d44314f65723ab6',
+    'coverage.json': '15ed4c717a6c53504ef08d15a61adb9753b6a06b722d7dd63548f6146be5f4d0',
+}
+
+
+def test_plan_and_simulate_bytes(tmp_path, monkeypatch, capsys):
+    assert (plan_and_simulate_outputs(tmp_path, monkeypatch, capsys)
+            == PLAN_SIMULATE_SHA256)

@@ -511,6 +511,58 @@ class TestCli:
         assert lines[0].startswith("methodology,")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ({"kind": "latin_hypercube"}, "unknown design kind 'latin_hypercube'"),
+        ({"kind": "stratified", "params": {"stratum_factor": "workload"}},
+         "design 'stratified': missing param(s) 'iterations'"),
+        ({"kind": "stratified", "params": {"stratum_factor": "workload",
+                                           "iterations": 8, "rep": 9}},
+         "design 'stratified': unused param(s) 'rep'"),
+        ({"kind": "spec_point", "params": {"recommended_index": 0, "reps": 7}},
+         "design 'spec_point': unused param(s) 'reps'"),
+        ({"kind": "rct", "params": {"per_arm": 4, "reps": 0}},
+         "reps must be >= 1"),
+    ])
+    def test_simulate_checks_every_methodology_before_any_work(
+            self, workspace, capsys, monkeypatch, row, message):
+        # the bad row follows a good one, which must not run either
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "full_factorial"}, row],
+        }))
+        ran = []
+        monkeypatch.setattr(ecbench.oracle, "coverage_experiment",
+                            lambda *args: ran.append(args))
+        capsys.readouterr()
+        assert main(["simulate", "--space", str(ws / "space.json"),
+                     "--model", str(ws / "model.json"),
+                     "--methodologies", str(ws / "meth.json"),
+                     "--iterations", "5", "--level", "0.95", "--seed", "1",
+                     "--out", str(ws / "cov.csv")]) == 2
+        assert f"ecbench: error: {message}" in capsys.readouterr().err
+        assert ran == []
+        assert not (ws / "cov.csv").exists()
+
+    @pytest.mark.parametrize("with_model", [True, False])
+    def test_unknown_executor_kind_exit_2(self, workspace, capsys, with_model):
+        ws = workspace
+        doc = {"kind": "comand"}
+        if with_model:
+            doc["model"] = demo.gaussian_model().to_dict()
+        (ws / "typo.json").write_text(json.dumps(doc))
+        stratified_sample(demo.demo_space_720(), "workload", 4, 3, 1).save(
+            ws / "plan.json")
+        capsys.readouterr()
+        assert main(["run", "--space", str(ws / "space.json"),
+                     "--plan", str(ws / "plan.json"),
+                     "--executor", str(ws / "typo.json"),
+                     "--object", str(ws / "cpu_a.json"),
+                     "--out", str(ws / "cpu_a.jsonl")]) == 2
+        assert ("ecbench: error: unknown executor kind 'comand'"
+                in capsys.readouterr().err)
+        assert not (ws / "cpu_a.jsonl").exists()
+
     def test_rct_plan_files(self, workspace):
         ws = workspace
         assert main(["plan", "rct", "--space", str(ws / "space.json"),

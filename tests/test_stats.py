@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ecbench.compare import paired_differences, ratio_diagnostics
 from ecbench.errors import PairingError
 from ecbench.runner import Measurement, ResultSet
 from ecbench.stats import (
@@ -20,8 +21,6 @@ from ecbench.stats import (
     geometric_mean,
     mean_ci_from_array,
     mean_intervals,
-    paired_differences,
-    ratio_diagnostics,
     summary,
     t_quantile,
     welch_bounds,
