@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .compare import (
     ComparisonReport,
+    GroupMap,
     asymmetry_report,
     compare_objects,
     paired_aggregates,
@@ -40,7 +41,12 @@ from .manifest import (
 )
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
-from .runner import ExecutorSpec, execute_plan, occurrence_keys
+from .runner import (
+    ExecutorSpec,
+    execute_plan,
+    index_column,
+    occurrence_ordinals,
+)
 from .space import ConfigSpace, ObjectConfig
 
 EXIT_OK = 0
@@ -64,10 +70,11 @@ def _load_object(path: str) -> ObjectConfig:
     )
 
 
-def plan_group_map(plan: SamplePlan) -> dict[tuple[int, int], str]:
+def plan_group_map(plan: SamplePlan) -> GroupMap:
     """Key -> stratum label, replaying the plan's occurrence ordering."""
-    keys = occurrence_keys([entry.ec_index for entry in plan.entries])
-    return dict(zip(keys, (entry.stratum or "" for entry in plan.entries)))
+    indices = index_column([entry.ec_index for entry in plan.entries])
+    return GroupMap(indices, occurrence_ordinals(indices),
+                    [entry.stratum or "" for entry in plan.entries])
 
 
 def _cmd_space_info(args) -> int:
@@ -118,8 +125,9 @@ def _cmd_run(args) -> int:
         if len(complete) < len(data):  # a torn last line: drop it, re-run its entry
             with out.open("r+b") as fh:
                 fh.truncate(len(complete))
-        already_done = set(parse_results(
-            complete, out, obj.object_id, manifest.plan_fingerprint).measurements)
+        done = parse_results(complete, out, obj.object_id,
+                             manifest.plan_fingerprint).measurements.columns
+        already_done = set(zip(done.indices.tolist(), done.ordinals.tolist()))
         append = True
 
     writer = ResultWriter(out, manifest, append=append)
@@ -138,8 +146,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _group_map(plan_path: str, plan_fingerprint: str
-               ) -> dict[tuple[int, int], str]:
+def _group_map(plan_path: str, plan_fingerprint: str) -> GroupMap:
     """The group map of the plan the runs were made under."""
     plan = SamplePlan.load(plan_path)
     if plan.fingerprint != plan_fingerprint:

@@ -10,12 +10,13 @@ misread.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PairingError
-from .runner import ResultSet
+from .runner import ResultSet, index_column
 from .stats import (
     Interval,
     RatioDiagnostics,
@@ -102,7 +103,13 @@ class ComparisonReport:
         )
 
 
-Aligned = tuple[list[tuple[int, int]], np.ndarray, np.ndarray]
+# the keys both sets cover, sorted, as index and ordinal columns, with each
+# set's aggregates in that order
+Aligned = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _keys(indices: np.ndarray, ordinals: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(indices.tolist(), ordinals.tolist()))
 
 
 def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
@@ -114,47 +121,97 @@ def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
             "result sets come from different plans: plan fingerprint "
             f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
         )
-    ma, mb = a.measurements, b.measurements
-    if ma.keys() != mb.keys():
-        missing_a = sorted(mb.keys() - ma.keys())[:5]
-        missing_b = sorted(ma.keys() - mb.keys())[:5]
+    ca, cb = a.measurements.columns, b.measurements.columns
+    oa = np.lexsort((ca.ordinals, ca.indices))
+    ob = np.lexsort((cb.ordinals, cb.indices))
+    indices, ordinals = ca.indices[oa], ca.ordinals[oa]
+    # keys within a set are distinct: equal sorted keys are equal key sets
+    if not (len(oa) == len(ob) and np.array_equal(indices, cb.indices[ob])
+            and np.array_equal(ordinals, cb.ordinals[ob])):
+        ka = set(_keys(ca.indices, ca.ordinals))
+        kb = set(_keys(cb.indices, cb.ordinals))
         raise PairingError(
             "result sets cover different (ec_index, ordinal) keys; "
-            f"examples missing from a: {missing_a}, from b: {missing_b}"
+            f"examples missing from a: {sorted(kb - ka)[:5]}, "
+            f"from b: {sorted(ka - kb)[:5]}"
         )
-    keys = sorted(ma)
-    return (keys, np.array([ma[k].aggregate for k in keys], dtype=np.float64),
-            np.array([mb[k].aggregate for k in keys], dtype=np.float64))
+    return indices, ordinals, ca.aggregates[oa], cb.aggregates[ob]
+
+
+class GroupMap:
+    """A group label per (ec_index, ordinal) key, held as columns: distinct
+    keys, and for each the code of its label in the sorted `names`.
+    Iterating it gives the keys."""
+
+    def __init__(self, indices: np.ndarray, ordinals: np.ndarray,
+                 labels: list[str]):
+        self.indices, self.ordinals = indices, ordinals
+        self.names = sorted(set(labels))
+        code = {name: i for i, name in enumerate(self.names)}
+        self.codes = np.fromiter(map(code.__getitem__, labels), dtype=np.intp,
+                                 count=len(labels))
+
+    @classmethod
+    def of(cls, mapping: "GroupMap | Mapping[tuple[int, int], str]"
+           ) -> "GroupMap":
+        if isinstance(mapping, GroupMap):
+            return mapping
+        return cls(index_column([index for index, _ in mapping]),
+                   np.array([ordinal for _, ordinal in mapping], dtype=np.int64),
+                   list(mapping.values()))
+
+    def groups_of(self, indices: np.ndarray, ordinals: np.ndarray
+                  ) -> tuple[list[str], np.ndarray]:
+        """The sorted labels of the distinct keys (indices[i], ordinals[i]),
+        and the position of each key's label in them; a PairingError names
+        the first keys the map lacks."""
+        n = len(self.codes)
+        keys_i = np.concatenate([self.indices, indices])
+        keys_o = np.concatenate([self.ordinals, ordinals])
+        # lexsort is stable: a key asked for that the map holds sorts
+        # straight after the map's copy of it
+        order = np.lexsort((keys_o, keys_i))
+        keys_i, keys_o, before = keys_i[order], keys_o[order], np.roll(order, 1)
+        held = np.zeros(len(order), dtype=bool)
+        held[1:] = (keys_i[1:] == keys_i[:-1]) & (keys_o[1:] == keys_o[:-1])
+        asked = order >= n
+        at = np.empty(len(indices), dtype=np.intp)  # the map row, or -1
+        at[order[asked] - n] = np.where(held & (before < n), before, -1)[asked]
+        missing = at < 0
+        if missing.any():
+            raise PairingError(
+                "group map misses keys, e.g. "
+                f"{_keys(indices[missing][:5], ordinals[missing][:5])}")
+        used, codes = np.unique(self.codes[at], return_inverse=True)
+        return [self.names[c] for c in used.tolist()], codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return iter(_keys(self.indices, self.ordinals))
 
 
 def paired_differences(a: ResultSet, b: ResultSet,
                        label: str | None = None) -> Sample:
     """Per matched key, aggregate(a) - aggregate(b), in sorted key order."""
-    _, xa, xb = paired_aggregates(a, b)
+    *_, xa, xb = paired_aggregates(a, b)
     return Sample(values=tuple((xa - xb).tolist()), label=label)
 
 
 def compare_objects(a: ResultSet, b: ResultSet, level: float,
-                    group_by: dict[tuple[int, int], str] | None = None,
+                    group_by: GroupMap | Mapping[tuple[int, int], str]
+                    | None = None,
                     aligned: Aligned | None = None) -> ComparisonReport:
     """Paired differences a - b with an overall CI/verdict and, when a
     grouping map is given, one CI/verdict per group. `aligned` is
     `paired_aggregates(a, b)` when the caller has already computed it."""
-    keys, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
+    indices, ordinals, xa, xb = (paired_aggregates(a, b) if aligned is None
+                                 else aligned)
     diffs = xa - xb
     samples, labels = [diffs], []
     if group_by is not None:
-        try:
-            key_labels = list(map(group_by.__getitem__, keys))
-        except KeyError:
-            missing = [k for k in keys if k not in group_by]
-            raise PairingError(
-                f"group map misses keys, e.g. {missing[:5]}"
-            ) from None
-        labels = sorted(set(key_labels))
-        code = {label: i for i, label in enumerate(labels)}
-        codes = np.fromiter(map(code.__getitem__, key_labels), np.intp,
-                            len(key_labels))
+        labels, codes = GroupMap.of(group_by).groups_of(indices, ordinals)
         sizes = np.bincount(codes, minlength=len(labels))
         # fsum and exact_stdev ignore the order of values within a group
         samples += np.split(diffs[np.argsort(codes, kind="stable")],
@@ -166,8 +223,7 @@ def compare_objects(a: ResultSet, b: ResultSet, level: float,
                           verdict=verdict_of(iv))
               for label, iv in zip(labels, group_ivs)]
 
-    policies = {m.policy for m in a.measurements.values()}
-    policies |= {m.policy for m in b.measurements.values()}
+    policies = a.measurements.columns.policies | b.measurements.columns.policies
     return ComparisonReport(
         minuend_id=a.object_id,
         subtrahend_id=b.object_id,
@@ -210,7 +266,7 @@ def ratio_diagnostics(a: ResultSet, b: ResultSet,
     Jensen asymmetry product that quantifies why ratios mislead."""
     if baseline not in ("a", "b"):
         raise StatsError("baseline must be 'a' or 'b'")
-    _, xa, xb = paired_aggregates(a, b)
+    *_, xa, xb = paired_aggregates(a, b)
     return ratio_summary(xa, xb) if baseline == "b" else ratio_summary(xb, xa)
 
 
@@ -218,7 +274,7 @@ def asymmetry_report(a: ResultSet, b: ResultSet, level: float,
                      aligned: Aligned | None = None) -> AsymmetryReport:
     """`aligned` is `paired_aggregates(a, b)` when the caller has already
     computed it."""
-    _, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
+    *_, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
     diag_b = ratio_summary(xa, xb)
     diag_a = ratio_summary(xb, xa)
     diff_ab, diff_ba, ratio_b, ratio_a = mean_intervals(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -340,10 +341,16 @@ DESIGNS = {d.name: d for d in (
 )}
 
 
+# the methodology params of a fixed type; bools are not integers here
+PARAM_TYPES = {"iterations": numbers.Integral, "per_arm": numbers.Integral,
+               "reps": numbers.Integral, "recommended_index": numbers.Integral,
+               "stratum_factor": str}
+
+
 def design_of(kind: str, params: dict | None = None) -> Design:
     """The design whose name or alias is `kind`. With `params`, first check
     them as a methodology's: each required one given, none the design does
-    not read, and reps >= 1."""
+    not read, each of its `PARAM_TYPES` type, and reps >= 1."""
     for design in DESIGNS.values():
         if kind in (design.name, design.alias):
             break
@@ -356,6 +363,12 @@ def design_of(kind: str, params: dict | None = None) -> Design:
             if names:
                 raise PlanError(f"design {kind!r}: {what} param(s) "
                                 + ", ".join(map(repr, names)))
+        for name, value in params.items():
+            wanted = PARAM_TYPES.get(name)
+            if wanted is not None and (not isinstance(value, wanted)
+                                       or isinstance(value, bool)):
+                raise PlanError(f"design {kind!r}: param {name!r} must be "
+                                + ("a string" if wanted is str else "an integer"))
         if params.get("reps", 1) < 1:
             raise PlanError("reps must be >= 1")
     return design

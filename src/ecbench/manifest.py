@@ -8,6 +8,7 @@ error. Report files are byte-stable for identical inputs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import platform
@@ -15,12 +16,21 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .compare import AsymmetryReport, ComparisonReport
 from .errors import FingerprintError
 from .fingerprints import canonical_json, fingerprint_bytes
 from .oracle import CoverageResult
-from .runner import Measurement, ResultSet, occurrence_keys
+from .runner import (
+    Columns,
+    Measurement,
+    Measurements,
+    ResultSet,
+    index_column,
+    occurrence_ordinals,
+)
 
 
 def manifest_path(results_path: str | Path) -> Path:
@@ -163,12 +173,8 @@ def _decode_line(line: str):
     return json.loads(line)  # raises json.loads' own error for this line
 
 
-def parse_results(data: bytes, path: str | Path, object_id: str,
-                  plan_fingerprint: str) -> ResultSet:
-    """The result set in the bytes of a results file: one JSON measurement a
-    line, blank lines skipped, keyed (ec_index, occurrence ordinal) in file
-    order. `object_id` names the set only when no line does."""
-    rows = []
+def _documents(data: bytes, path: str | Path):
+    """The JSON value of each non-blank line of a results file, in order."""
     for lineno, line in enumerate(data.decode().splitlines(), start=1):
         if not line.strip():
             continue
@@ -176,15 +182,49 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
             doc = _decode_line(line)
         except json.JSONDecodeError as e:
             raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
-        rows.append(Measurement.from_dict(doc))
-    measured = [m for m in rows if m.error is None]
+        yield doc
+
+
+def _measured_rows(data: bytes, path: str | Path) -> list[Measurement]:
+    return [Measurement.from_dict(doc) for doc in _documents(data, path)
+            if doc.get("error") is None]
+
+
+def parse_results(data: bytes, path: str | Path, object_id: str,
+                  plan_fingerprint: str) -> ResultSet:
+    """The result set in the bytes of a results file: one JSON measurement a
+    line, blank lines skipped, keyed (ec_index, occurrence ordinal) in file
+    order. `object_id` names the set only when no line does.
+
+    Each line is decoded once and checked for the fields
+    `Measurement.from_dict` reads. A measured line leaves its index,
+    aggregate and policy in the set's columns; its `Measurement` is built,
+    from `data`, only when a caller reads the rows."""
+    indices, aggregates, policies, failures = [], [], set(), []
+    for n, doc in enumerate(_documents(data, path)):
+        # the reads of Measurement.from_dict, in its order, so that a line
+        # fails here as it would fail there
+        index, owner = doc["ec_index"], doc["object_id"]
+        iter(doc["replicates"])
+        aggregate, policy = doc["aggregate"], doc["policy"]
+        if doc.get("error") is None:
+            indices.append(index)
+            aggregates.append(aggregate)
+            policies.add(policy)
+        else:
+            failures.append(Measurement.from_dict(doc))
+        if n == 0:
+            object_id = owner
+    index = index_column(indices)
+    columns = Columns(index, occurrence_ordinals(index),
+                      np.array(aggregates, dtype=np.float64),
+                      frozenset(policies))
     return ResultSet(
-        object_id=rows[0].object_id if rows else object_id,
+        object_id=object_id,
         plan_fingerprint=plan_fingerprint,
-        # occurrence keys are distinct: none needs the duplicate check of add
-        measurements=dict(zip(occurrence_keys([m.ec_index for m in measured]),
-                              measured)),
-        failures=[m for m in rows if m.error is not None],
+        measurements=Measurements(
+            columns, functools.partial(_measured_rows, data, path)),
+        failures=failures,
     )
 
 

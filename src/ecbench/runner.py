@@ -14,7 +14,9 @@ import statistics
 import string
 import subprocess
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,6 +124,67 @@ class Measurement:
                    doc.get("ended_at", 0.0), doc.get("error"))
 
 
+class Columns(NamedTuple):
+    """The measured rows of a result set as the columns pairing reads."""
+
+    indices: np.ndarray     # ec_index, as `index_column` gives it
+    ordinals: np.ndarray    # occurrence ordinal, int64
+    aggregates: np.ndarray  # float64
+    policies: frozenset[str]  # the aggregation policies the rows name
+
+
+class Measurements(Mapping):
+    """Measurements keyed by (ec_index, occurrence ordinal), and their
+    `columns`. Rows added one at a time (a run) give the columns when first
+    read. A loaded file gives the columns, and `load()` the measurements in
+    column order, called when a row is first read; `len` reads no row."""
+
+    def __init__(self, columns: Columns | None = None,
+                 load: Callable[[], list[Measurement]] | None = None):
+        self._columns = columns
+        self._load = load
+        self._rows: dict[tuple[int, int], Measurement] | None = (
+            {} if columns is None else None)
+
+    def add(self, key: tuple[int, int], m: Measurement) -> None:
+        rows = self._keyed()
+        if key in rows:
+            raise ExecutionError(f"duplicate measurement key {key}")
+        rows[key] = m
+        self._columns = None
+
+    @property
+    def columns(self) -> Columns:
+        if self._columns is None:
+            rows = self._keyed()
+            self._columns = Columns(
+                index_column([index for index, _ in rows]),
+                np.array([ordinal for _, ordinal in rows], dtype=np.int64),
+                np.array([m.aggregate for m in rows.values()],
+                         dtype=np.float64),
+                frozenset(m.policy for m in rows.values()))
+        return self._columns
+
+    def _keyed(self) -> dict[tuple[int, int], Measurement]:
+        if self._rows is None:
+            c = self._columns
+            self._rows = dict(zip(zip(c.indices.tolist(), c.ordinals.tolist()),
+                                  self._load()))
+            self._load = None
+        return self._rows
+
+    def __len__(self) -> int:
+        if self._rows is None:
+            return len(self._columns.aggregates)
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._keyed())
+
+    def __getitem__(self, key: tuple[int, int]) -> Measurement:
+        return self._keyed()[key]
+
+
 @dataclass
 class ResultSet:
     """Measurements keyed by (ec index, occurrence ordinal) for one object
@@ -129,28 +192,37 @@ class ResultSet:
 
     object_id: str
     plan_fingerprint: str
-    measurements: dict[tuple[int, int], Measurement] = field(default_factory=dict)
+    measurements: Measurements = field(default_factory=Measurements)
     failures: list[Measurement] = field(default_factory=list)
 
     def add(self, key: tuple[int, int], m: Measurement) -> None:
-        if key in self.measurements:
-            raise ExecutionError(f"duplicate measurement key {key}")
-        self.measurements[key] = m
-
-    def aggregates(self) -> dict[tuple[int, int], float]:
-        return {k: m.aggregate for k, m in self.measurements.items()}
+        self.measurements.add(key, m)
 
 
-def occurrence_keys(indices: list[int]) -> list[tuple[int, int]]:
-    """The (ec_index, occurrence ordinal) key of each index in order: the
-    ordinal counts the earlier occurrences of the same index."""
-    seen: dict[int, int] = {}
-    keys = []
-    for index in indices:
-        ordinal = seen.get(index, 0)
-        seen[index] = ordinal + 1
-        keys.append((index, ordinal))
-    return keys
+def index_column(indices: list) -> np.ndarray:
+    """The indices as int64, or, when one is not an int64 value (an index of
+    2^63 or more), as an object array of the values themselves."""
+    try:
+        column = np.array(indices, dtype=np.int64)
+        if column.ndim == 1 and column.tolist() == indices:
+            return column
+    except (OverflowError, TypeError, ValueError):
+        pass
+    return np.fromiter(indices, dtype=object, count=len(indices))
+
+
+def occurrence_ordinals(indices: np.ndarray) -> np.ndarray:
+    """The occurrence ordinal of each index in order: the number of earlier
+    occurrences of the same index."""
+    order = np.argsort(indices, kind="stable")
+    ranked = indices[order]
+    positions = np.arange(len(indices))
+    starts = np.ones(len(indices), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ordinals = np.empty(len(indices), dtype=np.int64)
+    ordinals[order] = positions - np.maximum.accumulate(
+        np.where(starts, positions, 0))
+    return ordinals
 
 
 def aggregate(replicates: list[float], policy: str) -> float:
@@ -268,7 +340,8 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
     executor.validate_against(space)
     policy = policy or plan.policy
     results = ResultSet(object_id=obj.object_id, plan_fingerprint=plan.fingerprint)
-    keys = occurrence_keys([entry.ec_index for entry in plan.entries])
+    indices = index_column([entry.ec_index for entry in plan.entries])
+    keys = zip(indices.tolist(), occurrence_ordinals(indices).tolist())
     pending = [(key, entry) for key, entry in zip(keys, plan.entries)
                if not (already_done and key in already_done)]
 

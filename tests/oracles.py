@@ -9,7 +9,8 @@ in Python ints, the Welch interval is plain float64-scalar arithmetic on
 one pair of samples, the standard deviation is a two-pass Fraction variance
 whose root is rounded by exact comparison with float midpoints, and the
 noise references spell out one element per (index, replicate) pair instead
-of broadcasting.
+of broadcasting, and result-set keys are tuples counted in a dict and paired
+by sorting them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+
+from ecbench.errors import PairingError
 
 # Gauss-Legendre nodes/weights on [-1, 1]; 400 nodes resolve cos^(df-1)
 # far past 1e-9 for df up to a few hundred.
@@ -185,6 +188,41 @@ def parse_lines_reference(data: bytes):
         except json.JSONDecodeError as e:
             raise LineParseError(f"{lineno}: parse failure: {e}") from e
         yield lineno, value
+
+
+def occurrence_keys_reference(indices) -> list[tuple[int, int]]:
+    """The (ec_index, occurrence ordinal) key of each index in order, with
+    the earlier occurrences of each index counted in a dict."""
+    seen: dict[int, int] = {}
+    keys = []
+    for index in indices:
+        ordinal = seen.get(index, 0)
+        seen[index] = ordinal + 1
+        keys.append((index, ordinal))
+    return keys
+
+
+def paired_aggregates_reference(a, b):
+    """The sorted (ec_index, ordinal) keys two result sets both cover, as
+    tuples, with each set's aggregates in that order: dict key sets compared,
+    the keys sorted as tuples, one row looked up per key. Raises PairingError
+    with the messages `ecbench compare` prints."""
+    if a.plan_fingerprint != b.plan_fingerprint:
+        raise PairingError(
+            "result sets come from different plans: plan fingerprint "
+            f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
+        )
+    ma, mb = dict(a.measurements), dict(b.measurements)
+    if ma.keys() != mb.keys():
+        missing_a = sorted(mb.keys() - ma.keys())[:5]
+        missing_b = sorted(ma.keys() - mb.keys())[:5]
+        raise PairingError(
+            "result sets cover different (ec_index, ordinal) keys; "
+            f"examples missing from a: {missing_a}, from b: {missing_b}"
+        )
+    keys = sorted(ma)
+    return (keys, np.array([ma[k].aggregate for k in keys], dtype=np.float64),
+            np.array([mb[k].aggregate for k in keys], dtype=np.float64))
 
 
 def _odd(x: float) -> bool:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import statistics
 
 import numpy as np
 import pytest
@@ -20,8 +22,12 @@ from ecbench.compare import (
 from ecbench.cli import main
 from ecbench.design import PlanEntry, SamplePlan
 from ecbench.errors import PairingError
-from ecbench.manifest import RunManifest, persist_results
+from ecbench.fingerprints import fingerprint
+from ecbench.manifest import RunManifest, load_results, persist_results
+from ecbench.runner import Measurement, ResultSet
 from ecbench.stats import Interval, StatsError
+from oracles import occurrence_keys_reference, paired_aggregates_reference
+from test_design import space_4_pow_40
 from test_stats import result_set
 
 
@@ -230,4 +236,112 @@ class TestCompareCommand:
         assert self.compare(tmp_path, "--asymmetry",
                             str(tmp_path / "asym.json")) == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+def wide_pair(work, rows=60, repeats=15, plan_rows=None, drop_b=0,
+              plan_b=None, seed=5):
+    """Two result files of `rows` rows on the 4^40-point space, written by
+    persist_results, with every index in [2^79, 2^80). The last `repeats`
+    rows measure five earlier entries again, so ordinals 1 to 3 occur; cpu_a
+    ends with one failure line. The plan file holds the first `plan_rows`
+    entries, and both files name its fingerprint unless `plan_b` replaces
+    cpu_b's; cpu_b leaves out its first `drop_b` rows."""
+    space = space_4_pow_40()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    drawn = [(1 << 79) | int.from_bytes(rng.bytes(9), "little")
+             for _ in range(rows - repeats)]
+    indices = drawn + [drawn[i % 5] for i in range(repeats)]
+    labels = [f"g{i}" for i in rng.integers(0, 4, len(drawn)).tolist()]
+    labels += [labels[i % 5] for i in range(repeats)]
+    plan = SamplePlan(
+        design="stratified", reps=2, seed=seed,
+        space_fingerprint=fingerprint(space.to_dict()),
+        entries=tuple(map(PlanEntry, indices, labels))[:plan_rows])
+    plan.save(work / "plan.json")
+    keys = occurrence_keys_reference(indices)
+    values = rng.normal(100.0, 5.0, (rows, 2))
+    for oid, values, fp, skip in (
+            ("cpu_a", values, plan.fingerprint, 0),
+            ("cpu_b", values + rng.normal(3.0, 1.0, (rows, 2)),
+             plan_b or plan.fingerprint, drop_b)):
+        results = ResultSet(object_id=oid, plan_fingerprint=fp)
+        for key, reps in list(zip(keys, map(tuple, values.tolist())))[skip:]:
+            results.add(key, Measurement(ec_index=key[0], object_id=oid,
+                                         replicates=reps,
+                                         aggregate=statistics.fmean(reps),
+                                         policy="mean"))
+        if oid == "cpu_a":
+            results.failures.append(Measurement(
+                ec_index=indices[3], object_id=oid, replicates=(),
+                aggregate=float("nan"), policy="mean", error="timed out"))
+        persist_results(results, RunManifest(
+            space_fingerprint=plan.space_fingerprint, plan_fingerprint=fp,
+            executor_hash="recorded", object_config={"object_id": oid}),
+            work / f"{oid}.jsonl")
+    return plan
+
+
+def wide_compare(work, *extra):
+    return main(["compare", "--a", str(work / "cpu_a.jsonl"),
+                 "--b", str(work / "cpu_b.jsonl"), "--level", "0.95",
+                 "--group-by-plan", str(work / "plan.json"),
+                 "--out", str(work / "report.json"),
+                 "--asymmetry", str(work / "asymmetry.json"), *extra])
+
+
+# the bytes the sorted-tuple alignment gave before result sets were columns
+WIDE_SHA256 = {
+    "report.json": "5123039a9a5cf40ae78c04dbd1e7f34b6fbe9035850355bfd4bd50d15f42e497",
+    "report.csv": "9f98a6edb2a907f7da9a21b9147db2b52500bc91372d25a17c912b59716d7f54",
+    "asymmetry.json": "597fe5ed8e3b5d67e0edc53cbd3daf0bef23a891f69ca17a6e29952e5550213d",
+}
+
+
+class TestWideKeys:
+    """Result files whose indices exceed 2^64, so that index columns are
+    object arrays of Python ints."""
+
+    def test_report_bytes(self, tmp_path):
+        wide_pair(tmp_path)
+        assert wide_compare(tmp_path, "--csv", str(tmp_path / "report.csv")) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in WIDE_SHA256} == WIDE_SHA256
+
+    def test_alignment_matches_sorted_tuples(self, tmp_path):
+        wide_pair(tmp_path)
+        a, _ = load_results(tmp_path / "cpu_a.jsonl")
+        b, _ = load_results(tmp_path / "cpu_b.jsonl")
+        columns = a.measurements.columns
+        assert columns.indices.dtype == object
+        assert list(zip(columns.indices.tolist(), columns.ordinals.tolist())) \
+            == occurrence_keys_reference(columns.indices.tolist())
+        indices, ordinals, xa, xb = paired_aggregates(a, b)
+        keys, ra, rb = paired_aggregates_reference(a, b)
+        assert list(zip(indices.tolist(), ordinals.tolist())) == keys
+        assert xa.tobytes() == ra.tobytes() and xb.tobytes() == rb.tobytes()
+        assert max(ordinals.tolist()) == 3 and len(a.failures) == 1
+
+    @pytest.mark.parametrize("case, prefix", [
+        ({"plan_b": "another"}, "result sets come from different plans"),
+        ({"drop_b": 7}, "result sets cover different (ec_index, ordinal) keys"),
+        ({"plan_rows": 52}, "group map misses keys, e.g. [("),
+    ], ids=["plans", "keys", "group_map"])
+    def test_pairing_errors_exit_3(self, tmp_path, capsys, case, prefix):
+        plan = wide_pair(tmp_path, **case)
+        a, _ = load_results(tmp_path / "cpu_a.jsonl")
+        b, _ = load_results(tmp_path / "cpu_b.jsonl")
+        try:
+            keys, _, _ = paired_aggregates_reference(a, b)
+        except PairingError as e:
+            message = str(e)
+        else:
+            held = set(occurrence_keys_reference(e.ec_index
+                                                 for e in plan.entries))
+            missing = [k for k in keys if k not in held]
+            message = f"group map misses keys, e.g. {missing[:5]}"
+        assert message.startswith(prefix)
+        capsys.readouterr()
+        assert wide_compare(tmp_path) == 3
+        assert f"ecbench: integrity error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()

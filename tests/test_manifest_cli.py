@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -22,12 +23,15 @@ from ecbench.manifest import (
     emit_report,
     load_results,
     manifest_path,
+    measurement_line,
+    parse_results,
     persist_results,
 )
 from ecbench.model import SyntheticModel
 from ecbench.runner import ExecutorSpec, Measurement, execute_plan
 from ecbench.space import Factor, build_space
 from oracles import LineParseError, parse_lines_reference
+from test_golden import persisted_pair
 
 
 def run_demo(tmp_path, obj, plan=None, space=None):
@@ -175,6 +179,39 @@ class TestPersistLoad:
                 assert list(results.measurements.values()) == wanted
 
         check()
+
+    def test_compare_builds_a_measurement_only_per_failure_line(
+            self, tmp_path, monkeypatch):
+        persisted_pair(tmp_path)  # 2 x 2000 rows, one failure line in cpu_a
+        built = []
+        from_dict = Measurement.from_dict.__func__
+
+        def counted(cls, doc):
+            built.append(doc["error"])
+            return from_dict(cls, doc)
+
+        monkeypatch.setattr(Measurement, "from_dict", classmethod(counted))
+        assert main(["compare", "--a", str(tmp_path / "cpu_a.jsonl"),
+                     "--b", str(tmp_path / "cpu_b.jsonl"), "--level", "0.95",
+                     "--group-by-plan", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path / "report.json"),
+                     "--asymmetry", str(tmp_path / "asymmetry.json")]) == 0
+        assert built == ["timed out"]
+
+    def test_parse_leaves_no_object_per_row(self, tmp_path):
+        rows = 20_000
+        data = "".join(
+            measurement_line(Measurement(
+                ec_index=i % 7_000, object_id="cpu_a", replicates=(i, i + 1.5),
+                aggregate=i + 0.75, policy="mean")) + "\n"
+            for i in range(rows)).encode()
+        gc.collect()
+        before = len(gc.get_objects())
+        results = parse_results(data, tmp_path / "r.jsonl", "cpu_a", "p")
+        gc.collect()
+        assert len(gc.get_objects()) - before < 50
+        assert len(results.measurements) == rows
+        assert len(gc.get_objects()) - before < 50  # len() built no rows
 
     def test_byte_identical_across_runs(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -522,6 +559,28 @@ class TestCli:
          "design 'spec_point': unused param(s) 'reps'"),
         ({"kind": "rct", "params": {"per_arm": 4, "reps": 0}},
          "reps must be >= 1"),
+        ({"kind": "stratified", "params": {"stratum_factor": "workload",
+                                           "iterations": "8"}},
+         "design 'stratified': param 'iterations' must be an integer"),
+        ({"kind": "stratified", "params": {"stratum_factor": "workload",
+                                           "iterations": True}},
+         "design 'stratified': param 'iterations' must be an integer"),
+        ({"kind": "stratified", "params": {"stratum_factor": "workload",
+                                           "iterations": 8.0}},
+         "design 'stratified': param 'iterations' must be an integer"),
+        ({"kind": "stratified", "params": {"stratum_factor": 0,
+                                           "iterations": 8}},
+         "design 'stratified': param 'stratum_factor' must be a string"),
+        ({"kind": "rct", "params": {"per_arm": "4"}},
+         "design 'rct': param 'per_arm' must be an integer"),
+        ({"kind": "rct", "params": {"per_arm": 4, "reps": "3"}},
+         "design 'rct': param 'reps' must be an integer"),
+        ({"kind": "full_factorial", "params": {"reps": False}},
+         "design 'full_factorial': param 'reps' must be an integer"),
+        ({"kind": "spec_point", "params": {"recommended_index": "0"}},
+         "design 'spec_point': param 'recommended_index' must be an integer"),
+        ({"kind": "spec_point", "params": {"recommended_index": None}},
+         "design 'spec_point': param 'recommended_index' must be an integer"),
     ])
     def test_simulate_checks_every_methodology_before_any_work(
             self, workspace, capsys, monkeypatch, row, message):

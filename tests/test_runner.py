@@ -12,9 +12,20 @@ from ecbench.design import PlanEntry, SamplePlan, full_factorial, stratified_sam
 from ecbench.errors import ExecutionError, FingerprintError, SpaceError
 from ecbench.fingerprints import fingerprint
 from ecbench.model import Interaction, SyntheticModel, counter_normal, synth_time
-from ecbench.runner import ExecutorSpec, aggregate, execute_plan, measure
+from ecbench.runner import (
+    ExecutorSpec,
+    aggregate,
+    execute_plan,
+    index_column,
+    measure,
+    occurrence_ordinals,
+)
 from ecbench.space import Factor, ObjectConfig, build_space
-from oracles import flat_noise_layout, simulate_aggregates_reference
+from oracles import (
+    flat_noise_layout,
+    occurrence_keys_reference,
+    simulate_aggregates_reference,
+)
 
 
 def constant_model(value=100.0):
@@ -578,3 +589,21 @@ def test_value_table_matches_decode_on_small_spaces(case, data):
         table = oracle._value_table(compiled, object_id)
         assert same_bits(table[indices],
                          compiled.deterministic_values(indices, object_id))
+
+
+# a few distinct indices, int64 or up to 2^128 - 1, each drawn many times
+repeated_indices = st.lists(
+    st.integers(-2**63, 2**63 - 1) | st.integers(0, 2**128 - 1),
+    min_size=1, max_size=6, unique=True,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(indices=repeated_indices)
+def test_occurrence_ordinals_match_counting_loop(indices):
+    column = index_column(indices)
+    assert column.tolist() == indices
+    assert column.dtype == (np.int64 if all(-2**63 <= i < 2**63 for i in indices)
+                            else object)
+    assert list(zip(indices, occurrence_ordinals(column).tolist())) \
+        == occurrence_keys_reference(indices)
