@@ -26,6 +26,7 @@ from .design import (
     factorial_2k,
     full_factorial,
     rct_assign,
+    space_fingerprint,
     spec_point,
     stratified_sample,
 )
@@ -79,7 +80,7 @@ def plan_group_map(plan: SamplePlan) -> GroupMap:
 
 def _cmd_space_info(args) -> int:
     space = ConfigSpace.load(args.space)
-    print(f"fingerprint: {fingerprint(space.to_dict())}")
+    print(f"fingerprint: {space_fingerprint(space)}")
     print(f"cardinality: {space.cardinality}")
     for f in space.factors:
         weighted = " (weighted)" if f.weights is not None else ""
@@ -108,7 +109,7 @@ def _cmd_run(args) -> int:
     obj = _load_object(args.object)
 
     manifest = RunManifest(
-        space_fingerprint=fingerprint(space.to_dict()),
+        space_fingerprint=space_fingerprint(space),
         plan_fingerprint=plan.fingerprint,
         executor_hash=fingerprint(executor_doc),
         object_config={"object_id": obj.object_id,

@@ -30,14 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PlanError
-from .fingerprints import fingerprint
+from .fingerprints import (
+    canonical_column,
+    canonical_json,
+    fingerprint,
+    fingerprint_bytes,
+    indented_json,
+)
 from .space import ConfigSpace, Configuration
 
 FULL_FACTORIAL_CAP = 10**6
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanEntry:
     ec_index: int
     stratum: str | None = None
@@ -62,9 +68,10 @@ class SamplePlan:
 
     @functools.cached_property
     def fingerprint(self) -> str:
-        # hashed once per plan object; the cache sits in the instance dict,
-        # which a frozen dataclass leaves writable to cached_property
-        return fingerprint(self.to_dict())
+        # hashed once per plan object, from the text `canonical_json` gives
+        # `to_dict()`; the cache sits in the instance dict, which a frozen
+        # dataclass leaves writable to cached_property
+        return fingerprint_bytes(self._json(indent=False).encode())
 
     def to_dict(self) -> dict:
         return {
@@ -81,14 +88,49 @@ class SamplePlan:
             ],
         }
 
+    def _json(self, indent: bool) -> str:
+        """`canonical_json(self.to_dict())`, or with `indent` the text of
+        `json.dumps(self.to_dict(), sort_keys=True, indent=2)`, built from
+        columns: the indices in one encoder call, each distinct stratum
+        label once."""
+        design, policy, reps, seed, space = canonical_column(
+            [self.design, self.policy, self.reps, self.seed,
+             self.space_fingerprint])
+        indices = canonical_column([e.ec_index for e in self.entries])
+        strata = [e.stratum for e in self.entries]
+        try:  # labels other than strings may compare equal (1 == True)
+            labels = dict.fromkeys(strata)
+            columnar = all(s is None or type(s) is str for s in labels)
+        except TypeError:
+            columnar = False
+        if indent and columnar:  # a container spans lines when indented
+            columnar = not any(t[0] in "[{" for t in (seed, space, *indices))
+        if not columnar:  # read from a hand-edited file
+            doc = self.to_dict()
+            return (indented_json(doc, sort_keys=True) if indent
+                    else canonical_json(doc))
+        nl, pad, sep = ("\n", "  ", ": ") if indent else ("", "", ":")
+        i1, i2, i3 = nl + pad, nl + pad * 2, nl + pad * 3
+        ends = {label: ("" if label is None else f',{i3}"stratum"{sep}{text}')
+                + i2 + "}"
+                for label, text in zip(labels, canonical_column(list(labels)))}
+        start = "{" + i3 + '"index"' + sep
+        entries = ("[" + i2 + ("," + i2).join([
+            start + index + ends[label] for index, label in zip(indices, strata)
+        ]) + i1 + "]") if indices else "[]"
+        members = (("design", design), ("entries", entries), ("policy", policy),
+                   ("reps", reps), ("seed", seed), ("space_fingerprint", space))
+        return ("{" + i1 + ("," + i1).join(f'"{key}"{sep}{text}'
+                                           for key, text in members)
+                + nl + "}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "SamplePlan":
         return cls(
             design=doc["design"],
-            entries=tuple(
-                PlanEntry(ec_index=e["index"], stratum=e.get("stratum"))
-                for e in doc["entries"]
-            ),
+            # positional: keyword binding is a measurable share of a load
+            entries=tuple([PlanEntry(e["index"], e.get("stratum"))
+                           for e in doc["entries"]]),
             reps=doc["reps"],
             seed=doc["seed"],
             space_fingerprint=doc["space_fingerprint"],
@@ -96,9 +138,7 @@ class SamplePlan:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        Path(path).write_text(self._json(indent=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "SamplePlan":
@@ -137,8 +177,12 @@ class RctAssignment:
     treatment: SamplePlan
 
 
-def _check_space_fingerprint(space: ConfigSpace) -> str:
-    return fingerprint(space.to_dict())
+def space_fingerprint(space: ConfigSpace) -> str:
+    """The space's fingerprint, hashed once per space object, through this
+    module's `fingerprint` (the name the benchmark tracer counts)."""
+    if space._fingerprint is None:
+        space._fingerprint = fingerprint(space.to_dict())
+    return space._fingerprint
 
 
 def _index_dtype(space: ConfigSpace) -> type:
@@ -201,7 +245,7 @@ def stratified_sample(space: ConfigSpace, stratum_factor: str, iterations: int,
     indices = stratified_indices(space, stratum_factor, iterations, seed)
     labels = space.factor(stratum_factor).levels
     return _plan("stratified", indices, reps, seed,
-                 _check_space_fingerprint(space), list(labels) * iterations)
+                 space_fingerprint(space), list(labels) * iterations)
 
 
 def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
@@ -245,7 +289,7 @@ def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
 def factorial_2k(space: ConfigSpace, split: FactorSplit,
                  defaults: dict[str, int], reps: int, seed: int) -> SamplePlan:
     return _plan("factorial2k", factorial_2k_indices(space, split, defaults, seed),
-                 reps, seed, _check_space_fingerprint(space))
+                 reps, seed, space_fingerprint(space))
 
 
 def full_factorial_indices(space: ConfigSpace,
@@ -260,7 +304,7 @@ def full_factorial_indices(space: ConfigSpace,
 def full_factorial(space: ConfigSpace, reps: int,
                    cap: int = FULL_FACTORIAL_CAP) -> SamplePlan:
     return _plan("full_factorial", full_factorial_indices(space, cap), reps, 0,
-                 _check_space_fingerprint(space))
+                 space_fingerprint(space))
 
 
 def rct_indices(space: ConfigSpace, per_arm: int,
@@ -289,7 +333,7 @@ def rct_indices(space: ConfigSpace, per_arm: int,
 
 def rct_assign(space: ConfigSpace, per_arm: int, reps: int, seed: int) -> RctAssignment:
     control, treatment = rct_indices(space, per_arm, seed)
-    fp = _check_space_fingerprint(space)
+    fp = space_fingerprint(space)
     return RctAssignment(control=_plan("rct_arm", control, reps, seed, fp),
                          treatment=_plan("rct_arm", treatment, reps, seed, fp))
 
@@ -303,7 +347,7 @@ def spec_point(space: ConfigSpace, recommended: Configuration,
     label = space.factor(sf).levels[recommended.level_index(sf)]
     design = DESIGNS["spec_point"]
     return _plan(design.name, np.array([index]), design.reps, 0,
-                 _check_space_fingerprint(space), [label], design.policy)
+                 space_fingerprint(space), [label], design.policy)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,67 @@
-"""Canonical JSON serialization and SHA-256 fingerprints for artifact files."""
+"""Canonical JSON serialization and SHA-256 fingerprints for artifact files.
+
+The writers here run CPython's C encoder only: `json.dumps` with `indent`
+always takes the pure-Python one, so indented text is laid out a container at
+a time, with every scalar, and every list of scalars, encoded by C.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 
 # `json.dumps` with these arguments builds this same encoder on every call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CONTAINERS = (dict, list, tuple)
 
 
 def canonical_json(doc) -> str:
     """Deterministic JSON encoding: sorted keys, compact separators."""
     return _CANONICAL.encode(doc)
+
+
+def canonical_column(values: list) -> list[str]:
+    """`canonical_json(v)` for each v of `values`, from one encoder call split
+    at its commas. The split is exact when it gives one piece per value; when
+    a value's own text holds a comma, each value is encoded alone."""
+    if not values:
+        return []
+    pieces = _CANONICAL.encode(values)[1:-1].split(",")
+    if len(pieces) == len(values):
+        return pieces
+    return [_CANONICAL.encode(v) for v in values]
+
+
+def indented_json(doc, sort_keys: bool = False) -> str:
+    """`json.dumps(doc, sort_keys=sort_keys, indent=2)`."""
+    return _indented(doc, sort_keys, "\n")
+
+
+def _indented(value, sort_keys: bool, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = sorted(value.items()) if sort_keys else value.items()
+        return "{" + inner + ("," + inner).join(
+            _key_text(k) + ": " + _indented(v, sort_keys, inner)
+            for k, v in items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if any(issubclass(t, _CONTAINERS) for t in set(map(type, value))):
+            return "[" + inner + ("," + inner).join(
+                _indented(v, sort_keys, inner) for v in value) + newline + "]"
+        # a list of scalars in one call, with this depth's item separator
+        text = json.JSONEncoder(separators=("," + inner, ":")).encode(value)
+        return "[" + inner + text[1:-1] + newline + "]"
+    return _CANONICAL.encode(value)  # a scalar, or an empty container
+
+
+def _key_text(key) -> str:
+    """A dict key's JSON text, converted as the encoder converts numbers,
+    bools and null."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _CANONICAL.encode({key: None})[1:-6]
 
 
 def fingerprint(doc) -> str:

@@ -21,7 +21,12 @@ import numpy as np
 from . import __version__
 from .compare import AsymmetryReport, ComparisonReport
 from .errors import FingerprintError
-from .fingerprints import canonical_json, fingerprint_bytes
+from .fingerprints import (
+    canonical_column,
+    canonical_json,
+    fingerprint_bytes,
+    indented_json,
+)
 from .oracle import CoverageResult
 from .runner import (
     Columns,
@@ -91,6 +96,41 @@ def measurement_line(m: Measurement) -> str:
     return canonical_json(m.to_dict())
 
 
+def measurement_lines(measurements: list[Measurement]) -> str:
+    """`measurement_line(m) + "\\n"` for each measurement, built from columns:
+    one encoder call per scalar column, one over every row's replicates
+    (split at `],[`, per row where a value's text holds it), and the error,
+    object id and policy encoded once per distinct triple. The columns hold
+    the measurements' own objects, so the cyclic GC sees no new containers."""
+    errors = [m.error for m in measurements]
+    owners = [m.object_id for m in measurements]
+    policies = [m.policy for m in measurements]
+    try:  # values other than strings may compare equal (1 == True)
+        distinct = dict.fromkeys(zip(errors, owners, policies))
+        columnar = all(x is None or type(x) is str
+                       for triple in distinct for x in triple)
+    except TypeError:
+        columnar = False
+    if not columnar:  # read from a hand-edited file
+        return "".join([measurement_line(m) + "\n" for m in measurements])
+    middles = {triple: ',"error":%s,"object_id":%s,"policy":%s,"replicates":'
+               % tuple(canonical_column(list(triple))) for triple in distinct}
+    # tuple() of a tuple is the tuple itself; it encodes as to_dict's list
+    replicates = [tuple(m.replicates) for m in measurements]
+    rows = canonical_json(replicates)[2:-2].split("],[") if replicates else []
+    if len(rows) != len(replicates):
+        rows = [canonical_json(r)[1:-1] for r in replicates]
+    return "".join([
+        f'{{"aggregate":{a},"ec_index":{i},"ended_at":{e}{middles[t]}'
+        f'[{r}],"started_at":{s}}}\n'
+        for a, i, e, t, r, s in zip(
+            canonical_column([m.aggregate for m in measurements]),
+            canonical_column([m.ec_index for m in measurements]),
+            canonical_column([m.ended_at for m in measurements]),
+            zip(errors, owners, policies), rows,
+            canonical_column([m.started_at for m in measurements]))])
+
+
 class ResultWriter:
     """Incremental JSON Lines writer: one flushed line per measurement, so a
     crashed run keeps every line it wrote, with the manifest (including the
@@ -109,16 +149,14 @@ class ResultWriter:
 
     def write_all(self, measurements: list[Measurement]) -> None:
         """The lines `write` would give for each measurement, in one write."""
-        self._fh.write("".join([measurement_line(m) + "\n"
-                                for m in measurements]))
+        self._fh.write(measurement_lines(measurements))
         self._fh.flush()
 
     def finalize(self) -> None:
         self._fh.close()
         self.manifest.results_sha256 = fingerprint_bytes(self.path.read_bytes())
         manifest_path(self.path).write_text(
-            json.dumps(self.manifest.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+            indented_json(self.manifest.to_dict(), sort_keys=True) + "\n")
 
 
 def persist_results(results: ResultSet, manifest: RunManifest,

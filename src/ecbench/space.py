@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SpaceError
+from .fingerprints import indented_json
 
 MAX_CARDINALITY = 2**128 - 1
 
@@ -94,6 +95,7 @@ class ConfigSpace:
         self.factors = tuple(factors)
         self.cardinality = card
         self._by_name = {f.name: f for f in self.factors}
+        self._fingerprint: str | None = None  # design.space_fingerprint's cache
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConfigSpace) and self.factors == other.factors
@@ -220,7 +222,7 @@ class ConfigSpace:
         return cls(tuple(factors))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        Path(path).write_text(indented_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSpace":

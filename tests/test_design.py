@@ -18,7 +18,7 @@ from ecbench.design import (
     stratified_sample,
 )
 from ecbench.errors import PlanError
-from ecbench.fingerprints import fingerprint
+from ecbench.fingerprints import fingerprint, fingerprint_bytes
 from ecbench.space import Factor, build_space
 from oracles import factorial_2k_reference, rct_reference, stratified_reference
 
@@ -240,17 +240,16 @@ def test_plan_json_roundtrip(tmp_path):
 
 
 def test_plan_fingerprint_is_hashed_once_per_plan(monkeypatch):
-    # through design's module-level fingerprint, which the benchmark tracer
-    # counts
+    # the plan's canonical text is hashed through design's module-level
+    # fingerprint_bytes, without building to_dict()
     calls = []
 
-    def counted(doc):
-        calls.append(doc)
-        return fingerprint(doc)
+    def counted(data):
+        calls.append(data)
+        return fingerprint_bytes(data)
 
-    monkeypatch.setattr(ecbench.design, "fingerprint", counted)
+    monkeypatch.setattr(ecbench.design, "fingerprint_bytes", counted)
     plan = stratified_sample(small_space(), "workload", 6, 2, seed=42)
-    calls.clear()  # the generator hashed the space
     first, second = plan.fingerprint, plan.fingerprint
     assert len(calls) == 1
     assert first == second == fingerprint(plan.to_dict())

@@ -203,6 +203,23 @@ def test_compare_report_bytes(tmp_path):
             for name in REPORT_SHA256} == REPORT_SHA256
 
 
+# recorded from the per-line `measurement_line` writer and from
+# `json.dumps(..., indent=2)` for the plan and space files
+PERSISTED_SHA256 = {
+    "plan.json": "eee3d22aa4a689448b29758a2a12151a8f96a3197840a7d1fb1991070366cb47",
+    "cpu_a.jsonl": "78b75db1ac1f9cfb986cf131f6569beca55b0b89341cb50d297c7dab4fe8507b",
+    "cpu_b.jsonl": "428037fccef02a97a3845b30b4ae1339244a11cbca20fc0bc923401af1cf4333",
+    "space.json": "f03948cdd41664538d33738a734eee6c56c3742f5036bf405064a80c403c8692",
+}
+
+
+def test_persisted_file_bytes(tmp_path):
+    persisted_pair(tmp_path)
+    demo.demo_space_billion().save(tmp_path / "space.json")
+    assert {name: sha256_of(tmp_path / name)
+            for name in PERSISTED_SHA256} == PERSISTED_SHA256
+
+
 DEMO_SHA256 = {
     "report.json": "06fef1722302700fc6d47dbc6b8b27d992e6e98c81218c4a2dfc08337d999d75",
     "report.csv": "cf593affbccf0cca61124e1500f3705933268cfb62e2190303131e789b37e1d2",
