@@ -1,7 +1,7 @@
 """Command-line surface tying the modules into reproducible batch workflows.
 
-Exit codes: 0 success, 1 usage error, 2 execution failure, 3 pairing or
-fingerprint violation.
+Exit codes: 0 success, 1 usage error, 2 execution failure or an ill-typed
+input file, 3 pairing or fingerprint violation or an ill-typed results line.
 """
 
 from __future__ import annotations

@@ -29,14 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlanError
-from .fingerprints import (
-    canonical_column,
-    canonical_json,
-    fingerprint,
-    fingerprint_bytes,
-    indented_json,
-)
+from .errors import PlanError, check_type
+from .fingerprints import canonical_column, fingerprint, fingerprint_bytes
 from .space import ConfigSpace, Configuration
 
 FULL_FACTORIAL_CAP = 10**6
@@ -59,12 +53,22 @@ class SamplePlan:
     policy: str = "mean"  # replicate aggregation; spec_point plans use median
 
     def __post_init__(self) -> None:
+        for name, wanted in (("design", str), ("space_fingerprint", str),
+                             ("reps", int), ("seed", int)):
+            check_type(f"plan {name}", getattr(self, name), wanted, PlanError)
         if self.design not in DESIGNS:
             raise PlanError(f"unknown design kind {self.design!r}")
         if self.reps < 1:
             raise PlanError("reps must be >= 1")
         if self.policy not in ("mean", "median"):
             raise PlanError(f"unknown aggregation policy {self.policy!r}")
+        for n, e in enumerate(self.entries):  # each a defined point
+            if type(e.ec_index) is not int or e.ec_index < 0:
+                raise PlanError(f"plan entry {n}: index must be a non-negative "
+                                f"integer, not {e.ec_index!r}")
+            if e.stratum is not None and type(e.stratum) is not str:
+                raise PlanError(f"plan entry {n}: stratum must be a string or "
+                                f"null, not {e.stratum!r}")
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -98,17 +102,7 @@ class SamplePlan:
              self.space_fingerprint])
         indices = canonical_column([e.ec_index for e in self.entries])
         strata = [e.stratum for e in self.entries]
-        try:  # labels other than strings may compare equal (1 == True)
-            labels = dict.fromkeys(strata)
-            columnar = all(s is None or type(s) is str for s in labels)
-        except TypeError:
-            columnar = False
-        if indent and columnar:  # a container spans lines when indented
-            columnar = not any(t[0] in "[{" for t in (seed, space, *indices))
-        if not columnar:  # read from a hand-edited file
-            doc = self.to_dict()
-            return (indented_json(doc, sort_keys=True) if indent
-                    else canonical_json(doc))
+        labels = dict.fromkeys(strata)
         nl, pad, sep = ("\n", "  ", ": ") if indent else ("", "", ":")
         i1, i2, i3 = nl + pad, nl + pad * 2, nl + pad * 3
         ends = {label: ("" if label is None else f',{i3}"stratum"{sep}{text}')
@@ -408,11 +402,9 @@ def design_of(kind: str, params: dict | None = None) -> Design:
                 raise PlanError(f"design {kind!r}: {what} param(s) "
                                 + ", ".join(map(repr, names)))
         for name, value in params.items():
-            wanted = PARAM_TYPES.get(name)
-            if wanted is not None and (not isinstance(value, wanted)
-                                       or isinstance(value, bool)):
-                raise PlanError(f"design {kind!r}: param {name!r} must be "
-                                + ("a string" if wanted is str else "an integer"))
+            if name in PARAM_TYPES:
+                check_type(f"design {kind!r}: param {name!r}", value,
+                           PARAM_TYPES[name], PlanError)
         if params.get("reps", 1) < 1:
             raise PlanError("reps must be >= 1")
     return design

@@ -35,7 +35,8 @@ def canonical_column(values: list) -> list[str]:
 
 
 def indented_json(doc, sort_keys: bool = False) -> str:
-    """`json.dumps(doc, sort_keys=sort_keys, indent=2)`."""
+    """`json.dumps(doc, sort_keys=sort_keys, indent=2)` for a document whose
+    dict keys are strings; any other key raises TypeError."""
     return _indented(doc, sort_keys, "\n")
 
 
@@ -44,7 +45,7 @@ def _indented(value, sort_keys: bool, newline: str) -> str:
     if isinstance(value, dict) and value:
         items = sorted(value.items()) if sort_keys else value.items()
         return "{" + inner + ("," + inner).join(
-            _key_text(k) + ": " + _indented(v, sort_keys, inner)
+            encode_basestring_ascii(k) + ": " + _indented(v, sort_keys, inner)
             for k, v in items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
         if any(issubclass(t, _CONTAINERS) for t in set(map(type, value))):
@@ -54,14 +55,6 @@ def _indented(value, sort_keys: bool, newline: str) -> str:
         text = json.JSONEncoder(separators=("," + inner, ":")).encode(value)
         return "[" + inner + text[1:-1] + newline + "]"
     return _CANONICAL.encode(value)  # a scalar, or an empty container
-
-
-def _key_text(key) -> str:
-    """A dict key's JSON text, converted as the encoder converts numbers,
-    bools and null."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    return _CANONICAL.encode({key: None})[1:-6]
 
 
 def fingerprint(doc) -> str:

@@ -100,21 +100,15 @@ def measurement_lines(measurements: list[Measurement]) -> str:
     """`measurement_line(m) + "\\n"` for each measurement, built from columns:
     one encoder call per scalar column, one over every row's replicates
     (split at `],[`, per row where a value's text holds it), and the error,
-    object id and policy encoded once per distinct triple. The columns hold
-    the measurements' own objects, so the cyclic GC sees no new containers."""
+    object id and policy, each a string or null, encoded once per distinct
+    triple. The columns hold the measurements' own objects, so the cyclic GC
+    sees no new containers."""
     errors = [m.error for m in measurements]
     owners = [m.object_id for m in measurements]
     policies = [m.policy for m in measurements]
-    try:  # values other than strings may compare equal (1 == True)
-        distinct = dict.fromkeys(zip(errors, owners, policies))
-        columnar = all(x is None or type(x) is str
-                       for triple in distinct for x in triple)
-    except TypeError:
-        columnar = False
-    if not columnar:  # read from a hand-edited file
-        return "".join([measurement_line(m) + "\n" for m in measurements])
     middles = {triple: ',"error":%s,"object_id":%s,"policy":%s,"replicates":'
-               % tuple(canonical_column(list(triple))) for triple in distinct}
+               % tuple(canonical_column(list(triple)))
+               for triple in dict.fromkeys(zip(errors, owners, policies))}
     # tuple() of a tuple is the tuple itself; it encodes as to_dict's list
     replicates = [tuple(m.replicates) for m in measurements]
     rows = canonical_json(replicates)[2:-2].split("],[") if replicates else []
@@ -212,7 +206,7 @@ def _decode_line(line: str):
 
 
 def _documents(data: bytes, path: str | Path):
-    """The JSON value of each non-blank line of a results file, in order."""
+    """(line number, JSON value) of each non-blank line of a results file."""
     for lineno, line in enumerate(data.decode().splitlines(), start=1):
         if not line.strip():
             continue
@@ -220,12 +214,17 @@ def _documents(data: bytes, path: str | Path):
             doc = _decode_line(line)
         except json.JSONDecodeError as e:
             raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
-        yield doc
+        yield lineno, doc
 
 
 def _measured_rows(data: bytes, path: str | Path) -> list[Measurement]:
-    return [Measurement.from_dict(doc) for doc in _documents(data, path)
+    return [Measurement.from_dict(doc) for _, doc in _documents(data, path)
             if doc.get("error") is None]
+
+
+_LINE_TYPES = ("a measurement is a JSON object: ec_index a non-negative "
+               "integer, object_id and policy strings, replicates a list, "
+               "aggregate a number, error a string or null")
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
@@ -235,17 +234,27 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     order. `object_id` names the set only when no line does.
 
     Each line is decoded once and checked for the fields
-    `Measurement.from_dict` reads. A measured line leaves its index,
-    aggregate and policy in the set's columns; its `Measurement` is built,
-    from `data`, only when a caller reads the rows."""
+    `Measurement.from_dict` reads and for their types (`_LINE_TYPES`). A
+    measured line leaves its index, aggregate and policy in the set's
+    columns; its `Measurement` is built, from `data`, only when a caller
+    reads the rows."""
     indices, aggregates, policies, failures = [], [], set(), []
-    for n, doc in enumerate(_documents(data, path)):
+    for n, (lineno, doc) in enumerate(_documents(data, path)):
+        if type(doc) is not dict:
+            raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
         # the reads of Measurement.from_dict, in its order, so that a line
-        # fails here as it would fail there
+        # missing a field fails here as it would fail there
         index, owner = doc["ec_index"], doc["object_id"]
-        iter(doc["replicates"])
-        aggregate, policy = doc["aggregate"], doc["policy"]
-        if doc.get("error") is None:
+        replicates, aggregate, policy = (doc["replicates"], doc["aggregate"],
+                                         doc["policy"])
+        error = doc.get("error")
+        if not (type(index) is int and index >= 0 and type(owner) is str
+                and type(replicates) is list
+                and (type(aggregate) is float or type(aggregate) is int)
+                and type(policy) is str
+                and (error is None or type(error) is str)):
+            raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
+        if error is None:
             indices.append(index)
             aggregates.append(aggregate)
             policies.add(policy)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SpaceError
+from .errors import SpaceError, check_type
 from .space import ConfigSpace, Configuration, ObjectConfig
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -114,7 +115,9 @@ class SyntheticModel:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        check_type("noise sigma", self.sigma, numbers.Real, SpaceError)
+        check_type("noise seed", self.noise_seed, numbers.Integral, SpaceError)
+        if not self.sigma >= 0:  # nor is NaN
             raise SpaceError("noise sigma must be non-negative")
 
     def offset_of(self, object_id: str) -> float:
@@ -122,12 +125,6 @@ class SyntheticModel:
             if oid == object_id:
                 return off
         return 0.0
-
-    def effects_of(self, object_id: str):
-        for oid, eff in self.object_effects:
-            if oid == object_id:
-                return eff
-        return ()
 
     def compile(self, space: ConfigSpace) -> "CompiledModel":
         return CompiledModel(self, space)
@@ -186,6 +183,28 @@ class SyntheticModel:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def _level_vectors(space: ConfigSpace, tables, what: str,
+                   sparse: bool) -> list[tuple[int, np.ndarray]]:
+    """(factor position, value per level index) of each (factor, ((level
+    label, seconds), ...)) table. A label the factor lacks is refused; so is
+    a level the table lacks, unless `sparse`, where it gets 0.0."""
+    vectors = []
+    for fname, table in tables:
+        f = space.factor(fname)
+        tmap = dict(table)
+        for lab in tmap:
+            if lab not in f.levels:
+                raise SpaceError(f"{what} references unknown level {lab!r} "
+                                 f"of factor {fname!r}")
+        missing = [lab for lab in f.levels if lab not in tmap]
+        if missing and not sparse:
+            raise SpaceError(f"{what} table for factor {fname!r} misses "
+                             f"level {missing[0]!r}")
+        vectors.append((space.factor_position(fname), np.array(
+            [tmap.get(lab, 0.0) for lab in f.levels], dtype=np.float64)))
+    return vectors
+
+
 class CompiledModel:
     """Model bound to a space: effect tables turned into per-level-index
     numpy vectors for vectorized evaluation over arrays of ec indices."""
@@ -202,52 +221,16 @@ class CompiledModel:
         self._radices = np.array(
             [len(f.levels) for f in space.factors], dtype=np.int64
         )
-        strat = space.factor(model.stratum_factor)
-        base_map = dict(model.base)
-        try:
-            self._base = np.array(
-                [base_map[lab] for lab in strat.levels], dtype=np.float64
-            )
-        except KeyError as e:
-            raise SpaceError(f"model base missing stratum level {e}") from None
-        self._strat_pos = space.factor_position(model.stratum_factor)
-
-        self._effect_vectors: list[tuple[int, np.ndarray]] = []
-        for fname, table in model.effects:
-            f = space.factor(fname)
-            tmap = dict(table)
-            for lab in tmap:
-                if lab not in f.levels:
-                    raise SpaceError(
-                        f"model effect references unknown level {lab!r} "
-                        f"of factor {fname!r}"
-                    )
-            try:
-                vec = np.array([tmap[lab] for lab in f.levels], dtype=np.float64)
-            except KeyError as e:
-                raise SpaceError(
-                    f"model effect table for factor {fname!r} misses level {e}"
-                ) from None
-            self._effect_vectors.append((space.factor_position(fname), vec))
-
+        # the stratum bases, then the per-factor effects: dense tables
+        ((self._strat_pos, self._base),) = _level_vectors(
+            space, ((model.stratum_factor, model.base),), "model base",
+            sparse=False)
+        self._effect_vectors = _level_vectors(space, model.effects,
+                                              "model effect", sparse=False)
         # object-specific deltas are sparse: unlisted levels contribute 0
-        self._object_effect_vectors: dict[str, list[tuple[int, np.ndarray]]] = {}
-        for oid, eff in model.object_effects:
-            vecs = []
-            for fname, table in eff:
-                f = space.factor(fname)
-                tmap = dict(table)
-                for lab in tmap:
-                    if lab not in f.levels:
-                        raise SpaceError(
-                            f"object effect references unknown level {lab!r} "
-                            f"of factor {fname!r}"
-                        )
-                vec = np.array(
-                    [tmap.get(lab, 0.0) for lab in f.levels], dtype=np.float64
-                )
-                vecs.append((space.factor_position(fname), vec))
-            self._object_effect_vectors[oid] = vecs
+        self._object_effect_vectors = {
+            oid: _level_vectors(space, eff, "object effect", sparse=True)
+            for oid, eff in model.object_effects}
 
         self._interaction_mats: list[tuple[int, int, np.ndarray]] = []
         for it in model.interactions:

@@ -45,6 +45,9 @@ ENUMERATION_CAP = 10**6
 # at 4096, for 8% fewer, 4% more and 8% more iterations per second than at
 # 1024 (2-core x86_64 host).
 CHUNK_VALUES = 1024
+# Iterations of the stratified n = 32 probe that sets a spec_point
+# methodology's default margin
+SPEC_MARGIN_PROBE_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -185,14 +188,15 @@ def _simulate_aggregates(compiled: CompiledModel, table: np.ndarray,
 
 def _default_spec_margin(compiled: CompiledModel, tables: list[np.ndarray],
                          space: ConfigSpace, model: SyntheticModel,
-                         objects: tuple[str, str], level: float, master_seed: int,
-                         probe_iterations: int = 200) -> float:
+                         objects: tuple[str, str], level: float,
+                         master_seed: int) -> float:
     """Margin for scoring the single-point methodology: the average half-width
     of the stratified (n=32 per stratum) paired-difference CI on this model."""
     draw = functools.partial(stratified_indices, space, model.stratum_factor, 32)
     half_widths: list[float] = []
     t_crit = None
-    for (idx,), noise in _chunks(draw, probe_iterations, 3, master_seed ^ 0x5BEC):
+    for (idx,), noise in _chunks(draw, SPEC_MARGIN_PROBE_ITERATIONS, 3,
+                                 master_seed ^ 0x5BEC):
         agg_a = _simulate_aggregates(compiled, tables[0], idx, objects[0], 3, noise)
         agg_b = _simulate_aggregates(compiled, tables[1], idx, objects[1], 3, noise)
         if t_crit is None:

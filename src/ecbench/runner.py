@@ -9,6 +9,7 @@ is counter-based, so the batch gives the same bits as one replicate at a time.
 
 from __future__ import annotations
 
+import numbers
 import shlex
 import statistics
 import string
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExecutionError, FingerprintError, SpaceError
+from .errors import ExecutionError, FingerprintError, SpaceError, check_type
 # fingerprint stays bound here: benchmarks/tracing.py patches runner.fingerprint
 from .fingerprints import fingerprint  # noqa: F401
 from .design import SamplePlan, space_fingerprint
@@ -48,6 +49,9 @@ class ExecutorSpec:
             raise ExecutionError("synthetic executor needs a model")
         if self.kind == "command" and not self.templates:
             raise ExecutionError("command executor needs templates")
+        if self.timeout is not None:
+            check_type("executor timeout", self.timeout, numbers.Real,
+                       ExecutionError)
 
     def template_for(self, stratum: str | None) -> str:
         tmap = dict(self.templates)
@@ -70,17 +74,17 @@ class ExecutorSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutorSpec":
-        kind = doc["kind"]
-        if kind == "command":
-            return cls(
-                kind="command",
-                templates=tuple(doc["templates"].items()),
-                stratum_factor=doc.get("stratum_factor"),
-                timeout=doc.get("timeout"),
-            )
-        if kind != "synthetic":
-            raise ExecutionError(f"unknown executor kind {kind!r}")
-        return cls(kind="synthetic", model=SyntheticModel.from_dict(doc["model"]))
+        if doc["kind"] == "synthetic":
+            return cls(kind="synthetic",
+                       model=SyntheticModel.from_dict(doc["model"]))
+        templates = doc.get("templates", {})
+        if type(templates) is not dict or not all(
+                type(tpl) is str for tpl in templates.values()):
+            raise ExecutionError("command templates must be a JSON object "
+                                 "of stratum label to command string")
+        return cls(kind=doc["kind"], templates=tuple(templates.items()),
+                   stratum_factor=doc.get("stratum_factor"),
+                   timeout=doc.get("timeout"))
 
     def to_dict(self) -> dict:
         if self.kind == "command":
@@ -200,16 +204,13 @@ class ResultSet:
         self.measurements.add(key, m)
 
 
-def index_column(indices: list) -> np.ndarray:
-    """The indices as int64, or, when one is not an int64 value (an index of
-    2^63 or more), as an object array of the values themselves."""
+def index_column(indices: list[int]) -> np.ndarray:
+    """The non-negative int indices as int64, or, when one is 2^63 or more,
+    as an object array of the values themselves."""
     try:
-        column = np.array(indices, dtype=np.int64)
-        if column.ndim == 1 and column.tolist() == indices:
-            return column
-    except (OverflowError, TypeError, ValueError):
-        pass
-    return np.fromiter(indices, dtype=object, count=len(indices))
+        return np.array(indices, dtype=np.int64)
+    except OverflowError:
+        return np.fromiter(indices, dtype=object, count=len(indices))
 
 
 def occurrence_ordinals(indices: np.ndarray) -> np.ndarray:

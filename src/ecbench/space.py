@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SpaceError
+from .errors import SpaceError, check_type
 from .fingerprints import indented_json
 
 MAX_CARDINALITY = 2**128 - 1
@@ -68,6 +68,7 @@ class ObjectConfig:
     settings: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        check_type("object id", self.object_id, str, SpaceError)
         if not self.object_id:
             raise SpaceError("object id must be non-empty")
 

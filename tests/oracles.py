@@ -9,8 +9,9 @@ in Python ints, the Welch interval is plain float64-scalar arithmetic on
 one pair of samples, the standard deviation is a two-pass Fraction variance
 whose root is rounded by exact comparison with float midpoints, and the
 noise references spell out one element per (index, replicate) pair instead
-of broadcasting, and result-set keys are tuples counted in a dict and paired
-by sorting them.
+of broadcasting, result-set keys are tuples counted in a dict and paired
+by sorting them, and a results line is typed field by field with
+`isinstance`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ecbench.errors import PairingError
+from ecbench.runner import Measurement
 
 # Gauss-Legendre nodes/weights on [-1, 1]; 400 nodes resolve cos^(df-1)
 # far past 1e-9 for df up to a few hundred.
@@ -188,6 +190,36 @@ def parse_lines_reference(data: bytes):
         except json.JSONDecodeError as e:
             raise LineParseError(f"{lineno}: parse failure: {e}") from e
         yield lineno, value
+
+
+class LineTypeError(Exception):
+    """A results line that `json.loads` accepts but that is not a
+    well-typed measurement."""
+
+
+def measurement_reference(value):
+    """`Measurement.from_dict(value)` for the value of a well-typed results
+    line. Raise LineTypeError when the value is not an object, or when it
+    has every field `from_dict` reads (KeyError otherwise, at the first
+    missing one) but ec_index is not a non-negative integer, object_id or
+    policy not a string, replicates not a list, aggregate not a number, or
+    error neither a string nor null. A bool is not a number here."""
+    if not isinstance(value, dict):
+        raise LineTypeError(value)
+    index, owner, replicates, aggregate, policy = (
+        value["ec_index"], value["object_id"], value["replicates"],
+        value["aggregate"], value["policy"])
+    error = value.get("error")
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if not (number(index) and not isinstance(index, float) and index >= 0
+            and isinstance(owner, str) and isinstance(replicates, list)
+            and number(aggregate) and isinstance(policy, str)
+            and (error is None or isinstance(error, str))):
+        raise LineTypeError(value)
+    return Measurement.from_dict(value)
 
 
 def occurrence_keys_reference(indices) -> list[tuple[int, int]]:

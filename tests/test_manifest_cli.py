@@ -30,7 +30,12 @@ from ecbench.manifest import (
 from ecbench.model import SyntheticModel
 from ecbench.runner import ExecutorSpec, Measurement, execute_plan
 from ecbench.space import Factor, build_space
-from oracles import LineParseError, parse_lines_reference
+from oracles import (
+    LineParseError,
+    LineTypeError,
+    measurement_reference,
+    parse_lines_reference,
+)
 from test_golden import persisted_pair
 
 
@@ -144,10 +149,19 @@ class TestPersistLoad:
                 ec_index=i, object_id="cpu_a", replicates=(v, v),
                 aggregate=v, policy="mean").to_dict()),
             st.integers(0, 3), st.floats(-1e6, 1e6, allow_nan=False))
+        # a measurement with one field set to a value of any JSON type,
+        # well typed or not
+        typed = {"ec_index": 3, "object_id": "cpu_a", "replicates": [1.5, 2.5],
+                 "aggregate": 2.0, "policy": "mean"}
+        value = st.sampled_from([0, 3, -1, 2**64, 2.5, "5", "cpu_a", "mean",
+                                 True, None, [], [1.5, 2.5], {}])
+        retyped = st.tuples(st.sampled_from([*typed, "error"]), value).map(
+            lambda kv: canonical_json({**typed, kv[0]: kv[1]}))
         # space, tab, NBSP, form feed and carriage return: JSON whitespace,
         # Unicode-only whitespace and str.splitlines boundaries
         pad = st.text(alphabet=" \t\xa0\x0c\r", max_size=3)
         line = st.one_of(
+            retyped,
             st.tuples(pad, doc, pad).map("".join),
             st.tuples(doc, pad, doc).map("".join),  # two values on one line
             st.tuples(doc, st.integers(1, 40)).map(lambda t: t[0][:-t[1]]),
@@ -165,12 +179,18 @@ class TestPersistLoad:
             manifest_path(path).write_text(json.dumps(manifest.to_dict()))
             wanted = []
             try:  # lines are read in order: the first bad line decides
-                for _, value in parse_lines_reference(data):
-                    wanted.append(Measurement.from_dict(value))
+                for lineno, value in parse_lines_reference(data):
+                    m = measurement_reference(value)
+                    if m.error is None:  # failure lines are not measurements
+                        wanted.append(m)
             except LineParseError as e:
                 with pytest.raises(FingerprintError) as got:
                     load_results(path)
                 assert str(got.value) == f"{path}:{e}"
+            except LineTypeError:
+                with pytest.raises(FingerprintError) as got:
+                    load_results(path)
+                assert str(got.value).startswith(f"{path}:{lineno}: ")
             except (TypeError, KeyError, AttributeError) as e:
                 with pytest.raises(type(e)):
                     load_results(path)
@@ -654,6 +674,162 @@ class TestCli:
         assert main(["report", "--input", str(ws / "cmp.json"),
                      "--format", "csv", "--out", str(ws / "cmp.csv")]) == 0
         assert (ws / "cmp.csv").read_text().startswith("group,")
+
+
+class TestIllTypedInputs:
+    """An ill-typed value in a plan, object, executor, model or results file
+    exits 2 (3 for results) with a message naming it, never a traceback."""
+
+    @pytest.fixture
+    def ran(self, workspace):
+        """The workspace after `plan stratified` and a run of each object."""
+        TestCli().plan_run_compare(workspace, iterations=4)
+        return workspace
+
+    def edit(self, path, change):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        return doc
+
+    def call(self, capsys, argv):
+        capsys.readouterr()
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+
+    def run_argv(self, ws, **files):
+        paths = {"space": ws / "space.json", "plan": ws / "plan.json",
+                 "executor": ws / "executor.json",
+                 "object": ws / "cpu_a.json", "out": ws / "new.jsonl"}
+        paths.update(files)
+        return ["run", *(a for k, v in paths.items() for a in (f"--{k}", v))]
+
+    def compare_argv(self, ws):
+        return ["compare", "--a", ws / "cpu_a.jsonl", "--b", ws / "cpu_b.jsonl",
+                "--level", "0.95", "--group-by-plan", ws / "plan.json",
+                "--out", ws / "cmp.json"]
+
+    @pytest.mark.parametrize("stratum", [3, 0])
+    def test_plan_stratum_not_a_string(self, ran, capsys, stratum):
+        # the runs' manifests name the edited plan, so compare reaches it
+        doc = self.edit(ran / "plan.json", lambda d: [
+            e.update(stratum=stratum) for e in d["entries"]])
+        for oid in ("cpu_a", "cpu_b"):
+            self.edit(manifest_path(ran / f"{oid}.jsonl"), lambda m: m.update(
+                plan_fingerprint=fingerprint(doc)))
+        code, err = self.call(capsys, self.compare_argv(ran))
+        assert code == 2
+        assert (f"ecbench: error: plan entry 0: stratum must be a string or "
+                f"null, not {stratum}") in err
+        assert not (ran / "cmp.json").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("reps", "3", "plan reps must be an integer, not '3'"),
+        ("seed", True, "plan seed must be an integer, not True"),
+        ("design", 1, "plan design must be a string, not 1"),
+        ("index", "5", "plan entry 0: index must be a non-negative integer, "
+                       "not '5'"),
+        ("index", -1, "plan entry 0: index must be a non-negative integer, "
+                      "not -1"),
+    ])
+    def test_plan_value_ill_typed(self, ran, capsys, field, value, message):
+        self.edit(ran / "plan.json", lambda d: (
+            d["entries"][0] if field == "index" else d).update({field: value}))
+        code, err = self.call(capsys, self.run_argv(ran))
+        assert (code, f"ecbench: error: {message}") == (2, err.strip())
+        assert not (ran / "new.jsonl").exists()
+
+    @pytest.mark.parametrize("object_id, message", [
+        (5, "object id must be a string, not 5"),
+        (None, "object id must be a string, not None"),
+        (["cpu_a"], "object id must be a string, not ['cpu_a']"),
+    ])
+    def test_object_id_not_a_string(self, workspace, capsys, object_id,
+                                    message):
+        ws = workspace
+        stratified_sample(demo.demo_space_720(), "workload", 2, 3, 1).save(
+            ws / "plan.json")
+        (ws / "odd.json").write_text(json.dumps({"object_id": object_id}))
+        code, err = self.call(capsys, self.run_argv(
+            ws, object=ws / "odd.json"))
+        assert (code, f"ecbench: error: {message}") == (2, err.strip())
+
+    @pytest.mark.parametrize("line, value", [
+        ("policy", 1), ("object_id", 5), ("ec_index", "5"), ("ec_index", -3),
+        ("ec_index", True), ("aggregate", "1.5"), ("aggregate", None),
+        ("replicates", 5), ("error", 1), ("error", ["exit 1"]),
+    ])
+    def test_result_line_ill_typed_exit_3(self, ran, capsys, line, value):
+        path = ran / "cpu_b.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc[line] = value
+        lines[2] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        self.edit(manifest_path(path), lambda m: m.update(
+            results_sha256=fingerprint_bytes(path.read_bytes())))
+        code, err = self.call(capsys, self.compare_argv(ran))
+        assert code == 3
+        assert err.startswith(f"ecbench: integrity error: {path}:3: a "
+                              f"measurement is a JSON object: ")
+
+    def test_result_line_not_an_object_exit_3(self, ran, capsys):
+        path = ran / "cpu_b.jsonl"
+        path.write_text(path.read_text() + "[1, 2]\n")
+        self.edit(manifest_path(path), lambda m: m.update(
+            results_sha256=fingerprint_bytes(path.read_bytes())))
+        code, err = self.call(capsys, self.compare_argv(ran))
+        lineno = len(path.read_text().splitlines())
+        assert code == 3 and f"integrity error: {path}:{lineno}: " in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma", "1.0", "noise sigma must be a number, not '1.0'"),
+        ("sigma", float("nan"), "noise sigma must be non-negative"),
+        ("noise_seed", "7", "noise seed must be an integer, not '7'"),
+        ("noise_seed", 1.5, "noise seed must be an integer, not 1.5"),
+    ])
+    def test_model_value_ill_typed(self, workspace, capsys, field, value,
+                                   message):
+        ws = workspace
+        self.edit(ws / "model.json", lambda d: d.update({field: value}))
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "full_factorial"}]}))
+        code, err = self.call(capsys, [
+            "simulate", "--space", ws / "space.json", "--model",
+            ws / "model.json", "--methodologies", ws / "meth.json",
+            "--iterations", "2", "--level", "0.95", "--seed", "1",
+            "--out", ws / "cov.csv"])
+        assert (code, f"ecbench: error: {message}") == (2, err.strip())
+        # the same model inside a synthetic executor
+        doc = json.loads((ws / "executor.json").read_text())
+        doc["model"][field] = value
+        (ws / "executor.json").write_text(json.dumps(doc))
+        stratified_sample(demo.demo_space_720(), "workload", 2, 3, 1).save(
+            ws / "plan.json")
+        code, err = self.call(capsys, self.run_argv(ws))
+        assert (code, f"ecbench: error: {message}") == (2, err.strip())
+
+    @pytest.mark.parametrize("change, message", [
+        ({"timeout": "5"}, "executor timeout must be a number, not '5'"),
+        ({"timeout": True}, "executor timeout must be a number, not True"),
+        ({"templates": ["true"]}, "command templates must be a JSON object "
+                                  "of stratum label to command string"),
+        ({"templates": {"*": 5}}, "command templates must be a JSON object "
+                                  "of stratum label to command string"),
+    ])
+    def test_command_executor_ill_typed(self, workspace, capsys, change,
+                                        message):
+        ws = workspace
+        # a command that is never started: the executor is refused first
+        doc = {"kind": "command", "templates": {"*": "true"}, **change}
+        (ws / "command.json").write_text(json.dumps(doc))
+        stratified_sample(demo.demo_space_720(), "workload", 2, 3, 1).save(
+            ws / "plan.json")
+        code, err = self.call(capsys, self.run_argv(
+            ws, executor=ws / "command.json"))
+        assert (code, f"ecbench: error: {message}") == (2, err.strip())
+        assert not (ws / "new.jsonl").exists()
 
 
 def plan_group_map_keys(plan_path):

@@ -108,6 +108,33 @@ class TestSynthTime:
         with pytest.raises(Exception):
             model.compile(self.space())
 
+    @pytest.mark.parametrize("change, message", [
+        ({"base": (("w1", 1.0), ("w9", 2.0))},
+         "model base references unknown level 'w9' of factor 'workload'"),
+        ({"base": ()},
+         "model base table for factor 'workload' misses level 'w1'"),
+        ({"effects": (("threads", (("1", 0.0), ("2", 1.0))),)},
+         "model effect table for factor 'threads' misses level '4'"),
+        ({"effects": (("threads", (("16", 1.0),)),)},
+         "model effect references unknown level '16' of factor 'threads'"),
+        ({"object_effects": (("o", (("threads", (("16", 1.0),)),)),)},
+         "object effect references unknown level '16' of factor 'threads'"),
+    ])
+    def test_tables_naming_unknown_or_missing_levels_rejected(self, change,
+                                                              message):
+        model = dataclasses.replace(self.effect_model(), **change)
+        with pytest.raises(SpaceError) as e:
+            model.compile(self.space())
+        assert str(e.value) == message
+
+    def test_object_effects_are_sparse(self):
+        # levels an object's table leaves out contribute 0.0
+        model = dataclasses.replace(self.effect_model(), object_effects=(
+            ("o", (("threads", (("2", 0.5),)),)),))
+        values = model.compile(self.space()).deterministic_values(
+            np.arange(4), "o")
+        assert values.tolist() == [10.0, 12.5, 14.0, 16.0]
+
     def test_noise_is_mean_zero(self):
         model = SyntheticModel(stratum_factor="workload", base=(("w1", 100.0),),
                                sigma=3.0, noise_seed=123)

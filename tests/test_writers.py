@@ -18,6 +18,7 @@ import ecbench.design
 from ecbench import demo
 from ecbench.cli import main
 from ecbench.design import DESIGNS, PlanEntry, SamplePlan
+from ecbench.errors import FingerprintError, PlanError
 from ecbench.fingerprints import (
     canonical_column,
     canonical_json,
@@ -28,6 +29,7 @@ from ecbench.manifest import (
     RunManifest,
     measurement_line,
     measurement_lines,
+    parse_results,
     persist_results,
 )
 from ecbench.runner import Measurement, ResultSet
@@ -78,18 +80,28 @@ def test_plan_texts_equal_json_dumps(plan):
 
 
 @pytest.mark.parametrize("entries, seed", [
-    ((), 0),
-    ((PlanEntry("1,2", "a"), PlanEntry(3.5, "b,c")), 1),  # split falls back
-    ((PlanEntry(1, 1), PlanEntry(2, True), PlanEntry(3, 1.0)), 2),  # 1 == True
-    ((PlanEntry(0, -0.0), PlanEntry(1, 0.0)), 3),
-    ((PlanEntry([1], ["x"]), PlanEntry({"k": [2, 3]})), 4),  # containers
-    ((PlanEntry(1, "a"),), [5, {"b": None}]),
+    ((), 0),  # no entries: still a plan
+    ((("1,2", "a"), (3.5, "b,c")), 1),  # indices that are not integers
+    (((1, 1), (2, True), (3, 1.0)), 2),  # strata that are not strings
+    (((0, -0.0), (1, 0.0)), 3),
+    ((([1], ["x"]), ({"k": [2, 3]}, None)), 4),  # containers
+    (((1, "a"),), [5, {"b": None}]),  # a container seed
 ])
-def test_plans_read_from_hand_edited_files(entries, seed):
-    plan = SamplePlan(design="stratified", entries=entries, reps=2, seed=seed,
-                      space_fingerprint="s")
-    assert saved_text(plan) == plan_dumps(plan)
-    assert plan.fingerprint == fingerprint(plan.to_dict())
+def test_plans_read_from_hand_edited_files(tmp_path, entries, seed):
+    doc = {"design": "stratified", "policy": "mean", "reps": 2, "seed": seed,
+           "space_fingerprint": "s",
+           "entries": [{"index": index} if stratum is None
+                       else {"index": index, "stratum": stratum}
+                       for index, stratum in entries]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    if entries:  # an ill-typed value is refused, not carried through
+        with pytest.raises(PlanError):
+            SamplePlan.load(path)
+        return
+    plan = SamplePlan.load(path)
+    assert saved_text(plan) == path.read_text() == plan_dumps(plan)
+    assert plan.fingerprint == fingerprint(doc)
 
 
 def measurements(max_replicates):
@@ -114,15 +126,24 @@ def test_result_lines_equal_measurement_line(rows):
 
 
 @pytest.mark.parametrize("rows", [
-    [Measurement(1, "a", ("x],[y", 2.0), 1.0, "mean")],  # split falls back
+    # replicates are not typed: these load, and are written by the one
+    # column path, the replicate split falling back per row
+    [Measurement(1, "a", ("x],[y", 2.0), 1.0, "mean")],
     [Measurement(1, "a", ([1.0], [2.0]), 1.0, "mean")],
+    # a failure line's error that is not a string is refused
     [Measurement(1, "a", (), 1.0, "mean", error=1),
      Measurement(2, "a", (), 1.0, "mean", error=True)],  # 1 == True
     [Measurement(1, "a", (), 1.0, "mean", error=["unhashable"])],
 ])
 def test_result_lines_read_from_hand_edited_files(rows):
-    assert measurement_lines(rows) == "".join(
-        measurement_line(m) + "\n" for m in rows)
+    data = "".join(measurement_line(m) + "\n" for m in rows)
+    if rows[0].error is not None:
+        with pytest.raises(FingerprintError, match=r"^r\.jsonl:1: "):
+            parse_results(data.encode(), "r.jsonl", "a", "p")
+        return
+    loaded = parse_results(data.encode(), "r.jsonl", "a", "p")
+    assert list(loaded.measurements.values()) == rows
+    assert measurement_lines(rows) == data
 
 
 @given(st.lists(st.one_of(st.none(), st.booleans(), floats,
@@ -162,16 +183,23 @@ json_docs = st.recursive(
     max_leaves=25)
 
 
+def has_other_keys(doc) -> bool:
+    """Whether a dict in `doc` has a key that is not a string."""
+    if isinstance(doc, dict):
+        return any(not isinstance(k, str) or has_other_keys(v)
+                   for k, v in doc.items())
+    return isinstance(doc, (list, tuple)) and any(map(has_other_keys, doc))
+
+
 @given(json_docs, st.booleans())
 @settings(max_examples=200)
 def test_indented_json_is_json_dumps_indent_2(doc, sort_keys):
-    try:
-        expected = json.dumps(doc, sort_keys=sort_keys, indent=2)
-    except TypeError:  # keys of mixed types do not sort
+    if has_other_keys(doc):  # space and manifest keys are strings
         with pytest.raises(TypeError):
             indented_json(doc, sort_keys=sort_keys)
         return
-    assert indented_json(doc, sort_keys=sort_keys) == expected
+    assert indented_json(doc, sort_keys=sort_keys) == json.dumps(
+        doc, sort_keys=sort_keys, indent=2)
 
 
 def test_writers_never_take_the_pure_python_encoder(tmp_path, monkeypatch):
