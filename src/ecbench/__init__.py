@@ -12,9 +12,7 @@ from .space import (  # noqa: F401
     ConfigSpace,
     Configuration,
     Factor,
-    MesPoint,
     ObjectConfig,
-    apply_to_object,
     build_space,
 )
 from .design import (  # noqa: F401
@@ -34,7 +32,6 @@ from .stats import (  # noqa: F401
     Interval,
     Sample,
     confidence_interval,
-    summary,
     t_quantile,
 )
 from .compare import (  # noqa: F401

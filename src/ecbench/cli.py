@@ -30,7 +30,16 @@ from .design import (
     spec_point,
     stratified_sample,
 )
-from .errors import EcbenchError, FingerprintError, PairingError
+from .errors import (
+    EcbenchError,
+    ExecutionError,
+    FingerprintError,
+    PairingError,
+    PlanError,
+    check_objects,
+    check_type,
+    read_object,
+)
 from .fingerprints import fingerprint
 from .manifest import (
     ResultWriter,
@@ -61,14 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _load_object(path: str) -> ObjectConfig:
-    doc = json.loads(Path(path).read_text())
-    return ObjectConfig(
-        object_id=doc["object_id"],
-        settings=tuple(doc.get("settings", {}).items()),
-    )
 
 
 def plan_group_map(plan: SamplePlan) -> GroupMap:
@@ -104,9 +105,9 @@ def _cmd_plan(args) -> int:
 def _cmd_run(args) -> int:
     space = ConfigSpace.load(args.space)
     plan = SamplePlan.load(args.plan)
-    executor_doc = json.loads(Path(args.executor).read_text())
+    executor_doc = read_object(args.executor, ExecutionError)
     executor = ExecutorSpec.from_dict(executor_doc)
-    obj = _load_object(args.object)
+    obj = ObjectConfig.load(args.object)
 
     manifest = RunManifest(
         space_fingerprint=space_fingerprint(space),
@@ -127,7 +128,7 @@ def _cmd_run(args) -> int:
             with out.open("r+b") as fh:
                 fh.truncate(len(complete))
         done = parse_results(complete, out, obj.object_id,
-                             manifest.plan_fingerprint).measurements.columns
+                             manifest.plan_fingerprint).measurements
         already_done = set(zip(done.indices.tolist(), done.ordinals.tolist()))
         append = True
 
@@ -183,7 +184,9 @@ def _cmd_compare(args) -> int:
 
 def _parse_methodologies(doc: dict) -> list[Methodology]:
     out = []
+    check_objects("methodologies", doc["methodologies"], PlanError)
     for m in doc["methodologies"]:
+        check_type("methodology params", m.get("params", {}), dict, PlanError)
         params = dict(m.get("params", {}))
         if "split" in params:
             params["split"] = FactorSplit.from_dict(params["split"])
@@ -194,7 +197,7 @@ def _parse_methodologies(doc: dict) -> list[Methodology]:
 def _cmd_simulate(args) -> int:
     space = ConfigSpace.load(args.space)
     model = SyntheticModel.load(args.model)
-    doc = json.loads(Path(args.methodologies).read_text())
+    doc = read_object(args.methodologies, PlanError)
     methodologies = _parse_methodologies(doc)
     objects = tuple(doc["objects"])
     rows = methodology_comparison(model, space, methodologies,
@@ -258,7 +261,7 @@ def build_parser() -> _Parser:
                 "--reps", "--seed", "--out",
                 generate=lambda space, a: factorial_2k(
                     space,
-                    FactorSplit.from_dict(json.loads(Path(a.split).read_text())),
+                    FactorSplit.from_dict(read_object(a.split, PlanError)),
                     {k: int(v) for k, v in (d.split("=", 1) for d in a.default)},
                     a.reps, a.seed))
     plan_parser("full_factorial", "--reps", "--out",

@@ -10,13 +10,12 @@ misread.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PairingError
-from .runner import ResultSet, index_column
+from .runner import ResultSet
 from .stats import (
     Interval,
     RatioDiagnostics,
@@ -121,7 +120,7 @@ def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
             "result sets come from different plans: plan fingerprint "
             f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
         )
-    ca, cb = a.measurements.columns, b.measurements.columns
+    ca, cb = a.measurements, b.measurements
     oa = np.lexsort((ca.ordinals, ca.indices))
     ob = np.lexsort((cb.ordinals, cb.indices))
     indices, ordinals = ca.indices[oa], ca.ordinals[oa]
@@ -140,8 +139,7 @@ def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
 
 class GroupMap:
     """A group label per (ec_index, ordinal) key, held as columns: distinct
-    keys, and for each the code of its label in the sorted `names`.
-    Iterating it gives the keys."""
+    keys, and for each the code of its label in the sorted `names`."""
 
     def __init__(self, indices: np.ndarray, ordinals: np.ndarray,
                  labels: list[str]):
@@ -150,15 +148,6 @@ class GroupMap:
         code = {name: i for i, name in enumerate(self.names)}
         self.codes = np.fromiter(map(code.__getitem__, labels), dtype=np.intp,
                                  count=len(labels))
-
-    @classmethod
-    def of(cls, mapping: "GroupMap | Mapping[tuple[int, int], str]"
-           ) -> "GroupMap":
-        if isinstance(mapping, GroupMap):
-            return mapping
-        return cls(index_column([index for index, _ in mapping]),
-                   np.array([ordinal for _, ordinal in mapping], dtype=np.int64),
-                   list(mapping.values()))
 
     def groups_of(self, indices: np.ndarray, ordinals: np.ndarray
                   ) -> tuple[list[str], np.ndarray]:
@@ -185,12 +174,6 @@ class GroupMap:
         used, codes = np.unique(self.codes[at], return_inverse=True)
         return [self.names[c] for c in used.tolist()], codes
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self):
-        return iter(_keys(self.indices, self.ordinals))
-
 
 def paired_differences(a: ResultSet, b: ResultSet,
                        label: str | None = None) -> Sample:
@@ -200,8 +183,7 @@ def paired_differences(a: ResultSet, b: ResultSet,
 
 
 def compare_objects(a: ResultSet, b: ResultSet, level: float,
-                    group_by: GroupMap | Mapping[tuple[int, int], str]
-                    | None = None,
+                    group_by: GroupMap | None = None,
                     aligned: Aligned | None = None) -> ComparisonReport:
     """Paired differences a - b with an overall CI/verdict and, when a
     grouping map is given, one CI/verdict per group. `aligned` is
@@ -211,7 +193,7 @@ def compare_objects(a: ResultSet, b: ResultSet, level: float,
     diffs = xa - xb
     samples, labels = [diffs], []
     if group_by is not None:
-        labels, codes = GroupMap.of(group_by).groups_of(indices, ordinals)
+        labels, codes = group_by.groups_of(indices, ordinals)
         sizes = np.bincount(codes, minlength=len(labels))
         # fsum and exact_stdev ignore the order of values within a group
         samples += np.split(diffs[np.argsort(codes, kind="stable")],
@@ -223,7 +205,7 @@ def compare_objects(a: ResultSet, b: ResultSet, level: float,
                           verdict=verdict_of(iv))
               for label, iv in zip(labels, group_ivs)]
 
-    policies = a.measurements.columns.policies | b.measurements.columns.policies
+    policies = {*a.measurements.policies, *b.measurements.policies}
     return ComparisonReport(
         minuend_id=a.object_id,
         subtrahend_id=b.object_id,

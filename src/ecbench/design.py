@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlanError, check_type
+from .errors import PlanError, check_objects, check_type, read_object
 from .fingerprints import canonical_column, fingerprint, fingerprint_bytes
 from .space import ConfigSpace, Configuration
 
@@ -120,6 +119,7 @@ class SamplePlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SamplePlan":
+        check_objects("plan entries", doc["entries"], PlanError)
         return cls(
             design=doc["design"],
             # positional: keyword binding is a measurable share of a load
@@ -136,7 +136,7 @@ class SamplePlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "SamplePlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_object(path, PlanError))
 
 
 @dataclass(frozen=True)

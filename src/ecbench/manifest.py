@@ -8,7 +8,6 @@ error. Report files are byte-stable for identical inputs.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import platform
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .compare import AsymmetryReport, ComparisonReport
-from .errors import FingerprintError
+from .errors import FingerprintError, read_object
 from .fingerprints import (
     canonical_column,
     canonical_json,
@@ -29,7 +28,6 @@ from .fingerprints import (
 )
 from .oracle import CoverageResult
 from .runner import (
-    Columns,
     Measurement,
     Measurements,
     ResultSet,
@@ -96,21 +94,29 @@ def measurement_line(m: Measurement) -> str:
     return canonical_json(m.to_dict())
 
 
+# the fields of a result line, in the order its keys sort
+_LINE_FIELDS = ("aggregate", "ec_index", "ended_at", "error", "object_id",
+                "policy", "replicates", "started_at")
+
+
 def measurement_lines(measurements: list[Measurement]) -> str:
-    """`measurement_line(m) + "\\n"` for each measurement, built from columns:
-    one encoder call per scalar column, one over every row's replicates
-    (split at `],[`, per row where a value's text holds it), and the error,
-    object id and policy, each a string or null, encoded once per distinct
-    triple. The columns hold the measurements' own objects, so the cyclic GC
-    sees no new containers."""
-    errors = [m.error for m in measurements]
-    owners = [m.object_id for m in measurements]
-    policies = [m.policy for m in measurements]
+    """`measurement_line(m) + "\\n"` for each measurement, built by `_lines`
+    from columns of the measurements' own objects: no new GC containers."""
+    return _lines(*([getattr(m, name) for m in measurements]
+                    for name in _LINE_FIELDS))
+
+
+def _lines(aggregates: list, indices: list, ended: list, errors: list,
+           owners: list, policies: list, replicates: list,
+           started: list) -> str:
+    """One result line per row of the columns, a list per field of
+    `_LINE_FIELDS`: one encoder call per scalar column, one over every row's
+    replicates (split at `],[`, per row where a value's text holds it), and
+    the error, object id and policy, each a string or null, encoded once
+    per distinct triple."""
     middles = {triple: ',"error":%s,"object_id":%s,"policy":%s,"replicates":'
                % tuple(canonical_column(list(triple)))
                for triple in dict.fromkeys(zip(errors, owners, policies))}
-    # tuple() of a tuple is the tuple itself; it encodes as to_dict's list
-    replicates = [tuple(m.replicates) for m in measurements]
     rows = canonical_json(replicates)[2:-2].split("],[") if replicates else []
     if len(rows) != len(replicates):
         rows = [canonical_json(r)[1:-1] for r in replicates]
@@ -118,11 +124,9 @@ def measurement_lines(measurements: list[Measurement]) -> str:
         f'{{"aggregate":{a},"ec_index":{i},"ended_at":{e}{middles[t]}'
         f'[{r}],"started_at":{s}}}\n'
         for a, i, e, t, r, s in zip(
-            canonical_column([m.aggregate for m in measurements]),
-            canonical_column([m.ec_index for m in measurements]),
-            canonical_column([m.ended_at for m in measurements]),
-            zip(errors, owners, policies), rows,
-            canonical_column([m.started_at for m in measurements]))])
+            canonical_column(aggregates), canonical_column(indices),
+            canonical_column(ended), zip(errors, owners, policies), rows,
+            canonical_column(started))])
 
 
 class ResultWriter:
@@ -141,29 +145,35 @@ class ResultWriter:
         self._fh.write(measurement_line(m) + "\n")
         self._fh.flush()
 
-    def write_all(self, measurements: list[Measurement]) -> None:
-        """The lines `write` would give for each measurement, in one write."""
-        self._fh.write(measurement_lines(measurements))
-        self._fh.flush()
-
     def finalize(self) -> None:
         self._fh.close()
-        self.manifest.results_sha256 = fingerprint_bytes(self.path.read_bytes())
-        manifest_path(self.path).write_text(
-            indented_json(self.manifest.to_dict(), sort_keys=True) + "\n")
+        _write_manifest(self.path, self.manifest)
+
+
+def _write_manifest(path: str | Path, manifest: RunManifest) -> None:
+    """Hash the results file at `path` into `manifest` and write it beside."""
+    manifest.results_sha256 = fingerprint_bytes(Path(path).read_bytes())
+    manifest_path(path).write_text(
+        indented_json(manifest.to_dict(), sort_keys=True) + "\n")
 
 
 def persist_results(results: ResultSet, manifest: RunManifest,
                     path: str | Path) -> None:
+    """The result lines of the measured rows, in key order, then of the
+    failures, written to `path` with the manifest beside it."""
     if manifest.plan_fingerprint != results.plan_fingerprint:
         raise FingerprintError(
             "manifest plan fingerprint does not match the result set"
         )
-    measurements = results.measurements
-    writer = ResultWriter(path, manifest)
-    writer.write_all([*(measurements[k] for k in sorted(measurements)),
-                      *results.failures])
-    writer.finalize()
+    rows = results.measurements
+    order = np.lexsort((rows.ordinals, rows.indices))
+    n = len(order)
+    Path(path).write_text(_lines(
+        rows.aggregates[order].tolist(), rows.indices[order].tolist(),
+        rows.ended_at[order].tolist(), [None] * n, [results.object_id] * n,
+        rows.policies[order].tolist(), rows.replicates[order].tolist(),
+        rows.started_at[order].tolist()) + measurement_lines(results.failures))
+    _write_manifest(path, manifest)
 
 
 def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
@@ -174,7 +184,7 @@ def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
     mpath = manifest_path(path)
     if not mpath.exists():
         raise FingerprintError(f"missing manifest for {path}")
-    manifest = RunManifest.from_dict(json.loads(mpath.read_text()))
+    manifest = RunManifest.from_dict(read_object(mpath, FingerprintError))
 
     data = path.read_bytes()
     if manifest.results_sha256 is not None:
@@ -190,41 +200,26 @@ def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
 
 
 _DECODER = json.JSONDecoder()
-_JSON_WHITESPACE = " \t\n\r"
 
 
 def _decode_line(line: str):
-    """`json.loads(line)`, decoding a well-formed line only once."""
-    text = line.strip(_JSON_WHITESPACE)
+    """`json.loads(line)`, decoding a line without padding only once."""
     try:
-        doc, end = _DECODER.raw_decode(text)
-        if end == len(text):
+        doc, end = _DECODER.raw_decode(line)
+        if end == len(line):
             return doc
     except json.JSONDecodeError:
         pass
     return json.loads(line)  # raises json.loads' own error for this line
 
 
-def _documents(data: bytes, path: str | Path):
-    """(line number, JSON value) of each non-blank line of a results file."""
-    for lineno, line in enumerate(data.decode().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = _decode_line(line)
-        except json.JSONDecodeError as e:
-            raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
-        yield lineno, doc
-
-
-def _measured_rows(data: bytes, path: str | Path) -> list[Measurement]:
-    return [Measurement.from_dict(doc) for _, doc in _documents(data, path)
-            if doc.get("error") is None]
-
-
 _LINE_TYPES = ("a measurement is a JSON object: ec_index a non-negative "
                "integer, object_id and policy strings, replicates a list, "
-               "aggregate a number, error a string or null")
+               "aggregate, started_at and ended_at numbers, error a string "
+               "or null")
+_REPLICATES = ("a measured line holds as many replicates as the first, "
+               "each a number")
+_NUMBERS = frozenset((float, int))  # the types of a JSON number's value
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
@@ -234,12 +229,20 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     order. `object_id` names the set only when no line does.
 
     Each line is decoded once and checked for the fields
-    `Measurement.from_dict` reads and for their types (`_LINE_TYPES`). A
-    measured line leaves its index, aggregate and policy in the set's
-    columns; its `Measurement` is built, from `data`, only when a caller
-    reads the rows."""
-    indices, aggregates, policies, failures = [], [], set(), []
-    for n, (lineno, doc) in enumerate(_documents(data, path)):
+    `Measurement.from_dict` reads and for their types (`_LINE_TYPES`). Every
+    line names the first line's object. A measured line (one with no error)
+    leaves its fields in the set's columns (`_REPLICATES`); a failure line
+    becomes a `Measurement`."""
+    indices, aggregates, replicates_flat, policies, started, ended = (
+        [], [], [], [], [], [])
+    failures, width, names = [], 0, {}
+    for lineno, line in enumerate(data.decode().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = _decode_line(line)
+        except json.JSONDecodeError as e:
+            raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
         if type(doc) is not dict:
             raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
         # the reads of Measurement.from_dict, in its order, so that a line
@@ -247,32 +250,47 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
         index, owner = doc["ec_index"], doc["object_id"]
         replicates, aggregate, policy = (doc["replicates"], doc["aggregate"],
                                          doc["policy"])
-        error = doc.get("error")
+        started_at, ended_at, error = (doc.get("started_at", 0.0),
+                                       doc.get("ended_at", 0.0),
+                                       doc.get("error"))
         if not (type(index) is int and index >= 0 and type(owner) is str
-                and type(replicates) is list
-                and (type(aggregate) is float or type(aggregate) is int)
-                and type(policy) is str
+                and type(replicates) is list and type(aggregate) in _NUMBERS
+                and type(policy) is str and type(started_at) in _NUMBERS
+                and type(ended_at) in _NUMBERS
                 and (error is None or type(error) is str)):
             raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
-        if error is None:
-            indices.append(index)
-            aggregates.append(aggregate)
-            policies.add(policy)
-        else:
+        if owner != object_id:
+            if indices or failures:
+                raise FingerprintError(f"{path}:{lineno}: object_id {owner!r}, "
+                                       f"where the first line has {object_id!r}")
+            object_id = owner  # the first line names the set
+        if error is not None:
             failures.append(Measurement.from_dict(doc))
-        if n == 0:
-            object_id = owner
+            continue
+        if not indices:
+            width = len(replicates)
+        if len(replicates) != width:
+            raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
+        for value in replicates:  # a loop costs less than a set of types
+            if type(value) is not float and type(value) is not int:
+                raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
+        indices.append(index)
+        aggregates.append(aggregate)
+        replicates_flat.extend(replicates)
+        # one str per distinct policy, not one per row
+        policies.append(names.setdefault(policy, policy))
+        started.append(started_at)
+        ended.append(ended_at)
     index = index_column(indices)
-    columns = Columns(index, occurrence_ordinals(index),
-                      np.array(aggregates, dtype=np.float64),
-                      frozenset(policies))
-    return ResultSet(
-        object_id=object_id,
-        plan_fingerprint=plan_fingerprint,
-        measurements=Measurements(
-            columns, functools.partial(_measured_rows, data, path)),
-        failures=failures,
-    )
+    measurements = Measurements(
+        index, occurrence_ordinals(index),
+        np.array(aggregates, dtype=np.float64),
+        np.array(replicates_flat, dtype=np.float64).reshape(len(indices),
+                                                            width),
+        np.array(policies, dtype=object),
+        np.array(started, dtype=np.float64), np.array(ended, dtype=np.float64))
+    return ResultSet(object_id=object_id, plan_fingerprint=plan_fingerprint,
+                     measurements=measurements, failures=failures)
 
 
 def check_resumable(path: str | Path, manifest: RunManifest) -> None:
@@ -282,7 +300,7 @@ def check_resumable(path: str | Path, manifest: RunManifest) -> None:
     mpath = manifest_path(path)
     if not mpath.exists():
         return
-    recorded = RunManifest.from_dict(json.loads(mpath.read_text()))
+    recorded = RunManifest.from_dict(read_object(mpath, FingerprintError))
     for what, before, now in (
         ("space fingerprint", recorded.space_fingerprint,
          manifest.space_fingerprint),

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpaceError, check_type
+from .errors import SpaceError, check_type, read_object
 from .space import ConfigSpace, Configuration, ObjectConfig
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -115,6 +115,18 @@ class SyntheticModel:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
+        tables = [("base", self.base), ("object offset", self.object_offsets),
+                  *((f"effect {f!r}", tab) for f, tab in self.effects),
+                  *((f"object {oid!r} effect {f!r}", tab)
+                    for oid, eff in self.object_effects for f, tab in eff),
+                  *((f"interaction {it.factor_a!r} x {it.factor_b!r}",
+                     [((a, b), v) for a, b, v in it.table])
+                    for it in self.interactions)]
+        for what, table in tables:
+            for label, value in table:
+                if type(value) is not float:  # a float needs no message built
+                    check_type(f"model {what} {label!r}", value, numbers.Real,
+                               SpaceError)
         check_type("noise sigma", self.sigma, numbers.Real, SpaceError)
         check_type("noise seed", self.noise_seed, numbers.Integral, SpaceError)
         if not self.sigma >= 0:  # nor is NaN
@@ -180,7 +192,7 @@ class SyntheticModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "SyntheticModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_object(path, SpaceError))
 
 
 def _level_vectors(space: ConfigSpace, tables, what: str,

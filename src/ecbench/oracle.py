@@ -22,7 +22,6 @@ loops stay n long.
 
 from __future__ import annotations
 
-import functools
 import statistics
 from dataclasses import dataclass, field
 
@@ -192,11 +191,12 @@ def _default_spec_margin(compiled: CompiledModel, tables: list[np.ndarray],
                          master_seed: int) -> float:
     """Margin for scoring the single-point methodology: the average half-width
     of the stratified (n=32 per stratum) paired-difference CI on this model."""
-    draw = functools.partial(stratified_indices, space, model.stratum_factor, 32)
     half_widths: list[float] = []
     t_crit = None
-    for (idx,), noise in _chunks(draw, SPEC_MARGIN_PROBE_ITERATIONS, 3,
-                                 master_seed ^ 0x5BEC):
+    for (idx,), noise in _chunks(
+            lambda seed: stratified_indices(space, model.stratum_factor, 32,
+                                            seed),
+            SPEC_MARGIN_PROBE_ITERATIONS, 3, master_seed ^ 0x5BEC):
         agg_a = _simulate_aggregates(compiled, tables[0], idx, objects[0], 3, noise)
         agg_b = _simulate_aggregates(compiled, tables[1], idx, objects[1], 3, noise)
         if t_crit is None:
@@ -222,8 +222,8 @@ def coverage_experiment(model: SyntheticModel, space: ConfigSpace,
     t_crit = None
     hits = 0
     cost = 0
-    draw = functools.partial(design.draw, space, p)
-    for arms, noise in _chunks(draw, iterations, reps, master_seed):
+    for arms, noise in _chunks(lambda seed: design.draw(space, p, seed),
+                               iterations, reps, master_seed):
         agg_a = _simulate_aggregates(compiled, tables[0], arms[0], objects[0],
                                      reps, noise, design.policy)
         agg_b = _simulate_aggregates(compiled, tables[1], arms[-1], objects[1],
@@ -276,11 +276,12 @@ def best_level_report(results: ResultSet, space: ConfigSpace,
     group = space.factor(group_by_factor)
 
     sums: dict[tuple[int, int], list[float]] = {}
-    for m in results.measurements.values():
-        cfg = space.config_at(m.ec_index)
+    m = results.measurements
+    for index, aggregate in zip(m.indices.tolist(), m.aggregates.tolist()):
+        cfg = space.config_at(index)
         g = cfg.assignments[g_pos][1]
         t = cfg.assignments[t_pos][1]
-        sums.setdefault((g, t), []).append(m.aggregate)
+        sums.setdefault((g, t), []).append(aggregate)
 
     rows: list[tuple[str, str]] = []
     for g_level, g_label in enumerate(group.levels):

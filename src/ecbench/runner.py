@@ -15,9 +15,7 @@ import statistics
 import string
 import subprocess
 import time
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -129,71 +127,62 @@ class Measurement:
                    doc.get("ended_at", 0.0), doc.get("error"))
 
 
-class Columns(NamedTuple):
-    """The measured rows of a result set as the columns pairing reads."""
+class Measurements:
+    """The measured rows of a result set, as columns in row order: `indices`
+    (as `index_column` gives them), `ordinals` (occurrence ordinals, int64),
+    `aggregates` (float64), `replicates` (float64, a row per measurement),
+    `policies` (a string per row, dtype object), `started_at` and
+    `ended_at` (float64). Rows `add`ed one at a time wait in a buffer that
+    joins the columns when one is next read; `len` reads no column."""
 
-    indices: np.ndarray     # ec_index, as `index_column` gives it
-    ordinals: np.ndarray    # occurrence ordinal, int64
-    aggregates: np.ndarray  # float64
-    policies: frozenset[str]  # the aggregation policies the rows name
+    # column i of `_folded()`, read-only
+    (indices, ordinals, aggregates, replicates, policies, started_at,
+     ended_at) = (property(lambda self, i=i: self._folded()[i])
+                  for i in range(7))
 
-
-class Measurements(Mapping):
-    """Measurements keyed by (ec_index, occurrence ordinal), and their
-    `columns`. Rows added one at a time (a run) give the columns when first
-    read. A loaded file gives the columns, and `load()` the measurements in
-    column order, called when a row is first read; `len` reads no row."""
-
-    def __init__(self, columns: Columns | None = None,
-                 load: Callable[[], list[Measurement]] | None = None):
-        self._columns = columns
-        self._load = load
-        self._rows: dict[tuple[int, int], Measurement] | None = (
-            {} if columns is None else None)
+    def __init__(self, *columns: np.ndarray):
+        self._columns = columns or _columns_of([], [])
+        self._added: list[tuple[tuple[int, int], Measurement]] = []
+        self._keys: set[tuple[int, int]] | None = None
 
     def add(self, key: tuple[int, int], m: Measurement) -> None:
-        rows = self._keyed()
-        if key in rows:
+        if self._keys is None:
+            self._keys = set(zip(self.indices.tolist(),
+                                 self.ordinals.tolist()))
+        if key in self._keys:
             raise ExecutionError(f"duplicate measurement key {key}")
-        rows[key] = m
-        self._columns = None
+        self._keys.add(key)
+        self._added.append((key, m))
 
-    @property
-    def columns(self) -> Columns:
-        if self._columns is None:
-            rows = self._keyed()
-            self._columns = Columns(
-                index_column([index for index, _ in rows]),
-                np.array([ordinal for _, ordinal in rows], dtype=np.int64),
-                np.array([m.aggregate for m in rows.values()],
-                         dtype=np.float64),
-                frozenset(m.policy for m in rows.values()))
+    def _folded(self) -> tuple[np.ndarray, ...]:
+        if self._added:
+            added = _columns_of(*zip(*self._added))
+            self._columns = added if not len(self._columns[0]) else tuple(
+                np.concatenate(pair) for pair in zip(self._columns, added))
+            self._added = []
         return self._columns
 
-    def _keyed(self) -> dict[tuple[int, int], Measurement]:
-        if self._rows is None:
-            c = self._columns
-            self._rows = dict(zip(zip(c.indices.tolist(), c.ordinals.tolist()),
-                                  self._load()))
-            self._load = None
-        return self._rows
-
     def __len__(self) -> int:
-        if self._rows is None:
-            return len(self._columns.aggregates)
-        return len(self._rows)
+        return len(self._columns[0]) + len(self._added)
 
-    def __iter__(self):
-        return iter(self._keyed())
 
-    def __getitem__(self, key: tuple[int, int]) -> Measurement:
-        return self._keyed()[key]
+def _columns_of(keys, rows) -> tuple[np.ndarray, ...]:
+    """The columns of `Measurements` for measurements under their keys."""
+    return (index_column([index for index, _ in keys]),
+            np.array([ordinal for _, ordinal in keys], dtype=np.int64),
+            np.array([m.aggregate for m in rows], dtype=np.float64),
+            np.array([m.replicates for m in rows] or np.empty((0, 0)),
+                     dtype=np.float64),
+            np.array([m.policy for m in rows], dtype=object),
+            np.array([m.started_at for m in rows], dtype=np.float64),
+            np.array([m.ended_at for m in rows], dtype=np.float64))
 
 
 @dataclass
 class ResultSet:
-    """Measurements keyed by (ec index, occurrence ordinal) for one object
-    under one plan. Failed entries live in `failures`, never in the keyed map."""
+    """One object's measured rows under one plan, keyed by (ec index,
+    occurrence ordinal); `object_id` is every row's. Failed entries live in
+    `failures`, never in the measured rows."""
 
     object_id: str
     plan_fingerprint: str
@@ -201,6 +190,10 @@ class ResultSet:
     failures: list[Measurement] = field(default_factory=list)
 
     def add(self, key: tuple[int, int], m: Measurement) -> None:
+        if m.object_id != self.object_id:  # the columns keep no object id
+            raise ExecutionError(f"measurement of object {m.object_id!r} "
+                                 f"added to the result set of "
+                                 f"{self.object_id!r}")
         self.measurements.add(key, m)
 
 

@@ -7,11 +7,10 @@ cost nothing beyond their factor definitions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SpaceError, check_type
+from .errors import SpaceError, check_objects, check_type, read_object
 from .fingerprints import indented_json
 
 MAX_CARDINALITY = 2**128 - 1
@@ -72,13 +71,12 @@ class ObjectConfig:
         if not self.object_id:
             raise SpaceError("object id must be non-empty")
 
-
-@dataclass(frozen=True)
-class MesPoint:
-    """An evaluated-object configuration paired with one condition point."""
-
-    obj: ObjectConfig
-    ec: Configuration
+    @classmethod
+    def load(cls, path: str | Path) -> "ObjectConfig":
+        doc = read_object(path, SpaceError)
+        settings = doc.get("settings", {})
+        check_type("object settings", settings, dict, SpaceError)
+        return cls(doc["object_id"], tuple(settings.items()))
 
 
 class ConfigSpace:
@@ -212,6 +210,7 @@ class ConfigSpace:
     @classmethod
     def from_dict(cls, doc: dict) -> "ConfigSpace":
         factors = []
+        check_objects("space factors", doc["factors"], SpaceError)
         for entry in doc["factors"]:
             factors.append(
                 Factor(
@@ -227,12 +226,9 @@ class ConfigSpace:
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSpace":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_object(path, SpaceError))
 
 
 def build_space(factors: list[Factor] | tuple[Factor, ...]) -> ConfigSpace:
     return ConfigSpace(tuple(factors))
 
-
-def apply_to_object(obj: ObjectConfig, ec: Configuration) -> MesPoint:
-    return MesPoint(obj=obj, ec=ec)

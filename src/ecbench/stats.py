@@ -66,27 +66,6 @@ class Interval:
         return (self.high - self.low) / 2.0
 
 
-@dataclass(frozen=True)
-class Summary:
-    mean: float
-    std: float
-    median: float
-    geometric_mean: float | None
-
-
-def summary(sample: Sample) -> Summary:
-    vals = sample.values
-    mean = statistics.fmean(vals)
-    std = (exact_stdev(np.array(vals, dtype=np.float64)) if len(vals) > 1
-           else 0.0)
-    med = statistics.median(vals)
-    if all(v > 0 for v in vals):
-        gmean = math.exp(statistics.fmean(math.log(v) for v in vals))
-    else:
-        gmean = None
-    return Summary(mean=mean, std=std, median=med, geometric_mean=gmean)
-
-
 def geometric_mean(values: tuple[float, ...] | list[float]) -> float:
     if any(v <= 0 for v in values):
         raise StatsError("geometric mean requires all values > 0")

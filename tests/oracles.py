@@ -203,23 +203,53 @@ def measurement_reference(value):
     has every field `from_dict` reads (KeyError otherwise, at the first
     missing one) but ec_index is not a non-negative integer, object_id or
     policy not a string, replicates not a list, aggregate not a number, or
-    error neither a string nor null. A bool is not a number here."""
+    aggregate, started_at or ended_at not a number, or error neither a
+    string nor null. A bool is not a number here."""
     if not isinstance(value, dict):
         raise LineTypeError(value)
     index, owner, replicates, aggregate, policy = (
         value["ec_index"], value["object_id"], value["replicates"],
         value["aggregate"], value["policy"])
     error = value.get("error")
-
-    def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-    if not (number(index) and not isinstance(index, float) and index >= 0
+    if not (_number(index) and not isinstance(index, float) and index >= 0
             and isinstance(owner, str) and isinstance(replicates, list)
-            and number(aggregate) and isinstance(policy, str)
+            and _number(aggregate) and isinstance(policy, str)
+            and _number(value.get("started_at", 0.0))
+            and _number(value.get("ended_at", 0.0))
             and (error is None or isinstance(error, str))):
         raise LineTypeError(value)
     return Measurement.from_dict(value)
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def line_in_file_reference(m, lines_before) -> None:
+    """Raise LineTypeError when `m`, the measurement of a well-typed line,
+    does not fit the well-typed lines before it in its file (`lines_before`,
+    measurements in file order): its object_id is not the first line's, or,
+    for a measured line (error null), a replicate is not a number or it has
+    not as many replicates as the first measured line."""
+    if lines_before and m.object_id != lines_before[0].object_id:
+        raise LineTypeError(m)
+    if m.error is None:
+        measured = [x for x in lines_before if x.error is None]
+        if not all(map(_number, m.replicates)) or (
+                measured and len(m.replicates) != len(measured[0].replicates)):
+            raise LineTypeError(m)
+
+
+def keyed_rows(results) -> dict[tuple[int, int], Measurement]:
+    """The measured rows of a result set as (ec_index, ordinal) ->
+    Measurement, in row order, each built from its row of the columns."""
+    m = results.measurements
+    return {(index, ordinal): Measurement(index, results.object_id,
+                                          tuple(reps), agg, policy, start, end)
+            for index, ordinal, reps, agg, policy, start, end in zip(
+                m.indices.tolist(), m.ordinals.tolist(), m.replicates.tolist(),
+                m.aggregates.tolist(), m.policies.tolist(),
+                m.started_at.tolist(), m.ended_at.tolist())}
 
 
 def occurrence_keys_reference(indices) -> list[tuple[int, int]]:
@@ -244,7 +274,9 @@ def paired_aggregates_reference(a, b):
             "result sets come from different plans: plan fingerprint "
             f"{a.plan_fingerprint} (a) vs {b.plan_fingerprint} (b)"
         )
-    ma, mb = dict(a.measurements), dict(b.measurements)
+    ma, mb = (dict(zip(zip(m.indices.tolist(), m.ordinals.tolist()),
+                       m.aggregates.tolist()))
+              for m in (a.measurements, b.measurements))
     if ma.keys() != mb.keys():
         missing_a = sorted(mb.keys() - ma.keys())[:5]
         missing_b = sorted(ma.keys() - mb.keys())[:5]
@@ -253,8 +285,8 @@ def paired_aggregates_reference(a, b):
             f"examples missing from a: {missing_a}, from b: {missing_b}"
         )
     keys = sorted(ma)
-    return (keys, np.array([ma[k].aggregate for k in keys], dtype=np.float64),
-            np.array([mb[k].aggregate for k in keys], dtype=np.float64))
+    return (keys, np.array([ma[k] for k in keys], dtype=np.float64),
+            np.array([mb[k] for k in keys], dtype=np.float64))
 
 
 def _odd(x: float) -> bool:

@@ -12,6 +12,7 @@ import ecbench.compare
 from ecbench import demo
 from ecbench.compare import (
     ComparisonReport,
+    GroupMap,
     Verdict,
     asymmetry_report,
     compare_objects,
@@ -76,7 +77,8 @@ class TestCompareObjects:
     def test_group_sizes_sum_to_overall(self):
         a = result_set("a", [float(i) for i in range(10)])
         b = result_set("b", [0.5] * 10)
-        group_by = {(i, 0): ("even" if i % 2 == 0 else "odd") for i in range(10)}
+        group_by = GroupMap(np.arange(10), np.zeros(10, dtype=np.int64),
+                            ["even" if i % 2 == 0 else "odd" for i in range(10)])
         report = compare_objects(a, b, 0.95, group_by=group_by)
         assert sum(g.n for g in report.groups) == report.overall.n
         assert [g.group for g in report.groups] == ["even", "odd"]
@@ -85,13 +87,14 @@ class TestCompareObjects:
         a = result_set("a", [1.0, 2.0])
         b = result_set("b", [1.0, 2.0])
         with pytest.raises(PairingError):
-            compare_objects(a, b, 0.95, group_by={(0, 0): "g"})
+            compare_objects(a, b, 0.95, group_by=GroupMap(
+                np.array([0]), np.array([0]), ["g"]))
 
     def test_report_roundtrip(self):
         a = result_set("a", [5.0, 7.0, 9.0])
         b = result_set("b", [1.0, 2.0, 3.0])
-        report = compare_objects(a, b, 0.99,
-                                 group_by={(i, 0): "g" for i in range(3)})
+        report = compare_objects(a, b, 0.99, group_by=GroupMap(
+            np.arange(3), np.zeros(3, dtype=np.int64), ["g"] * 3))
         again = ComparisonReport.from_dict(report.to_dict())
         assert again == report
 
@@ -312,7 +315,7 @@ class TestWideKeys:
         wide_pair(tmp_path)
         a, _ = load_results(tmp_path / "cpu_a.jsonl")
         b, _ = load_results(tmp_path / "cpu_b.jsonl")
-        columns = a.measurements.columns
+        columns = a.measurements
         assert columns.indices.dtype == object
         assert list(zip(columns.indices.tolist(), columns.ordinals.tolist())) \
             == occurrence_keys_reference(columns.indices.tolist())

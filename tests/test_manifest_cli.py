@@ -28,12 +28,15 @@ from ecbench.manifest import (
     persist_results,
 )
 from ecbench.model import SyntheticModel
-from ecbench.runner import ExecutorSpec, Measurement, execute_plan
+from ecbench.runner import ExecutorSpec, Measurement, ResultSet, execute_plan
 from ecbench.space import Factor, build_space
 from oracles import (
     LineParseError,
     LineTypeError,
+    keyed_rows,
+    line_in_file_reference,
     measurement_reference,
+    occurrence_keys_reference,
     parse_lines_reference,
 )
 from test_golden import persisted_pair
@@ -59,9 +62,40 @@ class TestPersistLoad:
     def test_roundtrip(self, tmp_path):
         results, path = run_demo(tmp_path, demo.OBJECT_A)
         loaded, manifest = load_results(path)
-        assert loaded.measurements == results.measurements
+        assert keyed_rows(loaded) == keyed_rows(results)
         assert loaded.object_id == "cpu_a"
         assert manifest.results_sha256 is not None
+
+    def test_persisting_a_loaded_set_gives_its_file_back(self, tmp_path):
+        # float replicates, both policies, timestamps, repeated indices, an
+        # index past 2^64 (an object index column) and a failure line
+        results = ResultSet(object_id="cpu_a", plan_fingerprint="p")
+        indices = [2**64 + 5, 3, 2**64 + 5, 0, 3, 2**70]
+        for n, key in enumerate(occurrence_keys_reference(indices)):
+            reps = (n + 0.1, -0.0, 1e16 + n, 5e-324)
+            results.add(key, Measurement(
+                key[0], "cpu_a", reps, sum(reps) / 4, ("mean", "median")[n % 2],
+                started_at=n * 1.5, ended_at=n * 1.5 + 0.25))
+        results.failures.append(Measurement(
+            7, "cpu_a", (), float("nan"), "mean", error="exit 1"))
+        manifest = RunManifest(space_fingerprint="s", plan_fingerprint="p",
+                               executor_hash="e",
+                               object_config={"object_id": "cpu_a"})
+        persist_results(results, manifest, tmp_path / "first.jsonl")
+        loaded, recorded = load_results(tmp_path / "first.jsonl")
+        assert loaded.measurements.indices.dtype == object
+        persist_results(loaded, recorded, tmp_path / "second.jsonl")
+        for name in ("{}.jsonl", "{}.jsonl.manifest.json"):
+            assert ((tmp_path / name.format("second")).read_bytes()
+                    == (tmp_path / name.format("first")).read_bytes())
+
+    def test_a_loaded_set_keeps_no_reference_to_the_file_bytes(self, tmp_path):
+        results, path = run_demo(tmp_path, demo.OBJECT_A)
+        data = path.read_bytes()
+        before = sys.getrefcount(data)
+        loaded = parse_results(data, path, "cpu_a", results.plan_fingerprint)
+        assert sys.getrefcount(data) == before
+        assert len(loaded.measurements) == len(results.measurements)
 
     def test_missing_manifest_rejected(self, tmp_path):
         _, path = run_demo(tmp_path, demo.OBJECT_A)
@@ -112,7 +146,8 @@ class TestPersistLoad:
         plan = stratified_sample(space, "workload", 4, 2, seed=9)
         ex = ExecutorSpec(kind="synthetic", model=demo.gaussian_model())
         results = execute_plan(ex, demo.OBJECT_A, space, plan)
-        assert list(results.measurements) != sorted(results.measurements)
+        rows = keyed_rows(results)
+        assert list(rows) != sorted(rows)
         results.failures += [
             Measurement(ec_index=i, object_id="cpu_a", replicates=(),
                         aggregate=float("nan"), policy="mean", error=err)
@@ -126,8 +161,8 @@ class TestPersistLoad:
 
         persist_results(results, manifest(), tmp_path / "all.jsonl")
         writer = ResultWriter(tmp_path / "lines.jsonl", manifest())
-        for key in sorted(results.measurements):
-            writer.write(key, results.measurements[key])
+        for key in sorted(rows):
+            writer.write(key, rows[key])
         for m in results.failures:
             writer.write((m.ec_index, -1), m)
         writer.finalize()
@@ -154,7 +189,8 @@ class TestPersistLoad:
         typed = {"ec_index": 3, "object_id": "cpu_a", "replicates": [1.5, 2.5],
                  "aggregate": 2.0, "policy": "mean"}
         value = st.sampled_from([0, 3, -1, 2**64, 2.5, "5", "cpu_a", "mean",
-                                 True, None, [], [1.5, 2.5], {}])
+                                 True, None, [], [1.5, 2.5], [1.5], [2, 3],
+                                 [1.5, "2.5"], [True, 1.5], [None, 1.5], {}])
         retyped = st.tuples(st.sampled_from([*typed, "error"]), value).map(
             lambda kv: canonical_json({**typed, kv[0]: kv[1]}))
         # space, tab, NBSP, form feed and carriage return: JSON whitespace,
@@ -177,12 +213,12 @@ class TestPersistLoad:
             path.write_bytes(data)
             manifest.results_sha256 = fingerprint_bytes(data)
             manifest_path(path).write_text(json.dumps(manifest.to_dict()))
-            wanted = []
+            seen = []
             try:  # lines are read in order: the first bad line decides
                 for lineno, value in parse_lines_reference(data):
                     m = measurement_reference(value)
-                    if m.error is None:  # failure lines are not measurements
-                        wanted.append(m)
+                    line_in_file_reference(m, seen)
+                    seen.append(m)
             except LineParseError as e:
                 with pytest.raises(FingerprintError) as got:
                     load_results(path)
@@ -196,7 +232,9 @@ class TestPersistLoad:
                     load_results(path)
             else:
                 results, _ = load_results(path)
-                assert list(results.measurements.values()) == wanted
+                # failure lines are not measurements
+                assert list(keyed_rows(results).values()) == [
+                    m for m in seen if m.error is None]
 
         check()
 
@@ -416,7 +454,7 @@ class TestCli:
                      "--out", str(ws / "cpu_a.jsonl"), "--resume"]) == 0
         results, _ = load_results(ws / "cpu_a.jsonl")
         assert len(results.measurements) == 16
-        assert sorted(results.measurements) == sorted(
+        assert sorted(keyed_rows(results)) == sorted(
             plan_group_map_keys(plan))
 
     def test_resume_after_any_truncation_matches_uninterrupted_run(self, workspace):
@@ -758,6 +796,7 @@ class TestIllTypedInputs:
         ("policy", 1), ("object_id", 5), ("ec_index", "5"), ("ec_index", -3),
         ("ec_index", True), ("aggregate", "1.5"), ("aggregate", None),
         ("replicates", 5), ("error", 1), ("error", ["exit 1"]),
+        ("started_at", "0"), ("ended_at", None), ("ended_at", False),
     ])
     def test_result_line_ill_typed_exit_3(self, ran, capsys, line, value):
         path = ran / "cpu_b.jsonl"
@@ -781,6 +820,86 @@ class TestIllTypedInputs:
         code, err = self.call(capsys, self.compare_argv(ran))
         lineno = len(path.read_text().splitlines())
         assert code == 3 and f"integrity error: {path}:{lineno}: " in err
+
+    @pytest.mark.parametrize("value", [
+        ["300", 1.0, 2.0], [True, 1.0, 2.0], [None, 1.0, 2.0],
+        [[1.0], 1.0, 2.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+    ])
+    def test_result_line_replicates_exit_3(self, ran, capsys, value):
+        path = ran / "cpu_b.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["replicates"] = value
+        lines[2] = json.dumps(doc)
+        # a failure line holds no replicates, and no replicate count applies
+        lines.append(json.dumps({**doc, "replicates": [], "error": "exit 1"}))
+        path.write_text("\n".join(lines) + "\n")
+        self.edit(manifest_path(path), lambda m: m.update(
+            results_sha256=fingerprint_bytes(path.read_bytes())))
+        code, err = self.call(capsys, self.compare_argv(ran))
+        assert (code, err) == (
+            3, f"ecbench: integrity error: {path}:3: a measured line holds "
+               f"as many replicates as the first, each a number\n")
+
+    def test_result_line_of_another_object_exit_3(self, ran, capsys):
+        path = ran / "cpu_b.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"cpu_b"', '"cpu_a"')
+        path.write_text("\n".join(lines) + "\n")
+        self.edit(manifest_path(path), lambda m: m.update(
+            results_sha256=fingerprint_bytes(path.read_bytes())))
+        code, err = self.call(capsys, self.compare_argv(ran))
+        assert (code, err) == (
+            3, f"ecbench: integrity error: {path}:3: object_id 'cpu_a', "
+               f"where the first line has 'cpu_b'\n")
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("plan.json", lambda d: d.update(entries=[5]),
+         "plan entries must be a list of JSON objects"),
+        ("plan.json", lambda d: [1], "{path} must hold a JSON object"),
+        ("cpu_a.json", lambda d: d.update(settings=["a"]),
+         "object settings must be a JSON object, not ['a']"),
+        ("cpu_a.json", lambda d: [d], "{path} must hold a JSON object"),
+        ("executor.json", lambda d: [d], "{path} must hold a JSON object"),
+        ("meth.json", lambda d: d["methodologies"],
+         "{path} must hold a JSON object"),
+        ("meth.json", lambda d: d.update(methodologies=[5]),
+         "methodologies must be a list of JSON objects"),
+        ("meth.json", lambda d: d["methodologies"][0].update(params=5),
+         "methodology params must be a JSON object, not 5"),
+        ("model.json", lambda d: [d], "{path} must hold a JSON object"),
+        ("space.json", lambda d: [d], "{path} must hold a JSON object"),
+        ("space.json", lambda d: d.update(factors=[5]),
+         "space factors must be a list of JSON objects"),
+        ("cpu_a.jsonl.manifest.json", lambda d: [1],
+         "{path} must hold a JSON object"),
+    ], ids=["plan_entries", "plan", "object_settings", "object", "executor",
+            "methodologies_file", "methodologies", "methodology_params",
+            "model", "space", "space_factors", "manifest"])
+    def test_file_structure_ill_typed(self, ran, capsys, name, change,
+                                      message):
+        ws = ran
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "full_factorial", "params": {}}]}))
+        doc = json.loads((ws / name).read_text())
+        changed = change(doc)
+        (ws / name).write_text(json.dumps(doc if changed is None else changed))
+        argv = {
+            "space.json": ["space", "info", "--space", ws / "space.json"],
+            "meth.json": None, "model.json": None,
+            "cpu_a.jsonl.manifest.json": self.compare_argv(ws),
+        }.get(name, self.run_argv(ws))
+        if argv is None:
+            argv = ["simulate", "--space", ws / "space.json", "--model",
+                    ws / "model.json", "--methodologies", ws / "meth.json",
+                    "--iterations", "2", "--level", "0.95", "--seed", "1",
+                    "--out", ws / "cov.csv"]
+        code, err = self.call(capsys, argv)
+        kind = "integrity error" if name.endswith(".manifest.json") else "error"
+        assert (code, err.strip()) == (
+            3 if kind == "integrity error" else 2,
+            f"ecbench: {kind}: {message.format(path=ws / name)}")
 
     @pytest.mark.parametrize("field, value, message", [
         ("sigma", "1.0", "noise sigma must be a number, not '1.0'"),
@@ -810,6 +929,31 @@ class TestIllTypedInputs:
         code, err = self.call(capsys, self.run_argv(ws))
         assert (code, f"ecbench: error: {message}") == (2, err.strip())
 
+    @pytest.mark.parametrize("value", ["300", True])
+    @pytest.mark.parametrize("table, doc, label", [
+        ("base", {"exchange2": None}, "base 'exchange2'"),
+        ("effects", {"flags": {"-O2": None}}, "effect 'flags' '-O2'"),
+        ("object_offsets", {"cpu_a": None}, "object offset 'cpu_a'"),
+        ("object_effects", {"cpu_b": {"threads": {"8": None}}},
+         "object 'cpu_b' effect 'threads' '8'"),
+        ("interactions", [{"factors": ["flags", "threads"],
+                           "table": [["-O2", "8", None]]}],
+         "interaction 'flags' x 'threads' ('-O2', '8')"),
+    ])
+    def test_model_table_value_not_a_number(self, workspace, capsys, table,
+                                            doc, label, value):
+        ws = workspace
+        text = json.dumps(doc).replace("null", json.dumps(value))
+        self.edit(ws / "executor.json",
+                  lambda d: d["model"].update({table: json.loads(text)}))
+        stratified_sample(demo.demo_space_720(), "workload", 2, 3, 1).save(
+            ws / "plan.json")
+        code, err = self.call(capsys, self.run_argv(ws))
+        assert (code, err.strip()) == (
+            2, f"ecbench: error: model {label} must be a number, "
+               f"not {value!r}")
+        assert not (ws / "new.jsonl").exists()
+
     @pytest.mark.parametrize("change, message", [
         ({"timeout": "5"}, "executor timeout must be a number, not '5'"),
         ({"timeout": True}, "executor timeout must be a number, not True"),
@@ -834,7 +978,8 @@ class TestIllTypedInputs:
 
 def plan_group_map_keys(plan_path):
     from ecbench.design import SamplePlan
-    return list(plan_group_map(SamplePlan.load(plan_path)))
+    mapping = plan_group_map(SamplePlan.load(plan_path))
+    return list(zip(mapping.indices.tolist(), mapping.ordinals.tolist()))
 
 
 json_docs = st.recursive(
@@ -856,5 +1001,5 @@ def test_plan_group_map_tracks_occurrences():
     space = demo.demo_space_720()
     plan = full_factorial(space, reps=1)
     mapping = plan_group_map(plan)
-    assert len(mapping) == 720
-    assert all(k[1] == 0 for k in mapping)
+    assert len(mapping.codes) == 720
+    assert not mapping.ordinals.any()

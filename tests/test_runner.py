@@ -14,6 +14,8 @@ from ecbench.fingerprints import fingerprint
 from ecbench.model import Interaction, SyntheticModel, counter_normal, synth_time
 from ecbench.runner import (
     ExecutorSpec,
+    Measurement,
+    ResultSet,
     aggregate,
     execute_plan,
     index_column,
@@ -23,6 +25,7 @@ from ecbench.runner import (
 from ecbench.space import Factor, ObjectConfig, build_space
 from oracles import (
     flat_noise_layout,
+    keyed_rows,
     occurrence_keys_reference,
     simulate_aggregates_reference,
 )
@@ -179,7 +182,7 @@ class TestCardinalityLimit:
         rs = execute_plan(ex, ObjectConfig("o"), space, plan)
         expected = tuple(synth_time(self.model, space, ObjectConfig("o"),
                                     space.config_at(last), r) for r in range(2))
-        assert rs.measurements[(last, 0)].replicates == expected
+        assert keyed_rows(rs)[(last, 0)].replicates == expected
         assert all(v != 20.0 for v in expected)
 
 
@@ -232,7 +235,7 @@ class TestExecutePlan:
         ex = ExecutorSpec(kind="synthetic", model=demo.gaussian_model())
         r1 = execute_plan(ex, demo.OBJECT_A, space, plan)
         r2 = execute_plan(ex, demo.OBJECT_A, space, plan)
-        assert r1.measurements == r2.measurements
+        assert keyed_rows(r1) == keyed_rows(r2)
 
     def test_fingerprint_mismatch_rejected(self):
         space = demo.demo_space_720()
@@ -281,10 +284,10 @@ class TestExecutePlan:
         seen = []
         rs = execute_plan(ex, ObjectConfig("o"), space, dup,
                           on_measurement=lambda key, m: seen.append((key, m)))
-        assert set(rs.measurements) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        # one callback per entry, in plan order, after the result set has it
+        assert set(keyed_rows(rs)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        # one callback per entry, in plan order, with the row the set holds
         assert [key for key, _ in seen] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert all(rs.measurements[key] is m for key, m in seen)
+        assert all(keyed_rows(rs)[key] == m for key, m in seen)
 
     def test_already_done_keys_are_skipped(self):
         space = one_point_space()
@@ -294,7 +297,7 @@ class TestExecutePlan:
         rs = execute_plan(ex, ObjectConfig("o"), space, plan,
                           on_measurement=lambda key, m: seen.append(key),
                           already_done={(0, 0)})
-        assert seen == [(1, 0)] and set(rs.measurements) == {(1, 0)}
+        assert seen == [(1, 0)] and set(keyed_rows(rs)) == {(1, 0)}
 
     @pytest.mark.parametrize("skip_failures", [False, True])
     def test_out_of_range_entry_fails_before_any_measurement(self, skip_failures):
@@ -373,14 +376,41 @@ def test_batched_plan_matches_scalar_reference(model_name, obj, plan_kind):
     for policy in ("mean", "median"):
         rs = execute_plan(ex, obj, space, plan, policy=policy)
         assert len(rs.measurements) == len(plan.entries)
-        for (idx, _), m in rs.measurements.items():
+        for (idx, _), m in keyed_rows(rs).items():
             assert m.replicates == expected[idx]
             assert m.aggregate == aggregate(list(expected[idx]), policy)
             assert m.policy == policy
         for e in plan.entries[:3]:
             single = measure(ex, obj, space, space.config_at(e.ec_index),
                              plan.reps, policy)
-            assert single == rs.measurements[(e.ec_index, 0)]
+            assert single == keyed_rows(rs)[(e.ec_index, 0)]
+
+
+def test_added_rows_join_the_columns_in_order():
+    rs = ResultSet(object_id="o", plan_fingerprint="p")
+    rs.add((3, 0), Measurement(3, "o", (1.0, 2.0), 1.5, "mean", 0.5, 0.75))
+    assert rs.measurements.indices.dtype == np.int64
+    # a second batch, past int64, joins the columns the first one made
+    for key in ((2**64, 0), (3, 1)):
+        rs.add(key, Measurement(key[0], "o", (4.0, 5.0), 4.5, "median"))
+    assert len(rs.measurements) == 3
+    m = rs.measurements
+    assert m.indices.tolist() == [3, 2**64, 3] and m.indices.dtype == object
+    assert m.ordinals.tolist() == [0, 0, 1]
+    assert m.replicates.tolist() == [[1.0, 2.0], [4.0, 5.0], [4.0, 5.0]]
+    assert m.policies.tolist() == ["mean", "median", "median"]
+    assert m.started_at.tolist() == [0.5, 0.0, 0.0]
+
+
+def test_result_set_refuses_a_duplicate_key_or_another_objects_row():
+    rs = ResultSet(object_id="o", plan_fingerprint="p")
+    rs.add((3, 0), Measurement(3, "o", (1.0,), 1.0, "mean"))
+    with pytest.raises(ExecutionError, match=r"duplicate measurement key \(3, 0\)"):
+        rs.add((3, 0), Measurement(3, "o", (2.0,), 2.0, "mean"))
+    with pytest.raises(ExecutionError, match="of object 'x' added to the "
+                                             "result set of 'o'"):
+        rs.add((4, 0), Measurement(4, "x", (2.0,), 2.0, "mean"))
+    assert len(rs.measurements) == 1
 
 
 def test_full_factorial_sigma_zero_matches_analytic():
@@ -400,7 +430,7 @@ def test_full_factorial_sigma_zero_matches_analytic():
     expected = compiled.deterministic_values(
         np.arange(720, dtype=np.int64), "cpu_b"
     )
-    for (idx, _), m in rs.measurements.items():
+    for (idx, _), m in keyed_rows(rs).items():
         assert m.aggregate == pytest.approx(expected[idx], rel=1e-12)
 
 

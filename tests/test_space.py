@@ -11,7 +11,6 @@ from ecbench.space import (
     Configuration,
     Factor,
     ObjectConfig,
-    apply_to_object,
     build_space,
 )
 
@@ -174,24 +173,9 @@ class TestRestrictTopN:
             assert space.restrict_top_n(cov).cardinality <= space.cardinality
 
 
-class TestMesPoint:
-    def test_pairing(self):
-        space = _space(2, 3)
-        obj = ObjectConfig("cpu_x")
-        ec = space.config_at(0)
-        mes = apply_to_object(obj, ec)
-        assert mes.obj is obj and mes.ec is ec
-
-    def test_two_objects_same_ec(self):
-        space = _space(2, 3)
-        ec = space.config_at(5)
-        m1 = apply_to_object(ObjectConfig("a"), ec)
-        m2 = apply_to_object(ObjectConfig("b"), ec)
-        assert m1.ec == m2.ec and m1.obj != m2.obj
-
-    def test_empty_object_id_rejected(self):
-        with pytest.raises(SpaceError):
-            ObjectConfig("")
+def test_empty_object_id_rejected():
+    with pytest.raises(SpaceError):
+        ObjectConfig("")
 
 
 def test_space_json_roundtrip(tmp_path):

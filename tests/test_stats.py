@@ -21,7 +21,6 @@ from ecbench.stats import (
     geometric_mean,
     mean_ci_from_array,
     mean_intervals,
-    summary,
     t_quantile,
     welch_bounds,
     welch_interval,
@@ -46,20 +45,7 @@ def result_set(object_id: str, values: list[float]) -> ResultSet:
     return rs
 
 
-class TestSummary:
-    def test_basic(self):
-        s = summary(Sample((1.0, 2.0, 3.0, 4.0)))
-        assert s.mean == 2.5
-        assert s.median == 2.5
-        assert s.std == pytest.approx(statistics.stdev([1, 2, 3, 4]))
-        assert s.geometric_mean == pytest.approx((24.0) ** 0.25)
-
-    def test_geomean_none_with_nonpositive(self):
-        assert summary(Sample((1.0, -2.0))).geometric_mean is None
-
-    def test_singleton_std_zero(self):
-        assert summary(Sample((7.0,))).std == 0.0
-
+class TestSample:
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
             Sample(())
