@@ -51,13 +51,8 @@ from .manifest import (
 )
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
-from .runner import (
-    ExecutorSpec,
-    execute_plan,
-    index_column,
-    occurrence_ordinals,
-)
-from .space import ConfigSpace, ObjectConfig
+from .runner import ExecutorSpec, execute_plan, occurrence_ordinals
+from .space import ConfigSpace, ObjectConfig, index_column
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -12,9 +12,8 @@ Each random design has one draw path, a function that returns index arrays
 generators wrap it, and the Monte Carlo oracle calls it directly. A stratified
 draw, and each rct rejection round, makes one `rng.integers` call over the
 radices of every free factor of every index; a 2^k draw makes one call per
-low set and one per high set, to pick each representative. Indices are
-int64 up to 2^63 - 1 points and Python ints (object arrays) beyond, up to the
-2^128 - 1 limit of a space.
+low set and one per high set, to pick each representative. The indices are
+composed by `ConfigSpace.indices_of`: `ecbench.space` owns their format.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ import numpy as np
 
 from .errors import PlanError, check_objects, check_type, read_object
 from .fingerprints import canonical_column, fingerprint, fingerprint_bytes
-from .space import ConfigSpace, Configuration
+from .space import ConfigSpace, Configuration, index_column
 
 FULL_FACTORIAL_CAP = 10**6
-INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,22 +177,6 @@ def space_fingerprint(space: ConfigSpace) -> str:
     return space._fingerprint
 
 
-def _index_dtype(space: ConfigSpace) -> type:
-    """int64 while every index fits, Python ints (object arrays) beyond."""
-    return np.int64 if space.cardinality <= INT64_MAX else object
-
-
-def _compose(space: ConfigSpace, levels: list) -> np.ndarray:
-    """Mixed-radix index of each row of per-factor level arrays (one per
-    factor, in factor order, broadcast against each other)."""
-    dtype = _index_dtype(space)
-    index = np.zeros((), dtype=dtype)
-    for f, level in zip(space.factors, levels):
-        level = np.asarray(level).astype(dtype) if dtype is object else level
-        index = index * len(f.levels) + level
-    return index
-
-
 def _random_indices(space: ConfigSpace, rng: np.random.Generator, count: int,
                     pinned: dict | None = None) -> np.ndarray:
     """`count` uniform indices from one draw: a level for every free factor of
@@ -205,8 +187,8 @@ def _random_indices(space: ConfigSpace, rng: np.random.Generator, count: int,
     pinned = pinned or {}
     free = [len(f.levels) for f in space.factors if f.name not in pinned]
     draws = iter(rng.integers(0, free, size=(count, len(free))).T if free else ())
-    return _compose(space, [pinned[f.name] if f.name in pinned else next(draws)
-                            for f in space.factors])
+    return space.indices_of([pinned[f.name] if f.name in pinned
+                             else next(draws) for f in space.factors])
 
 
 def _plan(design: str, indices: np.ndarray, reps: int, seed: int, fp: str,
@@ -277,7 +259,7 @@ def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
             levels.append(np.where(bit == 1, hi, lo))
         else:
             levels.append(np.full(2**k, defaults[f.name]))
-    return _compose(space, levels)
+    return space.indices_of(levels)
 
 
 def factorial_2k(space: ConfigSpace, split: FactorSplit,
@@ -286,18 +268,15 @@ def factorial_2k(space: ConfigSpace, split: FactorSplit,
                  reps, seed, space_fingerprint(space))
 
 
-def full_factorial_indices(space: ConfigSpace,
-                           cap: int = FULL_FACTORIAL_CAP) -> np.ndarray:
-    if space.cardinality > cap:
-        raise PlanError(
-            f"cardinality {space.cardinality} exceeds the full-factorial cap {cap}"
-        )
+def full_factorial_indices(space: ConfigSpace) -> np.ndarray:
+    if space.cardinality > FULL_FACTORIAL_CAP:
+        raise PlanError(f"cardinality {space.cardinality} exceeds the "
+                        f"full-factorial cap {FULL_FACTORIAL_CAP}")
     return np.arange(space.cardinality, dtype=np.int64)
 
 
-def full_factorial(space: ConfigSpace, reps: int,
-                   cap: int = FULL_FACTORIAL_CAP) -> SamplePlan:
-    return _plan("full_factorial", full_factorial_indices(space, cap), reps, 0,
+def full_factorial(space: ConfigSpace, reps: int) -> SamplePlan:
+    return _plan("full_factorial", full_factorial_indices(space), reps, 0,
                  space_fingerprint(space))
 
 
@@ -320,7 +299,7 @@ def rct_indices(space: ConfigSpace, per_arm: int,
             if idx not in seen:
                 seen.add(idx)
                 drawn.append(idx)
-    shuffled = np.array(drawn, dtype=_index_dtype(space))[
+    shuffled = np.array(drawn, dtype=space.index_dtype)[
         rng.permutation(2 * per_arm)]
     return shuffled[:per_arm], shuffled[per_arm:]
 
@@ -373,8 +352,8 @@ DESIGNS = {d.name: d for d in (
     Design("rct_arm", "rct", ("per_arm",), ("reps",),
            lambda space, p, seed: rct_indices(space, p["per_arm"], seed)),
     Design("spec_point", "spec-point", ("recommended_index",), ("margin",),
-           lambda space, p, seed: np.array([p["recommended_index"]],
-                                           dtype=np.int64),
+           lambda space, p, seed: space.check_indices(
+               index_column([p["recommended_index"]])),
            reps=3, policy="median"),
 )}
 

@@ -27,13 +27,8 @@ from .fingerprints import (
     indented_json,
 )
 from .oracle import CoverageResult
-from .runner import (
-    Measurement,
-    Measurements,
-    ResultSet,
-    index_column,
-    occurrence_ordinals,
-)
+from .runner import Measurement, Measurements, ResultSet, occurrence_ordinals
+from .space import index_column
 
 
 def manifest_path(results_path: str | Path) -> Path:

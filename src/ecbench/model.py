@@ -31,7 +31,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 MIN_DURATION = 1e-9
 NOISE_CLIP_SIGMA = 6.0
-MAX_CARDINALITY = 2**63 - 1
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -222,17 +221,14 @@ class CompiledModel:
     numpy vectors for vectorized evaluation over arrays of ec indices."""
 
     def __init__(self, model: SyntheticModel, space: ConfigSpace):
-        # indices are decoded and keyed into the noise stream as 64-bit ints
-        if space.cardinality > MAX_CARDINALITY:
+        # indices are keyed into the noise stream as 64-bit ints
+        if space.index_dtype is object:
             raise SpaceError(
                 f"cardinality {space.cardinality} exceeds the synthetic "
                 f"model limit of 2^63 - 1 points"
             )
         self.model = model
         self.space = space
-        self._radices = np.array(
-            [len(f.levels) for f in space.factors], dtype=np.int64
-        )
         # the stratum bases, then the per-factor effects: dense tables
         ((self._strat_pos, self._base),) = _level_vectors(
             space, ((model.stratum_factor, model.base),), "model base",
@@ -259,21 +255,10 @@ class CompiledModel:
                  space.factor_position(it.factor_b), mat)
             )
 
-    def decode_levels(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized mixed-radix decode; shape (n_factors, *indices.shape)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        out = np.empty((len(self._radices),) + idx.shape, dtype=np.int64)
-        rem = idx.copy()
-        for pos in range(len(self._radices) - 1, -1, -1):
-            m = self._radices[pos]
-            out[pos] = rem % m
-            rem //= m
-        return out
-
     def deterministic_values(self, indices: np.ndarray, object_id: str) -> np.ndarray:
         """Noise-free model value at each index (the per-point true value), in
-        the shape of `indices`."""
-        levels = self.decode_levels(indices)
+        the shape of `indices`, which the space range-checks."""
+        levels = self.space.level_columns(indices)
         vals = self._base[levels[self._strat_pos]].copy()
         for pos, vec in self._effect_vectors:
             vals += vec[levels[pos]]

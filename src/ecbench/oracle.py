@@ -277,10 +277,9 @@ def best_level_report(results: ResultSet, space: ConfigSpace,
 
     sums: dict[tuple[int, int], list[float]] = {}
     m = results.measurements
-    for index, aggregate in zip(m.indices.tolist(), m.aggregates.tolist()):
-        cfg = space.config_at(index)
-        g = cfg.assignments[g_pos][1]
-        t = cfg.assignments[t_pos][1]
+    levels = space.level_columns(m.indices)
+    for g, t, aggregate in zip(levels[g_pos].tolist(), levels[t_pos].tolist(),
+                               m.aggregates.tolist()):
         sums.setdefault((g, t), []).append(aggregate)
 
     rows: list[tuple[str, str]] = []

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExecutionError, FingerprintError, SpaceError, check_type
+from .errors import ExecutionError, FingerprintError, check_type
 # fingerprint stays bound here: benchmarks/tracing.py patches runner.fingerprint
 from .fingerprints import fingerprint  # noqa: F401
 from .design import SamplePlan, space_fingerprint
 # synth_time stays bound here: benchmarks/tracing.py patches runner.synth_time
 from .model import SyntheticModel, synth_time  # noqa: F401
-from .space import ConfigSpace, Configuration, ObjectConfig
+from .space import ConfigSpace, Configuration, ObjectConfig, index_column
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,19 @@ class Measurement:
                    doc.get("ended_at", 0.0), doc.get("error"))
 
 
+_REPLICATES = ("a measured row holds as many replicates as the first, each "
+               "a number")
+
+
 class Measurements:
     """The measured rows of a result set, as columns in row order: `indices`
     (as `index_column` gives them), `ordinals` (occurrence ordinals, int64),
     `aggregates` (float64), `replicates` (float64, a row per measurement),
     `policies` (a string per row, dtype object), `started_at` and
     `ended_at` (float64). Rows `add`ed one at a time wait in a buffer that
-    joins the columns when one is next read; `len` reads no column."""
+    joins the columns when one is next read; `len` reads no column. `add`
+    refuses a row unless its replicates are numbers (not bools), as many as
+    the first row's."""
 
     # column i of `_folded()`, read-only
     (indices, ordinals, aggregates, replicates, policies, started_at,
@@ -144,13 +150,23 @@ class Measurements:
         self._columns = columns or _columns_of([], [])
         self._added: list[tuple[tuple[int, int], Measurement]] = []
         self._keys: set[tuple[int, int]] | None = None
+        self._width: int | None = None  # replicates per row, once one is known
 
     def add(self, key: tuple[int, int], m: Measurement) -> None:
         if self._keys is None:
             self._keys = set(zip(self.indices.tolist(),
                                  self.ordinals.tolist()))
+            self._width = self.replicates.shape[1] if self._keys else None
         if key in self._keys:
             raise ExecutionError(f"duplicate measurement key {key}")
+        if self._width not in (None, len(m.replicates)):
+            raise ExecutionError(f"measurement key {key}: {_REPLICATES}")
+        for value in m.replicates:  # a float, the common case, needs one test
+            if type(value) is not float and (
+                    type(value) is bool
+                    or not isinstance(value, numbers.Real)):
+                raise ExecutionError(f"measurement key {key}: {_REPLICATES}")
+        self._width = len(m.replicates)
         self._keys.add(key)
         self._added.append((key, m))
 
@@ -195,15 +211,6 @@ class ResultSet:
                                  f"added to the result set of "
                                  f"{self.object_id!r}")
         self.measurements.add(key, m)
-
-
-def index_column(indices: list[int]) -> np.ndarray:
-    """The non-negative int indices as int64, or, when one is 2^63 or more,
-    as an object array of the values themselves."""
-    try:
-        return np.array(indices, dtype=np.int64)
-    except OverflowError:
-        return np.fromiter(indices, dtype=object, count=len(indices))
 
 
 def occurrence_ordinals(indices: np.ndarray) -> np.ndarray:
@@ -254,20 +261,11 @@ def _synthetic_replicates(model: SyntheticModel, obj: ObjectConfig,
                           space: ConfigSpace, indices: list[int],
                           reps: int) -> list[list[float]]:
     """Replicate values per index from one compile and one model evaluation;
-    bit-identical to `synth_time` called once per replicate."""
-    for index in indices:
-        if not 0 <= index < space.cardinality:
-            raise SpaceError(
-                f"index {index} out of range for cardinality {space.cardinality}"
-            )
-    if not indices:
-        return []
+    bit-identical to `synth_time` called once per replicate. The compile
+    refuses a space over the model's limit before any index is converted."""
     compiled = model.compile(space)
-    vals = compiled.noisy_values(
-        np.array(indices, dtype=np.int64)[:, None], obj.object_id,
-        np.arange(reps, dtype=np.int64),
-    )
-    return vals.tolist()
+    return compiled.noisy_values(index_column(indices)[:, None], obj.object_id,
+                                 np.arange(reps, dtype=np.int64)).tolist()
 
 
 def _synthetic_measurement(ec_index: int, obj: ObjectConfig,

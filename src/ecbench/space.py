@@ -3,6 +3,10 @@
 A space is never materialized: points are addressed by a mixed-radix index
 (declared factor order, last factor varies fastest), so billion-scale spaces
 cost nothing beyond their factor definitions.
+
+This module alone knows the index format: `ConfigSpace` decodes, encodes
+and range-checks indices, one at a time or as arrays, which hold int64 up to
+2^63 - 1 points and Python ints beyond (`index_dtype`, `index_column`).
 """
 
 from __future__ import annotations
@@ -10,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SpaceError, check_objects, check_type, read_object
 from .fingerprints import indented_json
 
 MAX_CARDINALITY = 2**128 - 1
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,7 @@ class ConfigSpace:
                 raise SpaceError("cardinality exceeds 2^128 - 1")
         self.factors = tuple(factors)
         self.cardinality = card
+        self.index_dtype = np.int64 if card <= INT64_MAX else object
         self._by_name = {f.name: f for f in self.factors}
         self._fingerprint: str | None = None  # design.space_fingerprint's cache
 
@@ -129,6 +137,26 @@ class ConfigSpace:
             rem //= m
         return Configuration(assignments=tuple(reversed(rev)), index=index)
 
+    def check_indices(self, indices) -> np.ndarray:
+        """`indices` as an array, after `config_at`'s range check of each: the
+        first (in C order) outside the space raises `config_at`'s error."""
+        idx = np.asarray(indices)
+        bad = (idx < 0) | (idx >= self.cardinality)
+        if bad.any():
+            raise SpaceError(f"index {idx.flat[np.argmax(bad)]} out of range "
+                             f"for cardinality {self.cardinality}")
+        return idx
+
+    def level_columns(self, indices) -> np.ndarray:
+        """Vectorised `config_at`, after `check_indices`: the int64 level of
+        each factor at each index, shape (n_factors, *indices.shape)."""
+        rem = self.check_indices(indices).astype(self.index_dtype)
+        out = np.empty((len(self.factors),) + rem.shape, dtype=np.int64)
+        for pos, f in reversed(list(enumerate(self.factors))):
+            out[pos] = rem % len(f.levels)
+            rem //= len(f.levels)
+        return out
+
     def index_of(self, config: Configuration) -> int:
         """Inverse of config_at (ignores the config's own index field)."""
         if len(config.assignments) != len(self.factors):
@@ -144,6 +172,16 @@ class ConfigSpace:
                 raise SpaceError(
                     f"level index {level} out of range for factor {name!r}"
                 )
+            index = index * len(f.levels) + level
+        return index
+
+    def indices_of(self, levels) -> np.ndarray:
+        """Vectorised `index_of`: the index of each row of per-factor level
+        index arrays (one per factor, in factor order, broadcast against
+        each other), as `index_dtype`. The levels are not range-checked."""
+        index = np.zeros((), dtype=self.index_dtype)
+        for f, level in zip(self.factors, levels):
+            level = np.asarray(level).astype(self.index_dtype, copy=False)
             index = index * len(f.levels) + level
         return index
 
@@ -227,6 +265,15 @@ class ConfigSpace:
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSpace":
         return cls.from_dict(read_object(path, SpaceError))
+
+
+def index_column(indices: list[int]) -> np.ndarray:
+    """The non-negative int indices as int64, or, when one is 2^63 or more,
+    as an object array of the values themselves."""
+    try:
+        return np.array(indices, dtype=np.int64)
+    except OverflowError:
+        return np.fromiter(indices, dtype=object, count=len(indices))
 
 
 def build_space(factors: list[Factor] | tuple[Factor, ...]) -> ConfigSpace:

@@ -1,5 +1,6 @@
 """Every import in `src/ecbench` is used, unless its statement carries
-`# noqa: F401` (a name kept bound for callers outside the module)."""
+`# noqa: F401` (a name kept bound for callers outside the module), and every
+private module-level name there is read somewhere in `src/ecbench`."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,51 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each private module-level function, class or
+    constant of `sources` (module name to text) that no module reads: as a
+    name, an attribute or an import."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [n.id for t in node.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{module}: {name}"] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [where for where, name in defined.items() if name not in read]
+
+
+def test_the_check_finds_a_dead_helper():
+    sources = {
+        "a": ("_USED, _DEAD = 1, 2\n_ALSO: int = 3\n__version__ = '1'\n"
+              "def _orphan():\n    return _USED\n"
+              "class _Kept:\n    pass\n"
+              "def public():\n    return _Kept\n"),
+        "b": "from .a import _ALSO\nimport a\nx = a._called()\n"
+             "def _called():\n    return 0\n",
+    }
+    assert dead_helpers(sources) == ["a: _DEAD", "a: _orphan"]
+
+
+def test_no_dead_private_helpers():
+    assert dead_helpers({path.stem: path.read_text()
+                         for path in sorted(SRC.glob("*.py"))}) == []

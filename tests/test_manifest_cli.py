@@ -14,7 +14,12 @@ import ecbench
 from ecbench import demo
 from ecbench.cli import main, plan_group_map
 from ecbench.compare import compare_objects
-from ecbench.design import SamplePlan, full_factorial, stratified_sample
+from ecbench.design import (
+    PlanEntry,
+    SamplePlan,
+    full_factorial,
+    stratified_sample,
+)
 from ecbench.errors import FingerprintError
 from ecbench.fingerprints import canonical_json, fingerprint, fingerprint_bytes
 from ecbench.manifest import (
@@ -566,7 +571,9 @@ class TestCli:
         ])
         assert space.cardinality == 2 * 100**11
         space.save(tmp_path / "space.json")
-        stratified_sample(space, "workload", 2, 1, seed=1).save(tmp_path / "plan.json")
+        plan = stratified_sample(space, "workload", 2, 1, seed=1)
+        assert any(e.ec_index >= 2**63 for e in plan.entries)
+        plan.save(tmp_path / "plan.json")
         model = SyntheticModel(stratum_factor="workload",
                                base=(("w1", 1.0), ("w2", 2.0)), sigma=0.1)
         ex = ExecutorSpec(kind="synthetic", model=model)
@@ -586,6 +593,52 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "2^63 - 1" in proc.stderr
+
+    def test_synthetic_run_of_an_index_past_int64_exits_2(self, tmp_path,
+                                                         capsys):
+        # the space is within the model limit; the plan's last index is past
+        # both the space and int64
+        space = build_space([Factor("workload", ("w1", "w2"))] + [
+            Factor(f"f{i}", ("0", "1")) for i in range(61)])
+        space.save(tmp_path / "space.json")
+        SamplePlan(design="stratified",
+                   entries=(PlanEntry(0, "w1"), PlanEntry(2**63 + 1, "w2")),
+                   reps=1, seed=0,
+                   space_fingerprint=fingerprint(space.to_dict()),
+                   ).save(tmp_path / "plan.json")
+        model = SyntheticModel(stratum_factor="workload",
+                               base=(("w1", 1.0), ("w2", 2.0)), sigma=0.1)
+        (tmp_path / "executor.json").write_text(json.dumps(
+            ExecutorSpec(kind="synthetic", model=model).to_dict()))
+        (tmp_path / "o.json").write_text(json.dumps({"object_id": "o"}))
+        capsys.readouterr()
+        assert main(["run", "--space", str(tmp_path / "space.json"),
+                     "--plan", str(tmp_path / "plan.json"),
+                     "--executor", str(tmp_path / "executor.json"),
+                     "--object", str(tmp_path / "o.json"),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert (f"ecbench: error: index {2**63 + 1} out of range for "
+                f"cardinality {2**62}") in capsys.readouterr().err
+        assert (tmp_path / "o.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("index", [-1, 720, 2**70])
+    def test_simulate_refuses_a_recommended_index_outside_the_space(
+            self, workspace, capsys, index):
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "spec_point",
+                               "params": {"recommended_index": index}}],
+        }))
+        capsys.readouterr()
+        assert main(["simulate", "--space", str(ws / "space.json"),
+                     "--model", str(ws / "model.json"),
+                     "--methodologies", str(ws / "meth.json"),
+                     "--iterations", "5", "--level", "0.95", "--seed", "1",
+                     "--out", str(ws / "cov.csv")]) == 2
+        assert (f"ecbench: error: index {index} out of range for cardinality "
+                f"720") in capsys.readouterr().err
+        assert not (ws / "cov.csv").exists()
 
     def test_simulate_and_report(self, workspace, capsys):
         ws = workspace

@@ -16,7 +16,7 @@ from ecbench.oracle import (
     population_mean,
 )
 from ecbench.runner import Measurement, ResultSet
-from ecbench.space import Factor, build_space
+from ecbench.space import ConfigSpace, Factor, build_space
 from oracles import brute_force_population_mean
 
 # model.values counted by the benchmark tracer for the simulate call in
@@ -229,6 +229,26 @@ class TestBestLevelReport:
                                            policy="mean"))
         rows = best_level_report(rs, space, "threads", "dataset")
         assert rows == [("d2", "4")]
+
+    def test_decodes_columns_past_2_pow_64(self, monkeypatch):
+        # 64 binary factors below dataset and threads: every index is held
+        # in an object array, and the report reads levels from the columns
+        space = build_space([*self.space().factors, *(
+            Factor(f"b{i}", ("0", "1")) for i in range(64))])
+        rs = ResultSet(object_id="o", plan_fingerprint="t")
+        for d, row in enumerate([[9.0, 3.0, 5.0], [2.0, 8.0, 7.0]]):
+            for t, v in enumerate(row):
+                for low, shift in ((0, 0.0), (2**64 - 1, 1.0)):
+                    i = (d * 3 + t) * 2**64 + low
+                    rs.add((i, 0), Measurement(i, "o", (v + shift,), v + shift,
+                                               "mean"))
+        assert rs.measurements.indices.dtype == object
+
+        def no_scalar_decode(self, index):
+            raise AssertionError("config_at called")
+        monkeypatch.setattr(ConfigSpace, "config_at", no_scalar_decode)
+        rows = best_level_report(rs, space, "threads", "dataset")
+        assert rows == [("d1", "2"), ("d2", "1")]
 
 
 def test_gaussian_stratified_coverage_sane_small_run():

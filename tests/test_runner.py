@@ -11,6 +11,7 @@ from ecbench import demo, oracle
 from ecbench.design import PlanEntry, SamplePlan, full_factorial, stratified_sample
 from ecbench.errors import ExecutionError, FingerprintError, SpaceError
 from ecbench.fingerprints import fingerprint
+from ecbench.manifest import measurement_line, parse_results
 from ecbench.model import Interaction, SyntheticModel, counter_normal, synth_time
 from ecbench.runner import (
     ExecutorSpec,
@@ -18,11 +19,10 @@ from ecbench.runner import (
     ResultSet,
     aggregate,
     execute_plan,
-    index_column,
     measure,
     occurrence_ordinals,
 )
-from ecbench.space import Factor, ObjectConfig, build_space
+from ecbench.space import Factor, ObjectConfig, build_space, index_column
 from oracles import (
     flat_noise_layout,
     keyed_rows,
@@ -413,6 +413,30 @@ def test_result_set_refuses_a_duplicate_key_or_another_objects_row():
     assert len(rs.measurements) == 1
 
 
+def test_result_set_refuses_replicates_a_file_could_not_hold():
+    refused = r"measurement key \({}, 0\): a measured row holds as many " \
+              r"replicates as the first, each a number"
+    rs = ResultSet(object_id="o", plan_fingerprint="p")
+    for bad in (("1.5", 2.0), (True, 2.0), (np.True_, 2.0), (None,)):
+        with pytest.raises(ExecutionError, match=refused.format(3)):
+            rs.add((3, 0), Measurement(3, "o", bad, 1.5, "mean"))
+    # the key is still free; ints and numpy numbers are numbers
+    rs.add((3, 0), Measurement(3, "o", (np.float64(1.0), 2), 1.5, "mean"))
+    for bad in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ExecutionError, match=refused.format(4)):
+            rs.add((4, 0), Measurement(4, "o", bad, 1.0, "mean"))
+    assert rs.measurements.replicates.tolist() == [[1.0, 2.0]]
+    # a set loaded from a file takes its width from the file's rows
+    loaded = parse_results(measurement_line(
+        Measurement(5, "o", (1.0, 2.0, 3.0), 2.0, "mean")).encode(),
+        "r.jsonl", "o", "p")
+    with pytest.raises(ExecutionError, match=refused.format(6)):
+        loaded.add((6, 0), Measurement(6, "o", (1.0, 2.0), 1.5, "mean"))
+    loaded.add((6, 0), Measurement(6, "o", (4.0, 5.0, 6.0), 5.0, "mean"))
+    assert loaded.measurements.replicates.tolist() == [[1.0, 2.0, 3.0],
+                                                       [4.0, 5.0, 6.0]]
+
+
 def test_full_factorial_sigma_zero_matches_analytic():
     # oracle equivalence: noiseless execution reproduces the model surface
     space = demo.demo_space_720()
@@ -551,9 +575,9 @@ def test_broadcast_noisy_values_match_flat_layout(case, noisy, data):
     object_id = data.draw(st.sampled_from(OBJECTS), label="object_id")
     k, n = indices.shape
 
-    levels = compiled.decode_levels(indices)
-    assert same_bits(levels, compiled.decode_levels(indices.ravel()).reshape(
-        (len(compiled.space.factors), k, n)))
+    levels = compiled.space.level_columns(indices)
+    assert same_bits(levels, compiled.space.level_columns(
+        indices.ravel()).reshape((len(compiled.space.factors), k, n)))
     det = compiled.deterministic_values(indices, object_id)
     assert same_bits(det, compiled.deterministic_values(
         indices.ravel(), object_id).reshape(k, n))

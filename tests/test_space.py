@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 from ecbench import demo
 from ecbench.errors import SpaceError
 from ecbench.space import (
+    MAX_CARDINALITY,
     ConfigSpace,
     Configuration,
     Factor,
     ObjectConfig,
     build_space,
+    index_column,
 )
 
 
@@ -130,6 +133,74 @@ def test_bijection_on_random_indices(sizes, data):
     space = _space(*sizes)
     index = data.draw(st.integers(min_value=0, max_value=space.cardinality - 1))
     assert space.index_of(space.config_at(index)) == index
+
+
+# level counts of spaces at the int64 edge: 2^62, 3^39 * 2 and 2^63 - 2^60
+# (a little under 2^63), then 2^63, 3^40 and 2^64, and up to 2^127 and 255^16
+EDGE_SIZES = ([2] * 62, [3] * 39 + [2], [2] * 60 + [7], [2] * 63, [3] * 40,
+              [2] * 64, [2] * 127, [255] * 16)
+
+
+@st.composite
+def large_spaces(draw):
+    """A space of up to 2^128 - 1 points: factors of 1 to 300 levels, taken
+    in order while the product stays within the limit, or an `EDGE_SIZES`
+    space."""
+    sizes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=40)
+                 | st.sampled_from(EDGE_SIZES))
+    kept, card = [], 1
+    for size in sizes:
+        if card * size > MAX_CARDINALITY:
+            break
+        kept.append(size)
+        card *= size
+    return _space(*kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=large_spaces(), data=st.data())
+def test_index_columns_match_the_scalar_codec(space, data):
+    card = space.cardinality
+    assert space.index_dtype is (np.int64 if card <= 2**63 - 1 else object)
+    indices = data.draw(st.lists(st.integers(0, card - 1), max_size=8),
+                        label="indices")
+    levels = space.level_columns(index_column(indices))
+    assert levels.dtype == np.int64
+    assert levels.shape == (len(space.factors), len(indices))
+    for i, index in enumerate(indices):
+        assert levels[:, i].tolist() == [
+            level for _, level in space.config_at(index).assignments]
+    assert space.indices_of(levels).tolist() == indices  # the round trip
+    twice = space.level_columns(index_column(indices * 2).reshape(2, -1))
+    assert twice.tolist() == np.stack([levels, levels], axis=1).tolist()
+
+    names = [f.name for f in space.factors]
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, len(f.levels) - 1)
+                                          for f in space.factors)),
+                              min_size=1, max_size=8), label="levels")
+    composed = space.indices_of([np.array(col) for col in zip(*rows)])
+    assert composed.dtype == space.index_dtype
+    assert composed.tolist() == [
+        space.index_of(Configuration(tuple(zip(names, row)), 0))
+        for row in rows]
+    assert space.level_columns(composed).T.tolist() == [list(r) for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=large_spaces(), data=st.data())
+def test_index_columns_refuse_an_index_outside_the_space(space, data):
+    card = space.cardinality
+    inside = st.integers(0, card - 1)
+    outside = st.integers(max_value=-1) | st.integers(min_value=card)
+    first = data.draw(outside, label="first outside")
+    before = data.draw(st.lists(inside, max_size=4), label="before")
+    after = data.draw(st.lists(inside | outside, max_size=4), label="after")
+    indices = before + [first] + after
+    with pytest.raises(SpaceError) as scalar:
+        space.config_at(first)
+    with pytest.raises(SpaceError) as columns:
+        space.level_columns(index_column(indices))
+    assert str(columns.value) == str(scalar.value)
 
 
 class TestRestrictTopN:
