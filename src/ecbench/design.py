@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import numbers
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +40,11 @@ FULL_FACTORIAL_CAP = 10**6
 class PlanEntry:
     ec_index: int
     stratum: str | None = None
+
+
+_INDEX = operator.attrgetter("ec_index")
+_STRATUM = operator.attrgetter("stratum")
+_LABEL_TYPES = frozenset((str, type(None)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,14 @@ class SamplePlan:
             raise PlanError("reps must be >= 1")
         if self.policy not in ("mean", "median"):
             raise PlanError(f"unknown aggregation policy {self.policy!r}")
-        for n, e in enumerate(self.entries):  # each a defined point
+        # each entry a defined point: one check per column, and a walk only
+        # to name the first entry that fails it
+        entries = self.entries
+        if ({int}.issuperset(map(type, map(_INDEX, entries)))
+                and min(map(_INDEX, entries), default=0) >= 0
+                and _LABEL_TYPES.issuperset(map(type, map(_STRATUM, entries)))):
+            return
+        for n, e in enumerate(entries):
             if type(e.ec_index) is not int or e.ec_index < 0:
                 raise PlanError(f"plan entry {n}: index must be a non-negative "
                                 f"integer, not {e.ec_index!r}")
@@ -117,12 +131,14 @@ class SamplePlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SamplePlan":
-        check_objects("plan entries", doc["entries"], PlanError)
+        entries = doc["entries"]
+        if not (type(entries) is list  # read by `load` as PlanEntry objects
+                and {PlanEntry}.issuperset(map(type, entries))):
+            check_objects("plan entries", entries, PlanError)
+            entries = map(_entry, entries)
         return cls(
             design=doc["design"],
-            # positional: keyword binding is a measurable share of a load
-            entries=tuple([PlanEntry(e["index"], e.get("stratum"))
-                           for e in doc["entries"]]),
+            entries=tuple(entries),
             reps=doc["reps"],
             seed=doc["seed"],
             space_fingerprint=doc["space_fingerprint"],
@@ -134,7 +150,36 @@ class SamplePlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "SamplePlan":
-        return cls.from_dict(read_object(path, PlanError))
+        """The plan in the file at `path`, its entry objects decoded straight
+        to `PlanEntry`s (no dict kept per entry) with one str per distinct
+        stratum label. A file in which an object with an "index" member is
+        not an entry is read again as plain JSON, so that `from_dict` sees,
+        and its errors name, what `json.loads` gives."""
+        text = Path(path).read_text()
+        labels: dict[str, str] = {}
+        made = 0
+
+        def hook(obj: dict):
+            nonlocal made
+            if "index" not in obj:
+                return obj
+            made += 1
+            stratum = obj.get("stratum")
+            if type(stratum) is str:
+                obj["stratum"] = labels.setdefault(stratum, stratum)
+            return _entry(obj)
+
+        doc = json.loads(text, object_hook=hook)
+        entries = doc.get("entries") if type(doc) is dict else None
+        if not (type(entries) is list and len(entries) == made
+                and {PlanEntry}.issuperset(map(type, entries))):
+            doc = read_object(path, PlanError)
+        return cls.from_dict(doc)
+
+
+def _entry(doc: dict) -> PlanEntry:
+    # positional: keyword binding is a measurable share of a load
+    return PlanEntry(doc["index"], doc.get("stratum"))
 
 
 @dataclass(frozen=True)
@@ -238,8 +283,16 @@ def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
             if not 0 <= i < len(f.levels):
                 raise PlanError(f"factor {name!r}: level index {i} out of range")
     for f in space.factors:
-        if f.name not in selected and f.name not in defaults:
+        if f.name in selected:
+            continue
+        if f.name not in defaults:
             raise PlanError(f"no default level for unselected factor {f.name!r}")
+        level = defaults[f.name]
+        check_type(f"factor {f.name!r}: default level index", level,
+                   numbers.Integral, PlanError)
+        if not 0 <= level < len(f.levels):
+            raise PlanError(f"factor {f.name!r}: default level index {level} "
+                            "out of range")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     reps_levels: dict[str, tuple[int, int]] = {}

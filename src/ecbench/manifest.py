@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import platform
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -194,16 +196,16 @@ def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
     return results, manifest
 
 
-_DECODER = json.JSONDecoder()
+_SCAN = json.JSONDecoder().scan_once
 
 
 def _decode_line(line: str):
     """`json.loads(line)`, decoding a line without padding only once."""
     try:
-        doc, end = _DECODER.raw_decode(line)
+        doc, end = _SCAN(line, 0)  # JSONDecoder.raw_decode without its frame
         if end == len(line):
             return doc
-    except json.JSONDecodeError:
+    except (StopIteration, json.JSONDecodeError):  # no value, a bad value
         pass
     return json.loads(line)  # raises json.loads' own error for this line
 
@@ -215,6 +217,8 @@ _LINE_TYPES = ("a measurement is a JSON object: ec_index a non-negative "
 _REPLICATES = ("a measured line holds as many replicates as the first, "
                "each a number")
 _NUMBERS = frozenset((float, int))  # the types of a JSON number's value
+_BLOCK = 1 << 14  # bytes of whole lines that parse_results decodes at a time
+_FIELDS = operator.itemgetter(*_LINE_FIELDS)
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
@@ -223,69 +227,148 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     line, blank lines skipped, keyed (ec_index, occurrence ordinal) in file
     order. `object_id` names the set only when no line does.
 
-    Each line is decoded once and checked for the fields
+    The bytes are decoded and split a block of about `_BLOCK` bytes at a
+    time, each cut just after a newline, so `str.splitlines` gives the lines,
+    and line numbers, that it gives on the whole text; only one block's text
+    is live at once. Each line is decoded once and checked for the fields
     `Measurement.from_dict` reads and for their types (`_LINE_TYPES`). Every
     line names the first line's object. A measured line (one with no error)
     leaves its fields in the set's columns (`_REPLICATES`); a failure line
     becomes a `Measurement`."""
-    indices, aggregates, replicates_flat, policies, started, ended = (
-        [], [], [], [], [], [])
-    failures, width, names = [], 0, {}
-    for lineno, line in enumerate(data.decode().splitlines(), start=1):
-        if not line.strip():
-            continue
+    if not data.isascii():
+        data.decode()  # a decode error anywhere outranks every line's error
+    rows = _Rows(path, object_id)
+    start, lineno = 0, 1
+    while start < len(data):
+        cut = data.find(b"\n", start + _BLOCK - 1) + 1 or len(data)
+        lines = data[start:cut].decode().splitlines()
+        rows.add_block(lines, lineno)
+        start, lineno = cut, lineno + len(lines)
+    return rows.result(plan_fingerprint)
+
+
+class _Rows:
+    """The rows of `parse_results` so far, as column arrays per block."""
+
+    def __init__(self, path: str | Path, object_id: str):
+        self.path, self.object_id = path, object_id
+        self.width: int | None = None  # replicates per row, once one is read
+        # per column, its arrays for the blocks so far
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [], [])
+        self.failures: list[Measurement] = []
+        self.names: dict[str, str] = {}  # one str per distinct policy
+
+    def add_block(self, lines: list[str], lineno: int) -> None:
+        """Add the rows of `lines`, the first of them line `lineno`: checked
+        a column at a time, or, when a check fails or a line is a failure
+        line, line by line, so that the first bad line decides the error."""
         try:
-            doc = _decode_line(line)
-        except json.JSONDecodeError as e:
-            raise FingerprintError(f"{path}:{lineno}: parse failure: {e}") from e
-        if type(doc) is not dict:
-            raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
-        # the reads of Measurement.from_dict, in its order, so that a line
-        # missing a field fails here as it would fail there
-        index, owner = doc["ec_index"], doc["object_id"]
-        replicates, aggregate, policy = (doc["replicates"], doc["aggregate"],
-                                         doc["policy"])
-        started_at, ended_at, error = (doc.get("started_at", 0.0),
-                                       doc.get("ended_at", 0.0),
-                                       doc.get("error"))
-        if not (type(index) is int and index >= 0 and type(owner) is str
-                and type(replicates) is list and type(aggregate) in _NUMBERS
-                and type(policy) is str and type(started_at) in _NUMBERS
-                and type(ended_at) in _NUMBERS
-                and (error is None or type(error) is str)):
-            raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
-        if owner != object_id:
-            if indices or failures:
-                raise FingerprintError(f"{path}:{lineno}: object_id {owner!r}, "
-                                       f"where the first line has {object_id!r}")
-            object_id = owner  # the first line names the set
-        if error is not None:
-            failures.append(Measurement.from_dict(doc))
-            continue
-        if not indices:
-            width = len(replicates)
-        if len(replicates) != width:
-            raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
-        for value in replicates:  # a loop costs less than a set of types
-            if type(value) is not float and type(value) is not int:
+            docs = list(map(_decode_line, filter(str.strip, lines)))
+            columns = ({dict} == set(map(type, docs))
+                       and list(zip(*map(_FIELDS, docs))))
+        except (ValueError, KeyError, RecursionError):  # JSONDecodeError too
+            columns = None
+        if not (columns and self._add_columns(*columns)):
+            self._add_lines(lines, lineno)
+
+    def _add_columns(self, aggregates, indices, ended, errors, owners,
+                     policies, replicates, started) -> bool:
+        """Add the block's measured rows, given as columns in `_LINE_FIELDS`
+        order, if every row passes the checks of `_add_lines`; else add
+        nothing and return False."""
+        if not ({int} == set(map(type, indices)) and min(indices) >= 0
+                and {str} == set(map(type, owners)) == set(map(type, policies))
+                and {list} == set(map(type, replicates))
+                and _NUMBERS.issuperset(map(type, aggregates + started + ended))
+                and {type(None)} == set(map(type, errors))):
+            return False
+        object_id = (self.object_id if self.columns[0] or self.failures
+                     else owners[0])  # the first line names the set
+        width = len(replicates[0]) if self.width is None else self.width
+        if not ({object_id} == set(owners)
+                and {width} == set(map(len, replicates))
+                and _NUMBERS.issuperset(map(type, chain.from_iterable(
+                    replicates)))):
+            return False
+        self.object_id, self.width = object_id, width
+        self._add(indices, aggregates, replicates, policies, started, ended)
+        return True
+
+    def _add_lines(self, lines: list[str], lineno: int) -> None:
+        """Add the rows of `lines` one line at a time, raising at the first
+        bad line."""
+        rows, path = [], self.path
+        for lineno, line in enumerate(lines, start=lineno):
+            if not line.strip():
+                continue
+            try:
+                doc = _decode_line(line)
+            except json.JSONDecodeError as e:
+                raise FingerprintError(
+                    f"{path}:{lineno}: parse failure: {e}") from e
+            if type(doc) is not dict:
+                raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
+            # the reads of Measurement.from_dict, in its order, so that a line
+            # missing a field fails here as it would fail there
+            index, owner = doc["ec_index"], doc["object_id"]
+            replicates, aggregate, policy = (doc["replicates"],
+                                             doc["aggregate"], doc["policy"])
+            started_at, ended_at, error = (doc.get("started_at", 0.0),
+                                           doc.get("ended_at", 0.0),
+                                           doc.get("error"))
+            if not (type(index) is int and index >= 0 and type(owner) is str
+                    and type(replicates) is list
+                    and type(aggregate) in _NUMBERS
+                    and type(policy) is str and type(started_at) in _NUMBERS
+                    and type(ended_at) in _NUMBERS
+                    and (error is None or type(error) is str)):
+                raise FingerprintError(f"{path}:{lineno}: {_LINE_TYPES}")
+            if owner != self.object_id:
+                if self.columns[0] or rows or self.failures:
+                    raise FingerprintError(
+                        f"{path}:{lineno}: object_id {owner!r}, where the "
+                        f"first line has {self.object_id!r}")
+                self.object_id = owner  # the first line names the set
+            if error is not None:
+                self.failures.append(Measurement.from_dict(doc))
+                continue
+            if self.width is None:
+                self.width = len(replicates)
+            if len(replicates) != self.width or not _NUMBERS.issuperset(
+                    map(type, replicates)):
                 raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
-        indices.append(index)
-        aggregates.append(aggregate)
-        replicates_flat.extend(replicates)
-        # one str per distinct policy, not one per row
-        policies.append(names.setdefault(policy, policy))
-        started.append(started_at)
-        ended.append(ended_at)
-    index = index_column(indices)
-    measurements = Measurements(
-        index, occurrence_ordinals(index),
-        np.array(aggregates, dtype=np.float64),
-        np.array(replicates_flat, dtype=np.float64).reshape(len(indices),
-                                                            width),
-        np.array(policies, dtype=object),
-        np.array(started, dtype=np.float64), np.array(ended, dtype=np.float64))
-    return ResultSet(object_id=object_id, plan_fingerprint=plan_fingerprint,
-                     measurements=measurements, failures=failures)
+            rows.append((index, aggregate, replicates, policy, started_at,
+                         ended_at))
+        if rows:
+            self._add(*zip(*rows))
+
+    def _add(self, indices, aggregates, replicates, policies, started,
+             ended) -> None:
+        """Append one block's measured rows to the column arrays."""
+        for column, array in zip(self.columns, (
+                index_column(indices), np.array(aggregates, dtype=np.float64),
+                np.fromiter(chain.from_iterable(replicates), np.float64,
+                            len(indices) * (self.width or 0)).reshape(
+                    len(indices), self.width or 0),
+                np.array(list(map(self.names.setdefault, policies, policies)),
+                         dtype=object),
+                np.array(started, dtype=np.float64),
+                np.array(ended, dtype=np.float64))):
+            column.append(array)
+
+    def result(self, plan_fingerprint: str) -> ResultSet:
+        if not self.columns[0]:
+            self._add((), (), (), (), (), ())
+        joined = []
+        for parts in self.columns:  # each column's parts dropped once joined
+            joined.append(np.concatenate(parts))
+            parts.clear()
+        index, *columns = joined
+        return ResultSet(
+            object_id=self.object_id, plan_fingerprint=plan_fingerprint,
+            measurements=Measurements(index, occurrence_ordinals(index),
+                                      *columns),
+            failures=self.failures)
 
 
 def check_resumable(path: str | Path, manifest: RunManifest) -> None:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ import ecbench.design
 from ecbench import demo
 from ecbench.design import (
     FactorSplit,
+    PlanEntry,
     SamplePlan,
     factorial_2k,
     full_factorial,
@@ -17,7 +19,7 @@ from ecbench.design import (
     spec_point,
     stratified_sample,
 )
-from ecbench.errors import PlanError
+from ecbench.errors import PlanError, read_object
 from ecbench.fingerprints import fingerprint, fingerprint_bytes
 from ecbench.space import Factor, build_space
 from oracles import factorial_2k_reference, rct_reference, stratified_reference
@@ -111,6 +113,22 @@ class TestFactorial2k:
                             reps=3, seed=21)
         assert len(plan.entries) == 8
         assert len({e.ec_index for e in plan.entries}) == 8
+
+    @pytest.mark.parametrize("defaults, message", [
+        ({"workload": 3, "dataset": 0},
+         "factor 'workload': default level index 3 out of range"),
+        ({"workload": 0, "dataset": -1},
+         "factor 'dataset': default level index -1 out of range"),
+        ({"workload": "1", "dataset": 0},
+         "factor 'workload': default level index must be an integer, not '1'"),
+        ({"workload": 0, "dataset": True},
+         "factor 'dataset': default level index must be an integer, not True"),
+    ])
+    def test_default_outside_its_factor_rejected(self, defaults, message):
+        split = FactorSplit(splits=(("threads", (0, 1), (2, 3)),))
+        with pytest.raises(PlanError) as e:
+            factorial_2k(small_space(), split, defaults, reps=1, seed=0)
+        assert str(e.value) == message
 
     def test_k1_gives_2(self):
         split = FactorSplit(splits=(("threads", (0, 1), (2, 3)),))
@@ -237,6 +255,75 @@ def test_plan_json_roundtrip(tmp_path):
     loaded = SamplePlan.load(path)
     assert loaded == plan
     assert loaded.fingerprint == plan.fingerprint
+
+
+def plain_load(path):
+    """`SamplePlan.load` as a dict per entry gives it: `from_dict` on the
+    JSON object in the file."""
+    return SamplePlan.from_dict(read_object(path, PlanError))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except (PlanError, KeyError, TypeError) as e:
+        return type(e), str(e)
+
+
+entry_values = st.one_of(
+    st.integers(-2, 2**70), st.text(max_size=3), st.none(), st.booleans(),
+    st.fixed_dictionaries({"index": st.integers(0, 9)}))
+entry_docs = st.one_of(
+    st.fixed_dictionaries({"index": st.integers(0, 2**70)},
+                          optional={"stratum": st.sampled_from(["a", "b"])}),
+    st.fixed_dictionaries({"index": entry_values},
+                          optional={"stratum": entry_values,
+                                    "note": entry_values}),
+    st.fixed_dictionaries({}, optional={"stratum": entry_values}),
+    entry_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(entry_docs, max_size=4),
+       extra=st.dictionaries(st.sampled_from(["design", "reps", "entries",
+                                              "index", "meta"]),
+                             entry_values, max_size=2))
+def test_plan_load_reads_a_file_as_from_dict_reads_its_json(
+        tmp_path_factory, entries, extra):
+    # an entry-shaped object ({"index": ...}) may sit anywhere, not only in
+    # the entries list; the loaded plan, or the error and its message, are
+    # those of from_dict on the plain JSON value
+    doc = {"design": "stratified", "seed": 1, "reps": 2, "policy": "mean",
+           "space_fingerprint": "s", "entries": entries, **extra}
+    path = tmp_path_factory.mktemp("plan") / "plan.json"
+    for value in (doc, extra):  # extra alone is a top level without entries
+        path.write_text(json.dumps(value))
+        assert outcome(SamplePlan.load, path) == outcome(plain_load, path)
+
+
+def test_plan_load_shares_stratum_labels(tmp_path):
+    plan = stratified_sample(small_space(), "workload", 6, 2, seed=42)
+    plan.save(tmp_path / "plan.json")
+    labels = {id(e.stratum) for e in SamplePlan.load(tmp_path / "plan.json")
+              .entries}
+    assert len(labels) == 3
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((PlanEntry(0), PlanEntry(1, "a"), PlanEntry(-1), PlanEntry("2")),
+     "plan entry 2: index must be a non-negative integer, not -1"),
+    ((PlanEntry(0), PlanEntry(1, 5), PlanEntry(-1)),
+     "plan entry 1: stratum must be a string or null, not 5"),
+    ((PlanEntry(0), PlanEntry(1.0)),
+     "plan entry 1: index must be a non-negative integer, not 1.0"),
+    ((PlanEntry(0), PlanEntry(False, "a")),
+     "plan entry 1: index must be a non-negative integer, not False"),
+])
+def test_the_first_ill_typed_entry_is_named(entries, message):
+    with pytest.raises(PlanError) as e:
+        SamplePlan(design="stratified", entries=entries, reps=1, seed=0,
+                   space_fingerprint="s")
+    assert str(e.value) == message
 
 
 def test_plan_fingerprint_is_hashed_once_per_plan(monkeypatch):

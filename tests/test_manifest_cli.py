@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +244,64 @@ class TestPersistLoad:
                     m for m in seen if m.error is None]
 
         check()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_lines_parse_as_json_loads_parses_them_across_block_cuts(
+            self, tmp_path, monkeypatch, block):
+        # the same lines and references, with a cut after nearly every line
+        monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
+        self.test_lines_parse_as_json_loads_parses_them(tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_cuts_keep_every_line_and_line_number(self, monkeypatch,
+                                                        block):
+        def line(i, error=None):
+            return canonical_json(Measurement(
+                ec_index=i, object_id="cpu_a", replicates=(i + 0.5, 2.0),
+                aggregate=1.25, policy="mean", error=error).to_dict())
+
+        # CRLF ends, blank and Unicode-blank lines, U+2028 (a line boundary
+        # to str.splitlines, but no cut) and 2-, 3- and 4-byte characters
+        # on either side of a cut
+        emoji, euro = "\U0001f600", "\u20ac"
+        lines = [line(0), "", line(1) + "\r", " \xa0\u3000",
+                 line(2, "\xe9" + euro + emoji),
+                 line(3) + "\u2028" + line(4), line(5, euro * 9)]
+        bad = ['{"ec_index": 1,', line(6).replace("2.0", "true"),
+               line(7).replace("cpu_a", "cpu_b"), emoji * 5,
+               line(8) + " " + line(9)]
+        cases = [lines] + [lines[:k] + [b] + lines[k:]
+                           for k in range(len(lines) + 1) for b in bad]
+
+        def outcome(data):
+            try:
+                results = parse_results(data, "r.jsonl", "cpu_a", "p")
+            except FingerprintError as e:
+                return str(e)
+            return (keyed_rows(results), results.failures)
+
+        for case in cases:
+            for end in ("\n", "\r\n"):
+                data = end.join(case).encode() + end.encode()
+                monkeypatch.setattr(ecbench.manifest, "_BLOCK", len(data))
+                whole = outcome(data)  # one block: the whole text
+                monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
+                assert outcome(data) == whole
+        rows, failures = outcome("\n".join(lines).encode())
+        assert (len(rows), [m.error for m in failures]) == (
+            4, ["\xe9" + euro + emoji, euro * 9])
+
+    def test_a_decode_error_outranks_every_line_error(self, monkeypatch):
+        # as when the whole text was decoded before any line was read: the
+        # bad first line loses, and the offset counts from the file's start
+        monkeypatch.setattr(ecbench.manifest, "_BLOCK", 1)
+        data = b'{"ec_index":\n\n' + "\u20ac\n".encode() + b"\xff\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode()
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_results(data, "r.jsonl", "cpu_a", "p")
+        assert str(got.value) == str(whole.value)
+        assert "position 18" in str(got.value)
 
     def test_compare_builds_a_measurement_only_per_failure_line(
             self, tmp_path, monkeypatch):
@@ -714,6 +774,49 @@ class TestCli:
         assert ran == []
         assert not (ws / "cov.csv").exists()
 
+    def test_factorial2k_plan_refuses_a_default_past_its_factor(
+            self, workspace, capsys):
+        # workload has 1 level and flags 3 on the demo space: these defaults
+        # once composed other points and one past the space
+        ws = workspace
+        (ws / "split.json").write_text(json.dumps(
+            {"threads": {"low": [0], "high": [23]}}))
+        capsys.readouterr()
+        assert main(["plan", "factorial2k", "--space", str(ws / "space.json"),
+                     "--split", str(ws / "split.json"),
+                     "--default", "workload=1", "--default", "dataset=0",
+                     "--default", "flags=3", "--seed", "1",
+                     "--out", str(ws / "f.json")]) == 2
+        assert capsys.readouterr().err == (
+            "ecbench: error: factor 'workload': default level index 1 out of "
+            "range\n")
+        assert not (ws / "f.json").exists()
+
+    @pytest.mark.parametrize("defaults, message", [
+        ({"workload": 1}, "factor 'workload': default level index 1 out of "
+                          "range"),
+        ({"workload": "0"}, "factor 'workload': default level index must be "
+                            "an integer, not '0'"),
+    ])
+    def test_simulate_refuses_a_factorial2k_default_past_its_factor(
+            self, workspace, capsys, defaults, message):
+        ws = workspace
+        split = {n: {"low": list(lo), "high": list(hi)}
+                 for n, lo, hi in demo.demo_factor_split().splits}
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "factorial2k", "params": {
+                "split": split, "defaults": defaults}}],
+        }))
+        capsys.readouterr()
+        assert main(["simulate", "--space", str(ws / "space.json"),
+                     "--model", str(ws / "model.json"),
+                     "--methodologies", str(ws / "meth.json"),
+                     "--iterations", "5", "--level", "0.95", "--seed", "1",
+                     "--out", str(ws / "cov.csv")]) == 2
+        assert capsys.readouterr().err == f"ecbench: error: {message}\n"
+        assert not (ws / "cov.csv").exists()
+
     @pytest.mark.parametrize("with_model", [True, False])
     def test_unknown_executor_kind_exit_2(self, workspace, capsys, with_model):
         ws = workspace
@@ -1027,6 +1130,56 @@ class TestIllTypedInputs:
             ws, executor=ws / "command.json"))
         assert (code, f"ecbench: error: {message}") == (2, err.strip())
         assert not (ws / "new.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def files_20k(tmp_path_factory):
+    """A 20k-row result file with its manifest and a 20k-entry plan file,
+    shaped like the `reanalysis` benchmark's: 43 strata, 3 replicates."""
+    d = tmp_path_factory.mktemp("files_20k")
+    rng = np.random.default_rng(7)
+    labels = demo.demo_space_billion().factor("workload").levels
+    strata = rng.integers(0, len(labels), 20_000).tolist()
+    indices = rng.integers(0, 10**9, 20_000).tolist()
+    values = rng.normal(200.0, 2.0, (20_000, 3)).tolist()
+    data = "".join(
+        measurement_line(Measurement(i, "cpu_a", tuple(v), sum(v) / 3, "mean"))
+        + "\n" for i, v in zip(indices, values)).encode()
+    (d / "r.jsonl").write_bytes(data)
+    manifest_path(d / "r.jsonl").write_text(json.dumps(RunManifest(
+        space_fingerprint="s", plan_fingerprint="p", executor_hash="e",
+        object_config={"object_id": "cpu_a"},
+        results_sha256=fingerprint_bytes(data)).to_dict()))
+    SamplePlan(design="stratified",
+               entries=tuple(map(PlanEntry, indices,
+                                 [labels[s] for s in strata])),
+               reps=3, seed=0, space_fingerprint="s").save(d / "plan.json")
+    return d
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of `call()` and what it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = call()  # noqa: F841 (held while the peak is read)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_a_result_file_peaks_below_two_and_a_quarter_file_sizes(
+        files_20k):
+    # the bytes, one block of text and lines, and the columns: not the
+    # whole text and its lines beside the bytes
+    path = files_20k / "r.jsonl"
+    assert traced_peak(lambda: load_results(path)) <= 2.25 * path.stat().st_size
+
+
+def test_loading_a_plan_peaks_below_three_file_sizes(files_20k):
+    # the text and the entries, with no dict kept per entry
+    path = files_20k / "plan.json"
+    assert traced_peak(lambda: SamplePlan.load(path)) <= 3 * path.stat().st_size
 
 
 def plan_group_map_keys(plan_path):
