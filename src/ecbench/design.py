@@ -22,15 +22,14 @@ import functools
 import itertools
 import json
 import numbers
-import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PlanError, check_objects, check_type, read_object
-from .fingerprints import canonical_column, fingerprint, fingerprint_bytes
+from .fingerprints import canonical_column, fingerprint, fingerprint_pieces
 from .space import ConfigSpace, Configuration, index_column
 
 FULL_FACTORIAL_CAP = 10**6
@@ -42,9 +41,7 @@ class PlanEntry:
     stratum: str | None = None
 
 
-_INDEX = operator.attrgetter("ec_index")
-_STRATUM = operator.attrgetter("stratum")
-_LABEL_TYPES = frozenset((str, type(None)))
+_SLICE = 1024  # plan entries per piece of `SamplePlan._json`'s text
 
 
 @dataclass(frozen=True)
@@ -66,14 +63,7 @@ class SamplePlan:
             raise PlanError("reps must be >= 1")
         if self.policy not in ("mean", "median"):
             raise PlanError(f"unknown aggregation policy {self.policy!r}")
-        # each entry a defined point: one check per column, and a walk only
-        # to name the first entry that fails it
-        entries = self.entries
-        if ({int}.issuperset(map(type, map(_INDEX, entries)))
-                and min(map(_INDEX, entries), default=0) >= 0
-                and _LABEL_TYPES.issuperset(map(type, map(_STRATUM, entries)))):
-            return
-        for n, e in enumerate(entries):
+        for n, e in enumerate(self.entries):  # each entry a defined point
             if type(e.ec_index) is not int or e.ec_index < 0:
                 raise PlanError(f"plan entry {n}: index must be a non-negative "
                                 f"integer, not {e.ec_index!r}")
@@ -83,10 +73,10 @@ class SamplePlan:
 
     @functools.cached_property
     def fingerprint(self) -> str:
-        # hashed once per plan object, from the text `canonical_json` gives
-        # `to_dict()`; the cache sits in the instance dict, which a frozen
-        # dataclass leaves writable to cached_property
-        return fingerprint_bytes(self._json(indent=False).encode())
+        # hashed once per plan object, a piece at a time, from the text
+        # `canonical_json` gives `to_dict()`; the cache sits in the instance
+        # dict, which a frozen dataclass leaves writable to cached_property
+        return fingerprint_pieces(self._json(indent=False))
 
     def to_dict(self) -> dict:
         return {
@@ -103,31 +93,33 @@ class SamplePlan:
             ],
         }
 
-    def _json(self, indent: bool) -> str:
-        """`canonical_json(self.to_dict())`, or with `indent` the text of
-        `json.dumps(self.to_dict(), sort_keys=True, indent=2)`, built from
-        columns: the indices in one encoder call, each distinct stratum
-        label once."""
+    def _json(self, indent: bool) -> Iterator[str]:
+        """The text of `canonical_json(self.to_dict())`, or with `indent` of
+        `json.dumps(self.to_dict(), sort_keys=True, indent=2)`, in pieces of
+        at most `_SLICE` entries, built from columns: each piece's indices
+        in one encoder call, each distinct stratum label once."""
         design, policy, reps, seed, space = canonical_column(
             [self.design, self.policy, self.reps, self.seed,
              self.space_fingerprint])
-        indices = canonical_column([e.ec_index for e in self.entries])
-        strata = [e.stratum for e in self.entries]
-        labels = dict.fromkeys(strata)
+        labels = dict.fromkeys(e.stratum for e in self.entries)
         nl, pad, sep = ("\n", "  ", ": ") if indent else ("", "", ":")
         i1, i2, i3 = nl + pad, nl + pad * 2, nl + pad * 3
         ends = {label: ("" if label is None else f',{i3}"stratum"{sep}{text}')
                 + i2 + "}"
                 for label, text in zip(labels, canonical_column(list(labels)))}
         start = "{" + i3 + '"index"' + sep
-        entries = ("[" + i2 + ("," + i2).join([
-            start + index + ends[label] for index, label in zip(indices, strata)
-        ]) + i1 + "]") if indices else "[]"
-        members = (("design", design), ("entries", entries), ("policy", policy),
-                   ("reps", reps), ("seed", seed), ("space_fingerprint", space))
-        return ("{" + i1 + ("," + i1).join(f'"{key}"{sep}{text}'
-                                           for key, text in members)
-                + nl + "}")
+        yield "{" + i1 + f'"design"{sep}{design},{i1}"entries"{sep}'
+        opening = "[" + i2  # before the first entry, then between slices
+        for first in range(0, len(self.entries), _SLICE):
+            part = self.entries[first:first + _SLICE]
+            yield opening + ("," + i2).join([
+                start + index + ends[e.stratum] for index, e in zip(
+                    canonical_column([e.ec_index for e in part]), part)])
+            opening = "," + i2
+        yield (i1 + "]" if self.entries else "[]") + "".join(
+            f',{i1}"{key}"{sep}{text}' for key, text in (
+                ("policy", policy), ("reps", reps), ("seed", seed),
+                ("space_fingerprint", space))) + nl + "}"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SamplePlan":
@@ -146,7 +138,7 @@ class SamplePlan:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self._json(indent=True) + "\n")
+        Path(path).write_text("".join(self._json(indent=True)) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "SamplePlan":

@@ -53,3 +53,13 @@ def read_object(path: str | Path, error: type) -> dict:
     if type(doc) is not dict:
         raise error(f"{path} must hold a JSON object")
     return doc
+
+
+def fits_float(value: numbers.Real) -> bool:
+    """Whether `float(value)` gives a float, where an int past float range
+    overflows."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 
@@ -63,3 +64,12 @@ def fingerprint(doc) -> str:
 
 def fingerprint_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint_pieces(pieces: Iterable[str]) -> str:
+    """`fingerprint_bytes` of the UTF-8 text that `pieces` join to, hashed
+    a piece at a time, so that the whole text is never built."""
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece.encode())
+    return digest.hexdigest()

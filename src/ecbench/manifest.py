@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 import platform
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .compare import AsymmetryReport, ComparisonReport
-from .errors import FingerprintError, read_object
+from .errors import FingerprintError, fits_float, read_object
 from .fingerprints import (
     canonical_column,
     canonical_json,
@@ -216,9 +215,10 @@ _LINE_TYPES = ("a measurement is a JSON object: ec_index a non-negative "
                "or null")
 _REPLICATES = ("a measured line holds as many replicates as the first, "
                "each a number")
+_RANGE = ("aggregate, started_at, ended_at and a measured line's "
+          "replicates lie within float range")
 _NUMBERS = frozenset((float, int))  # the types of a JSON number's value
 _BLOCK = 1 << 14  # bytes of whole lines that parse_results decodes at a time
-_FIELDS = operator.itemgetter(*_LINE_FIELDS)
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
@@ -230,9 +230,11 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     The bytes are decoded and split a block of about `_BLOCK` bytes at a
     time, each cut just after a newline, so `str.splitlines` gives the lines,
     and line numbers, that it gives on the whole text; only one block's text
-    is live at once. Each line is decoded once and checked for the fields
-    `Measurement.from_dict` reads and for their types (`_LINE_TYPES`). Every
-    line names the first line's object. A measured line (one with no error)
+    is live at once. Each line is decoded once and checked, by the one rule
+    set of `_Rows.add_lines`, for the fields `Measurement.from_dict` reads
+    and for their types (`_LINE_TYPES`), so the first bad line decides the
+    error. Every line names the first line's object, and its numbers lie
+    within float range (`_RANGE`). A measured line (one with no error)
     leaves its fields in the set's columns (`_REPLICATES`); a failure line
     becomes a `Measurement`."""
     if not data.isascii():
@@ -242,7 +244,7 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     while start < len(data):
         cut = data.find(b"\n", start + _BLOCK - 1) + 1 or len(data)
         lines = data[start:cut].decode().splitlines()
-        rows.add_block(lines, lineno)
+        rows.add_lines(lines, lineno)
         start, lineno = cut, lineno + len(lines)
     return rows.result(plan_fingerprint)
 
@@ -258,45 +260,9 @@ class _Rows:
         self.failures: list[Measurement] = []
         self.names: dict[str, str] = {}  # one str per distinct policy
 
-    def add_block(self, lines: list[str], lineno: int) -> None:
-        """Add the rows of `lines`, the first of them line `lineno`: checked
-        a column at a time, or, when a check fails or a line is a failure
-        line, line by line, so that the first bad line decides the error."""
-        try:
-            docs = list(map(_decode_line, filter(str.strip, lines)))
-            columns = ({dict} == set(map(type, docs))
-                       and list(zip(*map(_FIELDS, docs))))
-        except (ValueError, KeyError, RecursionError):  # JSONDecodeError too
-            columns = None
-        if not (columns and self._add_columns(*columns)):
-            self._add_lines(lines, lineno)
-
-    def _add_columns(self, aggregates, indices, ended, errors, owners,
-                     policies, replicates, started) -> bool:
-        """Add the block's measured rows, given as columns in `_LINE_FIELDS`
-        order, if every row passes the checks of `_add_lines`; else add
-        nothing and return False."""
-        if not ({int} == set(map(type, indices)) and min(indices) >= 0
-                and {str} == set(map(type, owners)) == set(map(type, policies))
-                and {list} == set(map(type, replicates))
-                and _NUMBERS.issuperset(map(type, aggregates + started + ended))
-                and {type(None)} == set(map(type, errors))):
-            return False
-        object_id = (self.object_id if self.columns[0] or self.failures
-                     else owners[0])  # the first line names the set
-        width = len(replicates[0]) if self.width is None else self.width
-        if not ({object_id} == set(owners)
-                and {width} == set(map(len, replicates))
-                and _NUMBERS.issuperset(map(type, chain.from_iterable(
-                    replicates)))):
-            return False
-        self.object_id, self.width = object_id, width
-        self._add(indices, aggregates, replicates, policies, started, ended)
-        return True
-
-    def _add_lines(self, lines: list[str], lineno: int) -> None:
-        """Add the rows of `lines` one line at a time, raising at the first
-        bad line."""
+    def add_lines(self, lines: list[str], lineno: int) -> None:
+        """Add the rows of `lines`, the first of them line `lineno`, one
+        line at a time, raising at the first bad line."""
         rows, path = [], self.path
         for lineno, line in enumerate(lines, start=lineno):
             if not line.strip():
@@ -329,14 +295,25 @@ class _Rows:
                         f"{path}:{lineno}: object_id {owner!r}, where the "
                         f"first line has {self.object_id!r}")
                 self.object_id = owner  # the first line names the set
+            # floats, the common case, need one test
+            if not (type(aggregate) is type(started_at) is type(ended_at)
+                    is float or all(map(fits_float, (aggregate, started_at,
+                                                     ended_at)))):
+                raise FingerprintError(f"{path}:{lineno}: {_RANGE}")
             if error is not None:
                 self.failures.append(Measurement.from_dict(doc))
                 continue
             if self.width is None:
                 self.width = len(replicates)
-            if len(replicates) != self.width or not _NUMBERS.issuperset(
-                    map(type, replicates)):
+            if len(replicates) != self.width:
                 raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
+            for value in replicates:
+                if type(value) is not float:
+                    if type(value) is not int:
+                        raise FingerprintError(
+                            f"{path}:{lineno}: {_REPLICATES}")
+                    if not fits_float(value):
+                        raise FingerprintError(f"{path}:{lineno}: {_RANGE}")
             rows.append((index, aggregate, replicates, policy, started_at,
                          ended_at))
         if rows:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExecutionError, FingerprintError, check_type
+from .errors import ExecutionError, FingerprintError, check_type, fits_float
 # fingerprint stays bound here: benchmarks/tracing.py patches runner.fingerprint
 from .fingerprints import fingerprint  # noqa: F401
 from .design import SamplePlan, space_fingerprint
@@ -138,8 +138,8 @@ class Measurements:
     `policies` (a string per row, dtype object), `started_at` and
     `ended_at` (float64). Rows `add`ed one at a time wait in a buffer that
     joins the columns when one is next read; `len` reads no column. `add`
-    refuses a row unless its replicates are numbers (not bools), as many as
-    the first row's."""
+    refuses a row unless its replicates are numbers (not bools) within float
+    range, as many as the first row's."""
 
     # column i of `_folded()`, read-only
     (indices, ordinals, aggregates, replicates, policies, started_at,
@@ -164,7 +164,8 @@ class Measurements:
         for value in m.replicates:  # a float, the common case, needs one test
             if type(value) is not float and (
                     type(value) is bool
-                    or not isinstance(value, numbers.Real)):
+                    or not isinstance(value, numbers.Real)
+                    or not fits_float(value)):
                 raise ExecutionError(f"measurement key {key}: {_REPLICATES}")
         self._width = len(m.replicates)
         self._keys.add(key)

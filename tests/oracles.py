@@ -230,7 +230,9 @@ def line_in_file_reference(m, lines_before) -> None:
     does not fit the well-typed lines before it in its file (`lines_before`,
     measurements in file order): its object_id is not the first line's, or,
     for a measured line (error null), a replicate is not a number or it has
-    not as many replicates as the first measured line."""
+    not as many replicates as the first measured line; or when its
+    aggregate, started_at, ended_at or, on a measured line, a replicate
+    overflows `float`."""
     if lines_before and m.object_id != lines_before[0].object_id:
         raise LineTypeError(m)
     if m.error is None:
@@ -238,6 +240,12 @@ def line_in_file_reference(m, lines_before) -> None:
         if not all(map(_number, m.replicates)) or (
                 measured and len(m.replicates) != len(measured[0].replicates)):
             raise LineTypeError(m)
+    try:
+        for x in (m.aggregate, m.started_at, m.ended_at,
+                  *(m.replicates if m.error is None else ())):
+            float(x)
+    except OverflowError:
+        raise LineTypeError(m) from None
 
 
 def keyed_rows(results) -> dict[tuple[int, int], Measurement]:

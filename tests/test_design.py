@@ -20,7 +20,7 @@ from ecbench.design import (
     stratified_sample,
 )
 from ecbench.errors import PlanError, read_object
-from ecbench.fingerprints import fingerprint, fingerprint_bytes
+from ecbench.fingerprints import fingerprint, fingerprint_pieces
 from ecbench.space import Factor, build_space
 from oracles import factorial_2k_reference, rct_reference, stratified_reference
 
@@ -328,20 +328,36 @@ def test_the_first_ill_typed_entry_is_named(entries, message):
 
 def test_plan_fingerprint_is_hashed_once_per_plan(monkeypatch):
     # the plan's canonical text is hashed through design's module-level
-    # fingerprint_bytes, without building to_dict()
+    # fingerprint_pieces, without building to_dict()
     calls = []
 
-    def counted(data):
-        calls.append(data)
-        return fingerprint_bytes(data)
+    def counted(pieces):
+        calls.append(pieces)
+        return fingerprint_pieces(pieces)
 
-    monkeypatch.setattr(ecbench.design, "fingerprint_bytes", counted)
+    monkeypatch.setattr(ecbench.design, "fingerprint_pieces", counted)
     plan = stratified_sample(small_space(), "workload", 6, 2, seed=42)
     first, second = plan.fingerprint, plan.fingerprint
     assert len(calls) == 1
     assert first == second == fingerprint(plan.to_dict())
     replaced = dataclasses.replace(plan, reps=3)
     assert replaced.fingerprint == fingerprint(replaced.to_dict()) != first
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_plan_text_is_the_same_across_slice_cuts(tmp_path, monkeypatch, size):
+    # pieces of `size` entries join to the text json.dumps gives, and hash
+    # to the fingerprint of to_dict()
+    monkeypatch.setattr(ecbench.design, "_SLICE", size)
+    entries = (PlanEntry(3, "a"), PlanEntry(2**70), PlanEntry(0, 'q"\u20ac'),
+               PlanEntry(7, "a"), PlanEntry(1))
+    for n in range(len(entries) + 1):
+        plan = SamplePlan(design="stratified", entries=entries[:n], reps=2,
+                          seed=1, space_fingerprint="s")
+        plan.save(tmp_path / "plan.json")
+        assert (tmp_path / "plan.json").read_text() == json.dumps(
+            plan.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert plan.fingerprint == fingerprint(plan.to_dict())
 
 
 def test_plans_fingerprint_changes_with_space():

@@ -1,6 +1,7 @@
 """Every import in `src/ecbench` is used, unless its statement carries
 `# noqa: F401` (a name kept bound for callers outside the module), and every
-private module-level name there is read somewhere in `src/ecbench`."""
+private module-level name, method and class attribute there is read
+somewhere in `src/ecbench`."""
 
 import ast
 from pathlib import Path
@@ -56,47 +57,62 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a function, class or assignment statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [n.id for t in node.targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def dead_helpers(sources: dict[str, str]) -> list[str]:
     """`module: name` for each private module-level function, class or
-    constant of `sources` (module name to text) that no module reads: as a
-    name, an attribute or an import."""
-    defined, read = {}, set()
+    constant of `sources` (module name to text) that no module reads as a
+    name, an attribute or an import, and `module: Class.name` for each
+    private method or class attribute that no module reads as an
+    attribute."""
+    defined, names, attributes = {}, set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [n.id for t in node.targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            elif isinstance(node, ast.AnnAssign):
-                names = [node.target.id]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[f"{module}: {name}"] = name
+            statements = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                statements += [(f"{node.name}.", member)
+                               for member in node.body]
+            for owner, statement in statements:
+                for name in defined_names(statement):
+                    if name.startswith("_") and not name.startswith("__"):
+                        defined[f"{module}: {owner}{name}"] = name, owner
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                read |= {alias.name for alias in node.names}
-    return [where for where, name in defined.items() if name not in read]
+                names |= {alias.name for alias in node.names}
+    return [where for where, (name, owner) in defined.items()
+            if name not in attributes and (owner or name not in names)]
 
 
 def test_the_check_finds_a_dead_helper():
     sources = {
         "a": ("_USED, _DEAD = 1, 2\n_ALSO: int = 3\n__version__ = '1'\n"
               "def _orphan():\n    return _USED\n"
-              "class _Kept:\n    pass\n"
+              "class _Kept:\n    _LIVE, _UNREAD = 1, 2\n    _typed: int\n"
+              "    def __init__(self):\n        self._live()\n"
+              "    def _live(self):\n        return self._LIVE\n"
+              "    def _uncalled(self):\n        return _uncalled\n"
               "def public():\n    return _Kept\n"),
         "b": "from .a import _ALSO\nimport a\nx = a._called()\n"
-             "def _called():\n    return 0\n",
+             "def _called():\n    return a._Kept()._typed\n"
+             "_uncalled = 0\n",
     }
-    assert dead_helpers(sources) == ["a: _DEAD", "a: _orphan"]
+    assert dead_helpers(sources) == ["a: _DEAD", "a: _orphan",
+                                     "a: _Kept._UNREAD", "a: _Kept._uncalled"]
 
 
 def test_no_dead_private_helpers():

@@ -303,6 +303,36 @@ class TestPersistLoad:
         assert str(got.value) == str(whole.value)
         assert "position 18" in str(got.value)
 
+    @pytest.mark.parametrize("first", ["range", "type"])
+    def test_the_first_bad_line_decides_across_blocks(self, monkeypatch,
+                                                       first):
+        # an overflow and a type error, each in a block of its own: the
+        # earlier line names the error in either order
+        monkeypatch.setattr(ecbench.manifest, "_BLOCK", 1)
+        good = {"ec_index": 1, "object_id": "cpu_a", "replicates": [1.0],
+                "aggregate": 1.0, "policy": "mean"}
+        bad = {"range": {**good, "replicates": [10**400]},
+               "type": {**good, "aggregate": "1.0"}}
+        order = [first, ({"range", "type"} - {first}).pop()]
+        data = "".join(json.dumps(doc) + "\n" for doc in (
+            good, bad[order[0]], good, bad[order[1]])).encode()
+        with pytest.raises(FingerprintError) as e:
+            parse_results(data, "r.jsonl", "cpu_a", "p")
+        assert str(e.value).startswith("r.jsonl:2: " + (
+            "aggregate, started_at" if first == "range" else "a measurement"))
+
+    def test_numbers_at_the_edge_of_float_range_load(self):
+        # the largest int a float holds, and JSON numbers that overflow to
+        # float infinity, are numbers a column takes
+        big = int(sys.float_info.max)
+        data = (f'{{"ec_index":0,"object_id":"o","replicates":[{big},1e400],'
+                f'"aggregate":-{big},"policy":"mean","started_at":-1e999}}\n'
+                ).encode()
+        rows = parse_results(data, "r.jsonl", "o", "p").measurements
+        assert rows.replicates.tolist() == [[sys.float_info.max, np.inf]]
+        assert (rows.aggregates.tolist(), rows.started_at.tolist()) == (
+            [-sys.float_info.max], [-np.inf])
+
     def test_compare_builds_a_measurement_only_per_failure_line(
             self, tmp_path, monkeypatch):
         persisted_pair(tmp_path)  # 2 x 2000 rows, one failure line in cpu_a
@@ -997,6 +1027,32 @@ class TestIllTypedInputs:
             3, f"ecbench: integrity error: {path}:3: a measured line holds "
                f"as many replicates as the first, each a number\n")
 
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", [10**400, 1.0, 2.0]), ("replicates", [1.0, 2.0, -10**400]),
+        ("aggregate", 10**400), ("started_at", 10**400),
+        ("ended_at", -10**400), ("error", "exit 1"),
+    ], ids=["first-replicate", "last-replicate", "aggregate", "started_at",
+            "ended_at", "failure-aggregate"])
+    def test_result_line_number_beyond_float_range_exit_3(self, ran, capsys,
+                                                          field, value):
+        # a 401-digit JSON integer: a failure line's aggregate too
+        path = ran / "cpu_b.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc[field] = value
+        if field == "error":
+            doc.update(replicates=[], aggregate=-10**400)
+        lines[2] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        self.edit(manifest_path(path), lambda m: m.update(
+            results_sha256=fingerprint_bytes(path.read_bytes())))
+        code, err = self.call(capsys, self.compare_argv(ran))
+        assert (code, err) == (
+            3, f"ecbench: integrity error: {path}:3: aggregate, started_at, "
+               f"ended_at and a measured line's replicates lie within float "
+               f"range\n")
+        assert not (ran / "cmp.json").exists()
+
     def test_result_line_of_another_object_exit_3(self, ran, capsys):
         path = ran / "cpu_b.jsonl"
         lines = path.read_text().splitlines()
@@ -1180,6 +1236,14 @@ def test_loading_a_plan_peaks_below_three_file_sizes(files_20k):
     # the text and the entries, with no dict kept per entry
     path = files_20k / "plan.json"
     assert traced_peak(lambda: SamplePlan.load(path)) <= 3 * path.stat().st_size
+
+
+def test_a_plan_fingerprint_peaks_below_half_a_file_size(files_20k):
+    # the canonical text is hashed a slice of entries at a time, never
+    # built whole
+    path = files_20k / "plan.json"
+    plan = SamplePlan.load(path)
+    assert traced_peak(lambda: plan.fingerprint) <= 0.5 * path.stat().st_size
 
 
 def plan_group_map_keys(plan_path):

@@ -417,7 +417,8 @@ def test_result_set_refuses_replicates_a_file_could_not_hold():
     refused = r"measurement key \({}, 0\): a measured row holds as many " \
               r"replicates as the first, each a number"
     rs = ResultSet(object_id="o", plan_fingerprint="p")
-    for bad in (("1.5", 2.0), (True, 2.0), (np.True_, 2.0), (None,)):
+    for bad in (("1.5", 2.0), (True, 2.0), (np.True_, 2.0), (None,),
+                (10**400, 2.0)):
         with pytest.raises(ExecutionError, match=refused.format(3)):
             rs.add((3, 0), Measurement(3, "o", bad, 1.5, "mean"))
     # the key is still free; ints and numpy numbers are numbers
