@@ -45,9 +45,10 @@ from .manifest import (
     ResultWriter,
     RunManifest,
     check_resumable,
+    drop_torn_line,
     emit_report,
     load_results,
-    parse_results,
+    read_results,
 )
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
@@ -117,13 +118,9 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     if args.resume and out.exists():
         check_resumable(out, manifest)
-        data = out.read_bytes()
-        complete = data[:data.rfind(b"\n") + 1]
-        if len(complete) < len(data):  # a torn last line: drop it, re-run its entry
-            with out.open("r+b") as fh:
-                fh.truncate(len(complete))
-        done = parse_results(complete, out, obj.object_id,
-                             manifest.plan_fingerprint).measurements
+        drop_torn_line(out)
+        done = read_results(out, obj.object_id,
+                            manifest.plan_fingerprint).measurements
         already_done = set(zip(done.indices.tolist(), done.ordinals.tolist()))
         append = True
 

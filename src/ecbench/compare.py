@@ -21,6 +21,7 @@ from .stats import (
     RatioDiagnostics,
     Sample,
     StatsError,
+    asymmetry_product,
     geometric_mean,
     mean_intervals,
     ratio_summary,
@@ -149,23 +150,31 @@ class GroupMap:
         self.codes = np.fromiter(map(code.__getitem__, labels), dtype=np.intp,
                                  count=len(labels))
 
+    def _rows(self, indices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+        """The map row of each key (indices[i], ordinals[i]), -1 where the
+        map lacks it. A key's code, the rank of its index among the map's
+        distinct indices times a width above every ordinal, plus the
+        ordinal, sorts as the key does, so the map's sorted codes find the
+        one row that can hold it."""
+        if not len(self.codes):
+            return np.full(len(indices), -1)
+        distinct, rank = np.unique(self.indices, return_inverse=True)
+        width = 1 + max(self.ordinals.max(), ordinals.max(initial=0))
+        held = rank * width + self.ordinals
+        order = np.argsort(held)
+        # a code past every held one finds the last row, which differs from it
+        at = order[np.searchsorted(
+            held, np.searchsorted(distinct, indices) * width + ordinals,
+            sorter=order).clip(max=len(order) - 1)]
+        return np.where((self.indices[at] == indices)
+                        & (self.ordinals[at] == ordinals), at, -1)
+
     def groups_of(self, indices: np.ndarray, ordinals: np.ndarray
                   ) -> tuple[list[str], np.ndarray]:
         """The sorted labels of the distinct keys (indices[i], ordinals[i]),
         and the position of each key's label in them; a PairingError names
         the first keys the map lacks."""
-        n = len(self.codes)
-        keys_i = np.concatenate([self.indices, indices])
-        keys_o = np.concatenate([self.ordinals, ordinals])
-        # lexsort is stable: a key asked for that the map holds sorts
-        # straight after the map's copy of it
-        order = np.lexsort((keys_o, keys_i))
-        keys_i, keys_o, before = keys_i[order], keys_o[order], np.roll(order, 1)
-        held = np.zeros(len(order), dtype=bool)
-        held[1:] = (keys_i[1:] == keys_i[:-1]) & (keys_o[1:] == keys_o[:-1])
-        asked = order >= n
-        at = np.empty(len(indices), dtype=np.intp)  # the map row, or -1
-        at[order[asked] - n] = np.where(held & (before < n), before, -1)[asked]
+        at = self._rows(indices, ordinals)
         missing = at < 0
         if missing.any():
             raise PairingError(
@@ -224,8 +233,8 @@ class AsymmetryReport:
     diff_ba: Interval        # CI of b - a; mirrors diff_ab exactly
     ratio_base_b: Interval   # CI of a/b
     ratio_base_a: Interval   # CI of b/a; generally NOT the reciprocal
-    diag_base_b: RatioDiagnostics
-    diag_base_a: RatioDiagnostics
+    jensen_base_b: float     # mean(r) * mean(1/r) for r = a/b; >= 1
+    jensen_base_a: float     # the same for r = b/a
 
     def to_dict(self) -> dict:
         def iv(i: Interval) -> dict:
@@ -237,8 +246,8 @@ class AsymmetryReport:
             "difference_b_minus_a": iv(self.diff_ba),
             "ratio_baseline_b": iv(self.ratio_base_b),
             "ratio_baseline_a": iv(self.ratio_base_a),
-            "jensen_product_baseline_b": self.diag_base_b.asymmetry_product,
-            "jensen_product_baseline_a": self.diag_base_a.asymmetry_product,
+            "jensen_product_baseline_b": self.jensen_base_b,
+            "jensen_product_baseline_a": self.jensen_base_a,
         }
 
 
@@ -257,8 +266,8 @@ def asymmetry_report(a: ResultSet, b: ResultSet, level: float,
     """`aligned` is `paired_aggregates(a, b)` when the caller has already
     computed it."""
     *_, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
-    diag_b = ratio_summary(xa, xb)
-    diag_a = ratio_summary(xb, xa)
+    jensen_b = asymmetry_product(xa, xb)
+    jensen_a = asymmetry_product(xb, xa)
     diff_ab, diff_ba, ratio_b, ratio_a = mean_intervals(
         [xa - xb, xb - xa, xa / xb, xb / xa], level)
     return AsymmetryReport(
@@ -266,8 +275,8 @@ def asymmetry_report(a: ResultSet, b: ResultSet, level: float,
         diff_ba=diff_ba,
         ratio_base_b=ratio_b,
         ratio_base_a=ratio_a,
-        diag_base_b=diag_b,
-        diag_base_a=diag_a,
+        jensen_base_b=jensen_b,
+        jensen_base_a=jensen_a,
     )
 
 

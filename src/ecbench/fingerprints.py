@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 
 # `json.dumps` with these arguments builds this same encoder on every call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
+_SLICE = 1024  # values of a list of scalars per encoder call in `fingerprint`
+_DEPTH = 8  # containers `fingerprint` opens before encoding a value whole
 
 
 def canonical_json(doc) -> str:
@@ -59,7 +61,48 @@ def _indented(value, sort_keys: bool, newline: str) -> str:
 
 
 def fingerprint(doc) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    """The SHA-256 of `canonical_json(doc)`, hashed a piece of the text at a
+    time (`_canonical_pieces`), so that the whole text is never built."""
+    return fingerprint_pieces(_canonical_pieces(doc, 0))
+
+
+def _canonical_pieces(value, depth: int) -> Iterator[str]:
+    """The text of `canonical_json(value)` in pieces. A list or tuple that
+    holds a container goes item by item, and one of more than `_SLICE`
+    scalars `_SLICE` values per encoder call; a dict with string keys that
+    holds a container or more than `_SLICE` values goes key by key in sorted
+    order. Every other value is encoded whole, as is a container `_DEPTH`
+    levels down, so a cycle meets the encoder's own check, and a dict with
+    another key type meets its sort and key rules."""
+    kind = type(value)
+    if kind in _CONTAINERS and value and depth < _DEPTH:
+        nested = any(issubclass(t, _CONTAINERS) for t in set(map(
+            type, value.values() if kind is dict else value)))
+        if kind is dict:
+            if ((nested or len(value) > _SLICE)
+                    and all(type(key) is str for key in value)):
+                opening = "{"
+                for key in sorted(value):
+                    yield opening + encode_basestring_ascii(key) + ":"
+                    yield from _canonical_pieces(value[key], depth + 1)
+                    opening = ","
+                yield "}"
+                return
+        elif nested:
+            opening = "["
+            for item in value:
+                yield opening
+                yield from _canonical_pieces(item, depth + 1)
+                opening = ","
+            yield "]"
+            return
+        elif len(value) > _SLICE:
+            for first in range(0, len(value), _SLICE):
+                yield ("," if first else "[") + canonical_json(
+                    value[first:first + _SLICE])[1:-1]
+            yield "]"
+            return
+    yield canonical_json(value)
 
 
 def fingerprint_bytes(data: bytes) -> str:

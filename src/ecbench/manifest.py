@@ -8,10 +8,13 @@ error. Report files are byte-stable for identical inputs.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
 import platform
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -21,12 +24,9 @@ import numpy as np
 from . import __version__
 from .compare import AsymmetryReport, ComparisonReport
 from .errors import FingerprintError, fits_float, read_object
-from .fingerprints import (
-    canonical_column,
-    canonical_json,
-    fingerprint_bytes,
-    indented_json,
-)
+# fingerprint_bytes stays bound: benchmarks/tracing.py patches it here
+from .fingerprints import fingerprint_bytes  # noqa: F401
+from .fingerprints import canonical_column, canonical_json, indented_json
 from .oracle import CoverageResult
 from .runner import Measurement, Measurements, ResultSet, occurrence_ordinals
 from .space import index_column
@@ -146,11 +146,24 @@ class ResultWriter:
         _write_manifest(self.path, self.manifest)
 
 
+_BLOCK = 1 << 14  # bytes per read of a results file
+
+
 def _write_manifest(path: str | Path, manifest: RunManifest) -> None:
     """Hash the results file at `path` into `manifest` and write it beside."""
-    manifest.results_sha256 = fingerprint_bytes(Path(path).read_bytes())
+    digest = hashlib.sha256()
+    for chunk in _chunks(path):
+        digest.update(chunk)
+    manifest.results_sha256 = digest.hexdigest()
     manifest_path(path).write_text(
         indented_json(manifest.to_dict(), sort_keys=True) + "\n")
+
+
+def _chunks(path: str | Path) -> Iterator[bytes]:
+    """The bytes of the file at `path`, `_BLOCK` bytes per read."""
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(_BLOCK):
+            yield chunk
 
 
 def persist_results(results: ResultSet, manifest: RunManifest,
@@ -181,18 +194,46 @@ def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
     if not mpath.exists():
         raise FingerprintError(f"missing manifest for {path}")
     manifest = RunManifest.from_dict(read_object(mpath, FingerprintError))
+    results = read_results(
+        path, str(manifest.object_config.get("object_id", "")),
+        manifest.plan_fingerprint, manifest.results_sha256)
+    return results, manifest
 
-    data = path.read_bytes()
-    if manifest.results_sha256 is not None:
-        actual = fingerprint_bytes(data)
-        if actual != manifest.results_sha256:
+
+def read_results(path: str | Path, object_id: str, plan_fingerprint: str,
+                 sha256: str | None = None) -> ResultSet:
+    """The result set in the results file at `path`, as `parse_results`
+    gives it for the file's bytes, read, hashed and parsed in one pass of
+    `_BLOCK`-byte reads. With `sha256`, bytes that hash to anything else
+    raise a FingerprintError, which outranks every error of the text."""
+    rows, digest = _Rows(path, object_id), hashlib.sha256()
+    for chunk in _chunks(path):
+        digest.update(chunk)
+        rows.feed(chunk)
+    if sha256 is not None:
+        actual = digest.hexdigest()
+        if actual != sha256:
             raise FingerprintError(
                 f"results file hash {actual[:12]}... does not match manifest"
             )
-    results = parse_results(
-        data, path, str(manifest.object_config.get("object_id", "")),
-        manifest.plan_fingerprint)
-    return results, manifest
+    return rows.result(plan_fingerprint)
+
+
+def drop_torn_line(path: str | Path) -> None:
+    """Truncate the results file at `path` just after its last newline. A
+    run killed mid-write leaves a torn last line; a resume runs its entry
+    again. The file is searched from its end, a `_BLOCK` read at a time."""
+    size = keep = Path(path).stat().st_size
+    with Path(path).open("rb") as fh:
+        while keep:
+            start = max(0, keep - _BLOCK)
+            fh.seek(start)
+            cut = fh.read(keep - start).rfind(b"\n") + 1
+            keep = start + cut
+            if cut:
+                break
+    if keep < size:
+        os.truncate(path, keep)
 
 
 _SCAN = json.JSONDecoder().scan_once
@@ -218,7 +259,6 @@ _REPLICATES = ("a measured line holds as many replicates as the first, "
 _RANGE = ("aggregate, started_at, ended_at and a measured line's "
           "replicates lie within float range")
 _NUMBERS = frozenset((float, int))  # the types of a JSON number's value
-_BLOCK = 1 << 14  # bytes of whole lines that parse_results decodes at a time
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
@@ -227,30 +267,30 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     line, blank lines skipped, keyed (ec_index, occurrence ordinal) in file
     order. `object_id` names the set only when no line does.
 
-    The bytes are decoded and split a block of about `_BLOCK` bytes at a
-    time, each cut just after a newline, so `str.splitlines` gives the lines,
-    and line numbers, that it gives on the whole text; only one block's text
-    is live at once. Each line is decoded once and checked, by the one rule
+    The bytes go to `_Rows.feed` `_BLOCK` bytes at a time, as `read_results`
+    reads a file. Each line is decoded once and checked, by the one rule
     set of `_Rows.add_lines`, for the fields `Measurement.from_dict` reads
     and for their types (`_LINE_TYPES`), so the first bad line decides the
-    error. Every line names the first line's object, and its numbers lie
-    within float range (`_RANGE`). A measured line (one with no error)
-    leaves its fields in the set's columns (`_REPLICATES`); a failure line
-    becomes a `Measurement`."""
-    if not data.isascii():
-        data.decode()  # a decode error anywhere outranks every line's error
+    error; a UTF-8 error anywhere outranks it. Every line names the first
+    line's object, and its numbers lie within float range (`_RANGE`). A
+    measured line (one with no error) leaves its fields in the set's columns
+    (`_REPLICATES`); a failure line becomes a `Measurement`."""
     rows = _Rows(path, object_id)
-    start, lineno = 0, 1
-    while start < len(data):
-        cut = data.find(b"\n", start + _BLOCK - 1) + 1 or len(data)
-        lines = data[start:cut].decode().splitlines()
-        rows.add_lines(lines, lineno)
-        start, lineno = cut, lineno + len(lines)
+    for start in range(0, len(data), _BLOCK):
+        rows.feed(data[start:start + _BLOCK])
     return rows.result(plan_fingerprint)
 
 
 class _Rows:
-    """The rows of `parse_results` so far, as column arrays per block."""
+    """The rows of a results file's bytes fed so far, as column arrays per
+    block of whole lines, and the bytes after the last newline fed.
+
+    A block is cut just after a newline, so `str.splitlines` gives the
+    lines, and line numbers, that it gives on the whole text (a `\\r\\n`
+    pair is never split, and a cut never falls inside a UTF-8 character,
+    since a newline is never part of one); only one block's text is live at
+    once. The first error is kept and raised by `result`, after every block
+    has been checked to decode."""
 
     def __init__(self, path: str | Path, object_id: str):
         self.path, self.object_id = path, object_id
@@ -259,6 +299,41 @@ class _Rows:
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [], [])
         self.failures: list[Measurement] = []
         self.names: dict[str, str] = {}  # one str per distinct policy
+        self.tail = bytearray()  # the bytes fed after the last newline
+        self.offset, self.lineno = 0, 1  # where the tail starts in the file
+        self.error: Exception | None = None
+
+    def feed(self, chunk: bytes) -> None:
+        """Take the next bytes of the file, parsing the lines they end. A
+        line longer than a chunk grows the tail, which is copied once."""
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            self.tail += chunk
+            return
+        block, self.tail = self.tail + chunk[:cut], bytearray(chunk[cut:])
+        self._add_block(block)
+
+    def _add_block(self, block: bytes) -> None:
+        """Parse a block of whole lines; once an error is kept, only check
+        that the block decodes."""
+        if not isinstance(self.error, UnicodeDecodeError):
+            try:
+                text = block.decode()
+            except UnicodeDecodeError as e:
+                # what decoding the whole file raises: positions count from
+                # its start, so the zero bytes put the block at its offset
+                self.error = UnicodeDecodeError(
+                    e.encoding, bytes(self.offset) + e.object,
+                    self.offset + e.start, self.offset + e.end, e.reason)
+            else:
+                if self.error is None:
+                    lines = text.splitlines()
+                    try:  # a line's error waits until the rest decodes
+                        self.add_lines(lines, self.lineno)
+                    except Exception as e:
+                        self.error = e
+                    self.lineno += len(lines)
+        self.offset += len(block)
 
     def add_lines(self, lines: list[str], lineno: int) -> None:
         """Add the rows of `lines`, the first of them line `lineno`, one
@@ -334,6 +409,13 @@ class _Rows:
             column.append(array)
 
     def result(self, plan_fingerprint: str) -> ResultSet:
+        """The result set of every byte fed, the last line needing no
+        newline, or the first error of the file."""
+        if self.tail:
+            self._add_block(self.tail)
+            self.tail = bytearray()
+        if self.error is not None:
+            raise self.error
         if not self.columns[0]:
             self._add((), (), (), (), (), ())
         joined = []

@@ -129,6 +129,15 @@ class Measurement:
 
 _REPLICATES = ("a measured row holds as many replicates as the first, each "
                "a number")
+_SCALARS = ("a measured row's aggregate, started_at and ended_at are numbers "
+            "within float range")
+
+
+def _is_number(value) -> bool:
+    """Whether a float64 column takes `value` as `parse_results` takes a
+    file's numbers: a real number, not a bool, within float range."""
+    return (type(value) is not bool and isinstance(value, numbers.Real)
+            and fits_float(value))
 
 
 class Measurements:
@@ -138,8 +147,8 @@ class Measurements:
     `policies` (a string per row, dtype object), `started_at` and
     `ended_at` (float64). Rows `add`ed one at a time wait in a buffer that
     joins the columns when one is next read; `len` reads no column. `add`
-    refuses a row unless its replicates are numbers (not bools) within float
-    range, as many as the first row's."""
+    refuses a row unless its replicates, as many as the first row's, its
+    aggregate and its times are numbers (not bools) within float range."""
 
     # column i of `_folded()`, read-only
     (indices, ordinals, aggregates, replicates, policies, started_at,
@@ -161,12 +170,14 @@ class Measurements:
             raise ExecutionError(f"duplicate measurement key {key}")
         if self._width not in (None, len(m.replicates)):
             raise ExecutionError(f"measurement key {key}: {_REPLICATES}")
-        for value in m.replicates:  # a float, the common case, needs one test
-            if type(value) is not float and (
-                    type(value) is bool
-                    or not isinstance(value, numbers.Real)
-                    or not fits_float(value)):
+        # floats, the common case, need one test
+        for value in m.replicates:
+            if type(value) is not float and not _is_number(value):
                 raise ExecutionError(f"measurement key {key}: {_REPLICATES}")
+        scalars = (m.aggregate, m.started_at, m.ended_at)
+        if not (type(m.aggregate) is type(m.started_at) is type(m.ended_at)
+                is float or all(map(_is_number, scalars))):
+            raise ExecutionError(f"measurement key {key}: {_SCALARS}")
         self._width = len(m.replicates)
         self._keys.add(key)
         self._added.append((key, m))

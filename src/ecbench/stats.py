@@ -23,6 +23,7 @@ import math
 import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import special
@@ -154,7 +155,8 @@ def mean_intervals(samples: Sequence[np.ndarray],
     samples come from one array `t_quantile` call, each element equal to a
     scalar call; x_bar is fsum / n as in `statistics.fmean` and s is
     `exact_stdev`, so the bits depend neither on how samples are batched nor
-    on the order of the values within a sample."""
+    on the order of the values within a sample. Neither builds more than
+    `_BLOCK` Python floats or values' worth of arrays at a time."""
     if not 0 < level < 1:
         raise StatsError("confidence level must be in (0, 1)")
     if any(values.size < 2 for values in samples):
@@ -165,7 +167,7 @@ def mean_intervals(samples: Sequence[np.ndarray],
     for values, t in zip(samples, crit.tolist()):
         n = values.size
         s = exact_stdev(values)  # first: it rejects non-finite values
-        mean = math.fsum(values.tolist()) / n
+        mean = _fmean(values)
         if s == 0.0:
             out.append(Interval(low=mean, high=mean, level=level, center=mean,
                                 n=n))
@@ -184,9 +186,22 @@ def mean_intervals(samples: Sequence[np.ndarray],
 _MANT_BITS = 53
 _LO_BITS = 27
 _CHUNK = 256
+# values whose floats or integer moments are built at a time: integer sums
+# are exact, so blocks change no bit, only how much memory is live at once
+_BLOCK = 16 * _CHUNK
 # bits of the scaled variance whose integer square root keeps >= 55 bits: two
 # more than a float64 mantissa, as round-to-odd needs (as in CPython 3.11+)
 _SQRT_BITS = 2 * _MANT_BITS + 3
+
+
+def _fmean(values: np.ndarray) -> float:
+    """`statistics.fmean(values.tolist())` for a 1-D float64 array, its
+    fsum taken over `_BLOCK` Python floats at a time."""
+    if not values.size:
+        return statistics.fmean(())  # raises its error for no data
+    return math.fsum(chain.from_iterable(
+        values[i:i + _BLOCK].tolist()
+        for i in range(0, values.size, _BLOCK))) / values.size
 
 
 def exact_stdev(values: np.ndarray) -> float:
@@ -199,26 +214,45 @@ def exact_stdev(values: np.ndarray) -> float:
     (`np.add.reduceat`) over chunks of at most 256 values, m^2 taken in three
     partial products of 27-bit halves; see `_CHUNK` for why none overflows.
     Python ints then shift each chunk to the smallest exponent E and add them,
-    giving S1 = sum(x) / 2**E and S2 = sum(x^2) / 2**(2E) exactly. The
-    variance is (n*S2 - S1^2) * 4**E / (n*(n-1)) exactly, and its square
-    root is rounded once: an integer square root with round-to-odd keeps at
-    least 55 bits, so the final int / int division (itself correctly rounded)
-    rounds to the nearest float. Integer addition is exact and associative,
-    so the result does not depend on the order of the values.
+    giving S1 = sum(x) / 2**E and S2 = sum(x^2) / 2**(2E) exactly; a block
+    of `_BLOCK` values is summed at a time (`_moments`), and the blocks'
+    sums are shifted and added alike. The variance is
+    (n*S2 - S1^2) * 4**E / (n*(n-1)) exactly, and its square root is rounded
+    once: an integer square root with round-to-odd keeps at least 55 bits,
+    so the final int / int division (itself correctly rounded) rounds to the
+    nearest float. Integer addition is exact and associative, so the result
+    does not depend on the order of the values.
     """
     n = values.size
     if n < 2:
         raise StatsError("standard deviation needs n >= 2")
     if not np.isfinite(values).all():
         raise StatsError("sample contains non-finite values")
-    frac, exp = np.frexp(values.ravel())
+    values = values.ravel()
+    blocks = [_moments(values[i:i + _BLOCK]) for i in range(0, n, _BLOCK)]
+    low = min(e for _, _, e in blocks)
+    s1 = sum(m1 << e - low for m1, _, e in blocks)
+    s2 = sum(m2 << 2 * (e - low) for _, m2, e in blocks)
+    num, den = n * s2 - s1 * s1, n * (n - 1)
+    shift = 2 * (low - _MANT_BITS)
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return _sqrt_of_ratio(num, den)
+
+
+def _moments(values: np.ndarray) -> tuple[int, int, int]:
+    """(S1, S2, E) of `exact_stdev` for a non-empty block of finite values:
+    E is the block's smallest frexp exponent."""
+    frac, exp = np.frexp(values)
     # exponents lie in [-1073, 1024]; as int16 they sort by radix
     order = np.argsort(exp.astype(np.int16), kind="stable")
     exp = exp[order]
     mant = np.ldexp(frac[order], _MANT_BITS).astype(np.int64)
     # chunks break at every change of exponent and every _CHUNK positions
     starts = np.union1d(np.flatnonzero(np.diff(exp)) + 1,
-                        np.arange(0, n, _CHUNK))
+                        np.arange(0, values.size, _CHUNK))
     mag = np.abs(mant)
     hi, lo = mag >> _LO_BITS, mag & ((1 << _LO_BITS) - 1)
     sums = zip(np.add.reduceat(mant, starts).tolist(),
@@ -230,13 +264,7 @@ def exact_stdev(values: np.ndarray) -> float:
     for (m, hh, hl, ll), e in zip(sums, (exp[starts] - low).tolist()):
         s1 += m << e
         s2 += ((hh << 2 * _LO_BITS) + (hl << _LO_BITS + 1) + ll) << 2 * e
-    num, den = n * s2 - s1 * s1, n * (n - 1)
-    shift = 2 * (low - _MANT_BITS)
-    if shift >= 0:
-        num <<= shift
-    else:
-        den <<= -shift
-    return _sqrt_of_ratio(num, den)
+    return s1, s2, low
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -316,15 +344,28 @@ class RatioDiagnostics:
 def ratio_summary(num: np.ndarray, den: np.ndarray) -> RatioDiagnostics:
     """Ratio diagnostics of aligned aggregate arrays, numerator over
     denominator."""
-    if np.any(den <= 0) or np.any(num <= 0):
-        raise StatsError("ratios require positive aggregates")
-    ratios = num / den
-    values = ratios.tolist()
-    mean_r = statistics.fmean(values)
-    mean_inv = statistics.fmean((1.0 / ratios).tolist())
+    ratios, mean_r, mean_inv = _ratio_means(num, den)
     return RatioDiagnostics(
-        ratios=Sample(values=tuple(values)),
+        ratios=Sample(values=tuple(ratios.tolist())),
         mean_ratio=mean_r,
         mean_reciprocal=mean_inv,
         asymmetry_product=mean_r * mean_inv,
     )
+
+
+def asymmetry_product(num: np.ndarray, den: np.ndarray) -> float:
+    """`ratio_summary(num, den).asymmetry_product`, refused alike, with no
+    Python float per ratio kept."""
+    ratios, mean_r, mean_inv = _ratio_means(num, den)
+    if not np.isfinite(ratios).all():  # what `Sample` refuses
+        raise StatsError("sample contains non-finite values")
+    return mean_r * mean_inv
+
+
+def _ratio_means(num: np.ndarray, den: np.ndarray
+                 ) -> tuple[np.ndarray, float, float]:
+    """num / den, and the mean of it and of its reciprocal."""
+    if np.any(den <= 0) or np.any(num <= 0):
+        raise StatsError("ratios require positive aggregates")
+    ratios = num / den
+    return ratios, _fmean(ratios), _fmean(1.0 / ratios)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -8,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ecbench
+import ecbench.fingerprints
 
 from ecbench import demo
 from ecbench.cli import main, plan_group_map
@@ -27,6 +29,7 @@ from ecbench.fingerprints import canonical_json, fingerprint, fingerprint_bytes
 from ecbench.manifest import (
     ResultWriter,
     RunManifest,
+    drop_torn_line,
     emit_report,
     load_results,
     manifest_path,
@@ -320,6 +323,148 @@ class TestPersistLoad:
             parse_results(data, "r.jsonl", "cpu_a", "p")
         assert str(e.value).startswith("r.jsonl:2: " + (
             "aggregate, started_at" if first == "range" else "a measurement"))
+
+    def test_streamed_reads_give_the_whole_files_outcome(self, tmp_path,
+                                                         monkeypatch):
+        # load_results reads, hashes and parses `_BLOCK` bytes at a time:
+        # for reads of 1, 7 and 64 bytes and one read of the whole file, it
+        # gives the rows and failures, or the first error, that the file's
+        # whole text gives by the references: a hash mismatch first, then a
+        # UTF-8 error anywhere, then the first bad line
+        path = tmp_path / "r.jsonl"
+        manifest = RunManifest(space_fingerprint="s", plan_fingerprint="p",
+                               executor_hash="e",
+                               object_config={"object_id": "cpu_a"})
+        text = st.text(alphabet="a\xe9\u20ac\U0001f600\u2028\r", max_size=40)
+        good = st.builds(
+            lambda i, policy, error: canonical_json(Measurement(
+                i, "cpu_a", (1.5, 2.0), 1.75, policy, error=error).to_dict()),
+            st.integers(0, 3), text, st.none() | text)
+        bad = st.sampled_from([
+            '{"ec_index": 1,', "[]", '{"ec_index": 1}', "\u20ac" * 3,
+            canonical_json({"ec_index": 1, "object_id": "cpu_b",
+                            "replicates": [1.0, 2.0], "aggregate": 1.5,
+                            "policy": "mean"})])
+        line = st.one_of(good, good, bad, st.sampled_from(["", " \xa0"]))
+
+        def outcome():
+            try:
+                results, _ = load_results(path)
+            except (FingerprintError, UnicodeDecodeError, KeyError) as e:
+                return type(e), str(e)
+            return keyed_rows(results), results.failures
+
+        def expected(data, tampered):
+            if tampered:
+                return FingerprintError, (
+                    f"results file hash {fingerprint_bytes(data)[:12]}... "
+                    "does not match manifest")
+            try:
+                data.decode()
+            except UnicodeDecodeError as e:
+                return UnicodeDecodeError, str(e)
+            seen = []
+            try:
+                for lineno, value in parse_lines_reference(data):
+                    m = measurement_reference(value)
+                    line_in_file_reference(m, seen)
+                    seen.append(m)
+            except LineParseError as e:
+                return FingerprintError, f"{path}:{e}"
+            except LineTypeError:
+                return FingerprintError, f"{path}:{lineno}: "  # a prefix
+            except KeyError as e:
+                return KeyError, str(e)
+            measured = [m for m in seen if m.error is None]
+            rows = dict(zip(occurrence_keys_reference(
+                [m.ec_index for m in measured]), measured))
+            return rows, [m for m in seen if m.error is not None]
+
+        @settings(max_examples=150, deadline=None)
+        @given(lines=st.lists(line, max_size=6),
+               newline=st.sampled_from(["\n", "\r\n"]), end=st.booleans(),
+               corrupt=st.none() | st.tuples(
+                   st.integers(0, 10**4), st.sampled_from([b"\xff", b"\xe2"])),
+               tampered=st.booleans())
+        def check(lines, newline, end, corrupt, tampered):
+            data = (newline.join(lines) + newline * end).encode()
+            if corrupt is not None:
+                at = corrupt[0] % (len(data) + 1)
+                data = data[:at] + corrupt[1] + data[at:]
+            path.write_bytes(data)
+            manifest.results_sha256 = fingerprint_bytes(
+                data + b"x" * tampered)
+            manifest_path(path).write_text(json.dumps(manifest.to_dict()))
+            want = expected(data, tampered)
+            for block in (1, 7, 64, len(data) + 1):
+                monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
+                got = outcome()
+                if want[0] is FingerprintError and want[1].endswith(": "):
+                    assert got[0] is FingerprintError
+                    assert got[1].startswith(want[1])
+                else:
+                    assert got == want
+
+        check()
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 14])
+    def test_the_first_error_of_a_streamed_file(self, tmp_path, monkeypatch,
+                                                block):
+        monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
+        path = tmp_path / "r.jsonl"
+        good = measurement_line(Measurement(1, "cpu_a", (1.0,), 1.0, "mean"))
+
+        def load(data, recorded=None):
+            path.write_bytes(data)
+            manifest_path(path).write_text(json.dumps(RunManifest(
+                space_fingerprint="s", plan_fingerprint="p",
+                executor_hash="e", object_config={"object_id": "cpu_a"},
+                results_sha256=recorded or fingerprint_bytes(data)
+            ).to_dict()))
+            return load_results(path)
+
+        # a tampered file that also holds a bad line: the hash error wins
+        data = f"{good}\n{{bad\n{good}\n".encode()
+        with pytest.raises(FingerprintError, match="does not match manifest"):
+            load(data, recorded="0" * 64)
+        with pytest.raises(FingerprintError, match=":2: parse failure"):
+            load(data)
+        # a UTF-8 error after a bad line: the decode error wins, its offset
+        # counted from the file's start
+        data = f"{good}\n{{bad\n{good}\n".encode() + b"\xe2\x82\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode()
+        with pytest.raises(UnicodeDecodeError) as got:
+            load(data)
+        assert str(got.value) == str(whole.value)
+        assert f"position {len(data) - 3}" in str(got.value)
+        # CRLF ends and multi-byte characters on every read edge, and no
+        # final newline
+        lines = [measurement_line(Measurement(
+            i, "cpu_a", (1.0,), 1.0, "\u20ac" * i + "\U0001f600",
+            error="\xe9" * i if i % 2 else None)) for i in range(9)]
+        results, _ = load("\r\n".join(lines).encode())
+        assert results.measurements.policies.tolist() == [
+            "\u20ac" * i + "\U0001f600" for i in range(0, 9, 2)]
+        assert [m.error for m in results.failures] == [
+            "\xe9" * i for i in range(1, 9, 2)]
+        # a line spanning many reads, read in time linear in its length
+        long = measurement_line(Measurement(2, "cpu_a", (), float("nan"),
+                                            "mean", error="x" * 200_000))
+        results, _ = load(f"{good}\n{long}\n{good}".encode())
+        assert results.failures[0].error == "x" * 200_000
+        assert results.measurements.indices.tolist() == [1, 1]
+
+    @given(st.binary(max_size=60), st.sampled_from([1, 2, 7, 1 << 14]))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drop_torn_line_keeps_the_bytes_to_the_last_newline(
+            self, tmp_path, monkeypatch, data, block):
+        monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(data)
+        drop_torn_line(path)
+        assert path.read_bytes() == data[:data.rfind(b"\n") + 1]
 
     def test_numbers_at_the_edge_of_float_range_load(self):
         # the largest int a float holds, and JSON numbers that overflow to
@@ -1188,6 +1333,18 @@ class TestIllTypedInputs:
         assert not (ws / "new.jsonl").exists()
 
 
+def write_results_file(path, indices, values) -> None:
+    """A results file of measured rows of cpu_a, with its manifest."""
+    data = "".join(
+        measurement_line(Measurement(i, "cpu_a", tuple(v), sum(v) / 3, "mean"))
+        + "\n" for i, v in zip(indices, values)).encode()
+    path.write_bytes(data)
+    manifest_path(path).write_text(json.dumps(RunManifest(
+        space_fingerprint="s", plan_fingerprint="p", executor_hash="e",
+        object_config={"object_id": "cpu_a"},
+        results_sha256=fingerprint_bytes(data)).to_dict()))
+
+
 @pytest.fixture(scope="module")
 def files_20k(tmp_path_factory):
     """A 20k-row result file with its manifest and a 20k-entry plan file,
@@ -1197,15 +1354,8 @@ def files_20k(tmp_path_factory):
     labels = demo.demo_space_billion().factor("workload").levels
     strata = rng.integers(0, len(labels), 20_000).tolist()
     indices = rng.integers(0, 10**9, 20_000).tolist()
-    values = rng.normal(200.0, 2.0, (20_000, 3)).tolist()
-    data = "".join(
-        measurement_line(Measurement(i, "cpu_a", tuple(v), sum(v) / 3, "mean"))
-        + "\n" for i, v in zip(indices, values)).encode()
-    (d / "r.jsonl").write_bytes(data)
-    manifest_path(d / "r.jsonl").write_text(json.dumps(RunManifest(
-        space_fingerprint="s", plan_fingerprint="p", executor_hash="e",
-        object_config={"object_id": "cpu_a"},
-        results_sha256=fingerprint_bytes(data)).to_dict()))
+    write_results_file(d / "r.jsonl", indices,
+                       rng.normal(200.0, 2.0, (20_000, 3)).tolist())
     SamplePlan(design="stratified",
                entries=tuple(map(PlanEntry, indices,
                                  [labels[s] for s in strata])),
@@ -1230,6 +1380,24 @@ def test_loading_a_result_file_peaks_below_two_and_a_quarter_file_sizes(
     # whole text and its lines beside the bytes
     path = files_20k / "r.jsonl"
     assert traced_peak(lambda: load_results(path)) <= 2.25 * path.stat().st_size
+
+
+def test_loading_a_result_file_peaks_below_three_quarters_of_its_size(
+        tmp_path):
+    # read, hashed and parsed a block at a time: the peak is the columns
+    # and their joining, not the file's bytes
+    rng = np.random.default_rng(11)
+    path = tmp_path / "r.jsonl"
+    write_results_file(path, rng.integers(0, 10**9, 5_000).tolist(),
+                       rng.normal(200.0, 2.0, (5_000, 3)).tolist())
+    assert traced_peak(lambda: load_results(path)) < 0.75 * path.stat().st_size
+
+
+def test_a_space_fingerprint_peaks_below_a_megabyte():
+    # encoding the billion-point space whole peaks at about 4.2 MB; it is
+    # hashed a key, or a slice of levels, at a time
+    doc = demo.demo_space_billion().to_dict()
+    assert traced_peak(lambda: fingerprint(doc)) < 1_000_000
 
 
 def test_loading_a_plan_peaks_below_three_file_sizes(files_20k):
@@ -1265,6 +1433,59 @@ json_docs = st.recursive(
 def test_canonical_json_is_sorted_compact_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, sort_keys=True,
                                              separators=(",", ":"))
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.floats(),
+                    st.sampled_from([-0.0, 10**400, -10**400]),
+                    st.integers(min_value=-2**200, max_value=2**200),
+                    st.text(alphabet="a\"\\/\x00\x1f\x7f\xe9\u2028\ud800"
+                                     "\U0001f600", max_size=5))
+# any key the encoder takes: strings, and numbers, bools and null, which it
+# sorts with the strings, or refuses to
+keys = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(),
+                 st.none(), st.floats(allow_nan=False))
+fingerprint_docs = st.recursive(
+    scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=6), st.lists(scalars, max_size=12),
+        st.tuples(inner, inner), st.dictionaries(st.text(max_size=3), inner,
+                                                 max_size=5),
+        st.dictionaries(keys, inner, max_size=3)),
+    max_leaves=40)
+
+
+def fingerprint_outcome(digest, doc):
+    try:
+        return digest(doc)
+    except (TypeError, ValueError) as e:  # a refused key, a cycle
+        return type(e), str(e)
+
+
+@given(fingerprint_docs, st.sampled_from([1, 2, 5, 1024]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fingerprint_hashes_the_canonical_text(monkeypatch, doc, slice_):
+    # hashed a piece at a time, with lists of scalars a slice of values per
+    # encoder call, the digest is the digest of the whole canonical text
+    monkeypatch.setattr(ecbench.fingerprints, "_SLICE", slice_)
+    assert fingerprint_outcome(fingerprint, doc) == fingerprint_outcome(
+        lambda d: hashlib.sha256(canonical_json(d).encode()).hexdigest(), doc)
+
+
+def test_fingerprint_of_long_lists_deep_nesting_and_cycles():
+    def whole(doc):
+        return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+    deep = [1.5]
+    for depth in range(12):  # past the depth below which values go whole
+        deep = {"k": deep, "n": depth} if depth % 2 else [deep, "x"]
+    docs = [demo.demo_space_billion().to_dict(), list(range(3 * 1024 + 1)),
+            {"a": [float("nan"), float("inf"), -float("inf"), -0.0] * 700},
+            deep]
+    assert [fingerprint(doc) for doc in docs] == [whole(doc) for doc in docs]
+    loop: list = [1]
+    loop.append({"back": loop})
+    assert fingerprint_outcome(fingerprint, loop) == (
+        ValueError, "Circular reference detected")
 
 
 def test_plan_group_map_tracks_occurrences():

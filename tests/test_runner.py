@@ -438,6 +438,26 @@ def test_result_set_refuses_replicates_a_file_could_not_hold():
                                                        [4.0, 5.0, 6.0]]
 
 
+@pytest.mark.parametrize("field", ["aggregate", "started_at", "ended_at"])
+def test_result_set_refuses_an_aggregate_or_time_a_file_could_not_hold(field):
+    # the rule `parse_results` applies to a file's numbers: a string, a
+    # bool and an int past float range are refused, naming the key
+    rs = ResultSet(object_id="o", plan_fingerprint="p")
+    row = {"ec_index": 3, "object_id": "o", "replicates": (1.0, 2.0),
+           "aggregate": 1.5, "policy": "mean"}
+    for bad in ("1.5", True, 10**400):
+        with pytest.raises(ExecutionError, match=(
+                r"measurement key \(3, 0\): a measured row's aggregate, "
+                r"started_at and ended_at are numbers within float range")):
+            rs.add((3, 0), Measurement(**{**row, field: bad}))
+    # the key is still free; ints and numpy numbers are numbers
+    rs.add((3, 0), Measurement(**{**row, field: 2}))
+    rs.add((4, 0), Measurement(**{**row, "ec_index": 4,
+                                  field: np.float64(2.5)}))
+    assert getattr(rs.measurements, field + "s" * (field == "aggregate")
+                   ).tolist() == [2.0, 2.5]
+
+
 def test_full_factorial_sigma_zero_matches_analytic():
     # oracle equivalence: noiseless execution reproduces the model surface
     space = demo.demo_space_720()

@@ -4,10 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ecbench.stats
 from ecbench.compare import paired_differences, ratio_diagnostics
 from ecbench.errors import PairingError
 from ecbench.runner import Measurement, ResultSet
@@ -15,12 +16,14 @@ from ecbench.stats import (
     Interval,
     Sample,
     StatsError,
+    asymmetry_product,
     confidence_interval,
     confidence_intervals,
     exact_stdev,
     geometric_mean,
     mean_ci_from_array,
     mean_intervals,
+    ratio_summary,
     t_quantile,
     welch_bounds,
     welch_interval,
@@ -313,6 +316,31 @@ class TestExactStdev:
             assert exact_stdev(values) == (5e-324 if n < 4 else 0.0)
             assert_exact_stdev(values)
 
+    @given(float_arrays(), st.sampled_from([1, 7, 256, 1000]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_blocks_change_no_bit(self, monkeypatch, values, block):
+        # the moments and the mean's fsum, a block of values at a time,
+        # against one block holding every value
+        def bits():
+            iv, = mean_intervals([values], 0.95)
+            return exact_stdev(values), iv
+        monkeypatch.setattr(ecbench.stats, "_BLOCK", values.size)
+        whole = bits()
+        monkeypatch.setattr(ecbench.stats, "_BLOCK", block)
+        assert bits() == whole
+
+    def test_several_default_blocks_match_the_reference(self):
+        # past three blocks of the default size, with exponents that differ
+        # from block to block
+        n = 3 * ecbench.stats._BLOCK + 5
+        rng = np.random.Generator(np.random.PCG64(3))
+        values = np.ldexp(rng.normal(1.0, 0.5, n),
+                          np.repeat(rng.integers(-30, 30, 4), n // 4 + 1)[:n])
+        assert_exact_stdev(values)
+        iv, = mean_intervals([values], 0.95)
+        assert iv.center == statistics.fmean(values.tolist())
+
     def test_rejects_short_and_nonfinite(self):
         with pytest.raises(StatsError):
             exact_stdev(np.array([1.0]))
@@ -394,3 +422,23 @@ def test_jensen_product_at_least_one(ratios):
     assert d.asymmetry_product >= 1.0 - 1e-12
     if len(set(ratios)) == 1:
         assert d.asymmetry_product == pytest.approx(1.0)
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1,
+                max_size=40),
+       st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1,
+                max_size=40))
+@settings(max_examples=200)
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:divide by zero encountered")
+def test_asymmetry_product_is_the_summarys(num, den):
+    # the same bits (NaN where a ratio underflows to 0), or the same
+    # refusal (a ratio past float range)
+    num, den = np.array(num), np.resize(np.array(den), len(num))
+    try:
+        expected = ratio_summary(num, den).asymmetry_product
+    except StatsError as e:
+        with pytest.raises(StatsError, match=str(e)):
+            asymmetry_product(num, den)
+        return
+    assert repr(asymmetry_product(num, den)) == repr(expected)
