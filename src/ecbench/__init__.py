@@ -26,11 +26,10 @@ from .design import (  # noqa: F401
     spec_point,
     stratified_sample,
 )
-from .model import SyntheticModel, synth_time  # noqa: F401
+from .model import SyntheticModel  # noqa: F401
 from .runner import ExecutorSpec, Measurement, ResultSet, execute_plan, measure  # noqa: F401
 from .stats import (  # noqa: F401
     Interval,
-    Sample,
     confidence_interval,
     t_quantile,
 )

@@ -191,10 +191,14 @@ def _cmd_simulate(args) -> int:
     model = SyntheticModel.load(args.model)
     doc = read_object(args.methodologies, PlanError)
     methodologies = _parse_methodologies(doc)
-    objects = tuple(doc["objects"])
+    objects = doc["objects"]
+    if type(objects) is not list or len(objects) != 2 or not all(
+            type(o) is str for o in objects):
+        raise PlanError(f"objects must be a list of two object ids, "
+                        f"not {objects!r}")
     rows = methodology_comparison(model, space, methodologies,
                                   args.iterations, args.level, args.seed,
-                                  objects)
+                                  tuple(objects))
     emit_report(rows, args.format, args.out)
     for r in rows:
         print(f"{r.methodology:16s} cost={r.cost_per_object:4d}/object "
@@ -203,7 +207,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = read_object(args.input, EcbenchError)
+    check_type("report overall", doc["overall"], dict, EcbenchError)
+    check_objects("report groups", doc["groups"], EcbenchError)
     report = ComparisonReport.from_dict(doc)
     emit_report(report, args.format, args.out)
     print(f"wrote {args.out}")

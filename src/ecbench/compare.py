@@ -19,9 +19,7 @@ from .runner import ResultSet
 from .stats import (
     Interval,
     RatioDiagnostics,
-    Sample,
     StatsError,
-    asymmetry_product,
     geometric_mean,
     mean_intervals,
     ratio_summary,
@@ -184,11 +182,10 @@ class GroupMap:
         return [self.names[c] for c in used.tolist()], codes
 
 
-def paired_differences(a: ResultSet, b: ResultSet,
-                       label: str | None = None) -> Sample:
+def paired_differences(a: ResultSet, b: ResultSet) -> np.ndarray:
     """Per matched key, aggregate(a) - aggregate(b), in sorted key order."""
     *_, xa, xb = paired_aggregates(a, b)
-    return Sample(values=tuple((xa - xb).tolist()), label=label)
+    return xa - xb
 
 
 def compare_objects(a: ResultSet, b: ResultSet, level: float,
@@ -266,8 +263,8 @@ def asymmetry_report(a: ResultSet, b: ResultSet, level: float,
     """`aligned` is `paired_aggregates(a, b)` when the caller has already
     computed it."""
     *_, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
-    jensen_b = asymmetry_product(xa, xb)
-    jensen_a = asymmetry_product(xb, xa)
+    jensen_b = ratio_summary(xa, xb).asymmetry_product
+    jensen_a = ratio_summary(xb, xa).asymmetry_product
     diff_ab, diff_ba, ratio_b, ratio_a = mean_intervals(
         [xa - xb, xb - xa, xa / xb, xb / xa], level)
     return AsymmetryReport(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import FactorSplit, design_of, stratified_indices
-from .errors import SpaceError
+from .errors import PlanError, SpaceError
 from .fingerprints import fingerprint
 from .model import CompiledModel, SyntheticModel
 from .runner import ResultSet
@@ -258,6 +258,8 @@ def methodology_comparison(model: SyntheticModel, space: ConfigSpace,
                            level: float, master_seed: int,
                            objects: tuple[str, str]) -> list[CoverageResult]:
     """One coverage row per methodology, in the given order."""
+    if iterations < 1:
+        raise PlanError("iterations must be >= 1")
     return [
         coverage_experiment(model, space, m, iterations, level, master_seed,
                             objects)

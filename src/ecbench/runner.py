@@ -269,41 +269,16 @@ def _run_command(template: str, labels: dict[str, str],
     return elapsed
 
 
-def _synthetic_replicates(model: SyntheticModel, obj: ObjectConfig,
-                          space: ConfigSpace, indices: list[int],
-                          reps: int) -> list[list[float]]:
-    """Replicate values per index from one compile and one model evaluation;
-    bit-identical to `synth_time` called once per replicate. The compile
-    refuses a space over the model's limit before any index is converted."""
-    compiled = model.compile(space)
-    return compiled.noisy_values(index_column(indices)[:, None], obj.object_id,
-                                 np.arange(reps, dtype=np.int64)).tolist()
-
-
-def _synthetic_measurement(ec_index: int, obj: ObjectConfig,
-                           values: list[float], policy: str) -> Measurement:
-    # synthetic runs carry no meaningful wall time; zero timestamps keep
-    # result files byte-reproducible
-    return Measurement(
-        ec_index=ec_index,
-        object_id=obj.object_id,
-        replicates=tuple(values),
-        aggregate=aggregate(values, policy),
-        policy=policy,
-    )
-
-
 def measure(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
             ec: Configuration, reps: int, policy: str,
             stratum: str | None = None) -> Measurement:
-    """Run `reps` sequential replicates and aggregate them."""
+    """Run `reps` sequential replicates of a command executor and aggregate
+    them."""
+    if executor.kind != "command":
+        raise ExecutionError("measure runs command executors; execute_plan "
+                             "evaluates a synthetic executor's plan")
     if reps < 1:
         raise ExecutionError("reps must be >= 1")
-    if executor.kind == "synthetic":
-        assert executor.model is not None
-        (values,) = _synthetic_replicates(executor.model, obj, space,
-                                          [ec.index], reps)
-        return _synthetic_measurement(ec.index, obj, values, policy)
     started_at = time.time()
     if stratum is None and executor.stratum_factor is not None:
         pos = ec.level_index(executor.stratum_factor)
@@ -353,12 +328,19 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
     rows = None
     if executor.kind == "synthetic":
         assert executor.model is not None
-        rows = _synthetic_replicates(executor.model, obj, space,
-                                     [key[0] for key, _ in pending], plan.reps)
+        # one compile, which refuses a space over the model's limit before
+        # any index is converted, and one evaluation: bit-identical to
+        # `synth_time` called once per replicate
+        rows = executor.model.compile(space).noisy_values(
+            index_column([key[0] for key, _ in pending])[:, None],
+            obj.object_id, np.arange(plan.reps, dtype=np.int64)).tolist()
     for i, (key, entry) in enumerate(pending):
         try:
             if rows is not None:
-                m = _synthetic_measurement(entry.ec_index, obj, rows[i], policy)
+                # synthetic runs carry no meaningful wall time; zero
+                # timestamps keep result files byte-reproducible
+                m = Measurement(entry.ec_index, obj.object_id, tuple(rows[i]),
+                                aggregate(rows[i], policy), policy)
             else:
                 m = measure(executor, obj, space, space.config_at(entry.ec_index),
                             plan.reps, policy, stratum=entry.stratum)

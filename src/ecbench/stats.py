@@ -36,22 +36,6 @@ class StatsError(EcbenchError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    values: tuple[float, ...]
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise StatsError("sample must be non-empty")
-        if not all(map(math.isfinite, self.values)):
-            raise StatsError("sample contains non-finite values")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class Interval:
     low: float
     high: float
@@ -136,16 +120,9 @@ def _t_bisection(p: float):
     return 0.5 * (lo + hi)
 
 
-def confidence_interval(sample: Sample, level: float) -> Interval:
-    """Mean CI: x_bar +/- t_{(1+level)/2, n-1} * s / sqrt(n)."""
-    return confidence_intervals([sample], level)[0]
-
-
-def confidence_intervals(samples: Sequence[Sample],
-                         level: float) -> list[Interval]:
-    """The mean CI of each sample; see `mean_intervals`."""
-    return mean_intervals([np.array(s.values, dtype=np.float64)
-                           for s in samples], level)
+def confidence_interval(values: np.ndarray, level: float) -> Interval:
+    """The mean CI of one 1-D float64 array; see `mean_intervals`."""
+    return mean_intervals([values], level)[0]
 
 
 def mean_intervals(samples: Sequence[np.ndarray],
@@ -335,7 +312,7 @@ def welch_interval(a: np.ndarray, b: np.ndarray, level: float) -> Interval:
 
 @dataclass(frozen=True)
 class RatioDiagnostics:
-    ratios: Sample
+    ratios: np.ndarray  # float64, num / den per aligned pair
     mean_ratio: float
     mean_reciprocal: float
     asymmetry_product: float  # mean(r) * mean(1/r); >= 1, = 1 iff constant
@@ -343,29 +320,14 @@ class RatioDiagnostics:
 
 def ratio_summary(num: np.ndarray, den: np.ndarray) -> RatioDiagnostics:
     """Ratio diagnostics of aligned aggregate arrays, numerator over
-    denominator."""
-    ratios, mean_r, mean_inv = _ratio_means(num, den)
-    return RatioDiagnostics(
-        ratios=Sample(values=tuple(ratios.tolist())),
-        mean_ratio=mean_r,
-        mean_reciprocal=mean_inv,
-        asymmetry_product=mean_r * mean_inv,
-    )
-
-
-def asymmetry_product(num: np.ndarray, den: np.ndarray) -> float:
-    """`ratio_summary(num, den).asymmetry_product`, refused alike, with no
-    Python float per ratio kept."""
-    ratios, mean_r, mean_inv = _ratio_means(num, den)
-    if not np.isfinite(ratios).all():  # what `Sample` refuses
-        raise StatsError("sample contains non-finite values")
-    return mean_r * mean_inv
-
-
-def _ratio_means(num: np.ndarray, den: np.ndarray
-                 ) -> tuple[np.ndarray, float, float]:
-    """num / den, and the mean of it and of its reciprocal."""
+    denominator: refused unless every aggregate is positive, then unless
+    every ratio is finite."""
     if np.any(den <= 0) or np.any(num <= 0):
         raise StatsError("ratios require positive aggregates")
     ratios = num / den
-    return ratios, _fmean(ratios), _fmean(1.0 / ratios)
+    if not np.isfinite(ratios).all():
+        raise StatsError("sample contains non-finite values")
+    mean_r, mean_inv = _fmean(ratios), _fmean(1.0 / ratios)
+    return RatioDiagnostics(ratios=ratios, mean_ratio=mean_r,
+                            mean_reciprocal=mean_inv,
+                            asymmetry_product=mean_r * mean_inv)

@@ -1,26 +1,31 @@
 """Every import in `src/ecbench` is used, unless its statement carries
-`# noqa: F401` (a name kept bound for callers outside the module), and every
-private module-level name, method and class attribute there is read
-somewhere in `src/ecbench`."""
+`# noqa: F401` (a name kept bound for callers outside the module; outside
+`__init__`, only for the benchmark tracer), and every private module-level
+name, method and class attribute there is read somewhere in
+`src/ecbench`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+from test_oracle import bench_tracing
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "ecbench"
 
 
-def unused_imports(source: str) -> list[str]:
-    """`line: name` for each imported name that `source` never reads."""
+def unused_imports(source: str, kept: bool = False) -> list[str]:
+    """`line: name` for each imported name that `source` never reads: of the
+    statements without `# noqa: F401`, or of those with it if `kept`."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if (not isinstance(node, (ast.Import, ast.ImportFrom))
                 or getattr(node, "module", None) == "__future__"
-                or "# noqa: F401" in "\n".join(
-                    lines[node.lineno - 1:node.end_lineno])):
+                or kept != ("# noqa: F401" in "\n".join(
+                    lines[node.lineno - 1:node.end_lineno]))):
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -49,12 +54,29 @@ def test_the_check_finds_an_unused_import():
               "from pathlib import Path, PurePath\n"
               "def f(x: 'Path') -> None:\n    return os.sep\n")
     assert unused_imports(source) == ["2: json", "8: PurePath"]
+    assert unused_imports(source, kept=True) == ["4: re", "5: Any"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_each_kept_binding_is_patched_by_the_benchmark_tracer():
+    # a name a module imports under `# noqa: F401` and never reads is bound
+    # only so that benchmarks/tracing.py can rebind it there; once the
+    # tracer no longer patches it, the binding is stale
+    tracing = bench_tracing()
+    patched = {(owner, attr) for owner, attr, *_ in tracing._span_table()}
+    patched |= {(owner, attr) for owner, attr, _ in tracing._COUNTER_TABLE}
+    kept = [(path.stem, entry.split(": ")[1])
+            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+            for entry in unused_imports(path.read_text(), kept=True)]
+    assert kept  # the scan finds the bindings
+    for module, name in kept:
+        owner = importlib.import_module(f"ecbench.{module}")
+        assert (owner, name) in patched, f"{module}.{name}"
 
 
 def defined_names(node: ast.stmt) -> list[str]:

@@ -1078,6 +1078,56 @@ class TestIllTypedInputs:
                 "--level", "0.95", "--group-by-plan", ws / "plan.json",
                 "--out", ws / "cmp.json"]
 
+    def simulate_argv(self, ws, iterations=2):
+        return ["simulate", "--space", ws / "space.json", "--model",
+                ws / "model.json", "--methodologies", ws / "meth.json",
+                "--iterations", iterations, "--level", "0.95", "--seed", "1",
+                "--out", ws / "cov.csv"]
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_simulate_iterations_below_one(self, workspace, capsys,
+                                           iterations):
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "full_factorial"}]}))
+        code, err = self.call(capsys, self.simulate_argv(ws, iterations))
+        assert (code, err) == (2, "ecbench: error: iterations must be >= 1\n")
+        assert not (ws / "cov.csv").exists()
+
+    @pytest.mark.parametrize("objects", [
+        ["cpu_a"], [1, 2], "ab", ["cpu_a", "cpu_b", "cpu_c"], None])
+    def test_simulate_objects_not_two_ids(self, workspace, capsys, objects):
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": objects,
+            "methodologies": [{"kind": "full_factorial"}]}))
+        code, err = self.call(capsys, self.simulate_argv(ws))
+        assert (code, err) == (
+            2, f"ecbench: error: objects must be a list of two object ids, "
+               f"not {objects!r}\n")
+        assert not (ws / "cov.csv").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: [d], "{path} must hold a JSON object"),
+        (lambda d: d.update(overall=5),
+         "report overall must be a JSON object, not 5"),
+        (lambda d: d.update(groups=[d["overall"], "stratum"]),
+         "report groups must be a list of JSON objects"),
+    ], ids=["report", "overall", "groups"])
+    def test_report_input_ill_typed(self, ran, capsys, change, message):
+        assert self.call(capsys, self.compare_argv(ran))[0] == 0
+        doc = json.loads((ran / "cmp.json").read_text())
+        changed = change(doc)
+        (ran / "cmp.json").write_text(json.dumps(
+            doc if changed is None else changed))
+        code, err = self.call(capsys, [
+            "report", "--input", ran / "cmp.json", "--format", "csv",
+            "--out", ran / "cmp.csv"])
+        assert (code, err) == (
+            2, f"ecbench: error: {message.format(path=ran / 'cmp.json')}\n")
+        assert not (ran / "cmp.csv").exists()
+
     @pytest.mark.parametrize("stratum", [3, 0])
     def test_plan_stratum_not_a_string(self, ran, capsys, stratum):
         # the runs' manifests name the edited plan, so compare reaches it

@@ -186,19 +186,35 @@ class TestCardinalityLimit:
         assert all(v != 20.0 for v in expected)
 
 
+def measured_once(ex: ExecutorSpec, space, reps: int) -> Measurement:
+    """The one measurement of a one-entry plan at index 0."""
+    plan = SamplePlan(design="full_factorial", entries=(PlanEntry(0, None),),
+                      reps=reps, seed=0,
+                      space_fingerprint=fingerprint(space.to_dict()))
+    (m,) = keyed_rows(execute_plan(ex, ObjectConfig("o"), space, plan)).values()
+    return m
+
+
 class TestMeasure:
+    # a synthetic executor is evaluated a plan at a time, by execute_plan
     def test_constant_model_any_reps(self):
         space = one_point_space()
         ex = ExecutorSpec(kind="synthetic", model=constant_model())
-        m = measure(ex, ObjectConfig("o"), space, space.config_at(0), 5, "mean")
+        m = measured_once(ex, space, 5)
         assert m.aggregate == 100.0
         assert m.replicates == (100.0,) * 5
 
     def test_synthetic_timestamps_zeroed(self):
         space = one_point_space()
         ex = ExecutorSpec(kind="synthetic", model=constant_model())
-        m = measure(ex, ObjectConfig("o"), space, space.config_at(0), 1, "mean")
+        m = measured_once(ex, space, 1)
         assert m.started_at == 0.0 and m.ended_at == 0.0
+
+    def test_synthetic_executor_refused(self):
+        space = one_point_space()
+        ex = ExecutorSpec(kind="synthetic", model=constant_model())
+        with pytest.raises(ExecutionError, match="execute_plan"):
+            measure(ex, ObjectConfig("o"), space, space.config_at(0), 1, "mean")
 
     def test_command_executor_times_process(self):
         space = one_point_space()
@@ -381,8 +397,9 @@ def test_batched_plan_matches_scalar_reference(model_name, obj, plan_kind):
             assert m.aggregate == aggregate(list(expected[idx]), policy)
             assert m.policy == policy
         for e in plan.entries[:3]:
-            single = measure(ex, obj, space, space.config_at(e.ec_index),
-                             plan.reps, policy)
+            alone = dataclasses.replace(plan, entries=(e,))
+            (single,) = keyed_rows(
+                execute_plan(ex, obj, space, alone, policy=policy)).values()
             assert single == keyed_rows(rs)[(e.ec_index, 0)]
 
 
