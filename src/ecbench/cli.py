@@ -53,7 +53,7 @@ from .manifest import (
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
 from .runner import ExecutorSpec, execute_plan, occurrence_ordinals
-from .space import ConfigSpace, ObjectConfig, index_column
+from .space import ConfigSpace, ObjectConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,9 +70,8 @@ class _Parser(argparse.ArgumentParser):
 
 def plan_group_map(plan: SamplePlan) -> GroupMap:
     """Key -> stratum label, replaying the plan's occurrence ordering."""
-    indices = index_column([entry.ec_index for entry in plan.entries])
-    return GroupMap(indices, occurrence_ordinals(indices),
-                    [entry.stratum or "" for entry in plan.entries])
+    return GroupMap(plan.indices, occurrence_ordinals(plan.indices),
+                    [label or "" for label in plan.labels], plan.codes)
 
 
 def _cmd_space_info(args) -> int:
@@ -93,7 +92,7 @@ def _cmd_plan(args) -> int:
         print(f"wrote {args.out_control} and {args.out_treatment}")
         return EXIT_OK
     plan.save(args.out)
-    print(f"wrote {args.out} ({len(plan.entries)} entries, "
+    print(f"wrote {args.out} ({len(plan.indices)} entries, "
           f"fingerprint {plan.fingerprint[:12]})")
     return EXIT_OK
 

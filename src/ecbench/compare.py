@@ -10,11 +10,12 @@ misread.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PairingError
+from .errors import EcbenchError, PairingError, check_type
 from .runner import ResultSet
 from .stats import (
     Interval,
@@ -40,6 +41,14 @@ def verdict_of(interval: Interval) -> Verdict:
     if interval.low > 0:
         return Verdict.SUBTRAHEND_OUTPERFORMS
     return Verdict.NO_SIGNIFICANT_DIFFERENCE
+
+
+_VERDICTS = [v.value for v in Verdict]
+# the type of each field of a report group, as `ComparisonReport.from_dict`
+# checks it; bools are neither integers nor numbers here
+_GROUP_FIELDS = (("group", str), ("n", numbers.Integral),
+                 ("mean_diff", numbers.Real), ("ci_lo", numbers.Real),
+                 ("ci_hi", numbers.Real), ("level", numbers.Real))
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,13 @@ class ComparisonReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ComparisonReport":
-        def group(d: dict) -> GroupResult:
+        def group(d: dict, what: str) -> GroupResult:
+            for field, wanted in _GROUP_FIELDS:
+                check_type(f"{what} {field}", d[field], wanted, EcbenchError)
+            if d["verdict"] not in _VERDICTS:
+                raise EcbenchError(f"{what} verdict must be one of "
+                                   f"{', '.join(_VERDICTS)}, not "
+                                   f"{d['verdict']!r}")
             iv = Interval(low=d["ci_lo"], high=d["ci_hi"], level=d["level"],
                           center=d["mean_diff"], n=d["n"])
             return GroupResult(group=d["group"], n=d["n"], interval=iv,
@@ -94,8 +109,9 @@ class ComparisonReport:
             minuend_id=doc["minuend"],
             subtrahend_id=doc["subtrahend"],
             level=doc["level"],
-            overall=group(doc["overall"]),
-            groups=tuple(group(g) for g in doc["groups"]),
+            overall=group(doc["overall"], "report overall"),
+            groups=tuple(group(g, f"report group {i}")
+                         for i, g in enumerate(doc["groups"])),
             aggregation_policy=doc.get("aggregation_policy", "mean"),
             ci_family=doc.get("ci_family", "student-t"),
         )
@@ -138,15 +154,16 @@ def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
 
 class GroupMap:
     """A group label per (ec_index, ordinal) key, held as columns: distinct
-    keys, and for each the code of its label in the sorted `names`."""
+    keys, and for each the code of its label in the sorted `names`. It is
+    built from each key's position (`codes`) in a list of `labels`."""
 
     def __init__(self, indices: np.ndarray, ordinals: np.ndarray,
-                 labels: list[str]):
+                 labels: list[str], codes: np.ndarray):
         self.indices, self.ordinals = indices, ordinals
         self.names = sorted(set(labels))
         code = {name: i for i, name in enumerate(self.names)}
-        self.codes = np.fromiter(map(code.__getitem__, labels), dtype=np.intp,
-                                 count=len(labels))
+        self.codes = np.array([code[label] for label in labels],
+                              dtype=np.intp)[codes]
 
     def _rows(self, indices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
         """The map row of each key (indices[i], ordinals[i]), -1 where the

@@ -19,11 +19,10 @@ composed by `ConfigSpace.indices_of`: `ecbench.space` owns their format.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import numbers
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +41,34 @@ class PlanEntry:
 
 
 _SLICE = 1024  # plan entries per piece of `SamplePlan._json`'s text
+_DECODED = object()  # what `SamplePlan.load`'s object hook leaves of an entry
+_STRATA = (str, type(None))  # the types of a stratum label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SamplePlan:
+    """A plan's settings, and its entries as columns: `indices`, as
+    `index_column` gives them, and per entry the position (`codes`) of its
+    stratum, a string or None, in `labels`. `entries` is a view of them."""
+
     design: str
-    entries: tuple[PlanEntry, ...]
     reps: int
     seed: int
     space_fingerprint: str
-    policy: str = "mean"  # replicate aggregation; spec_point plans use median
+    policy: str  # replicate aggregation; spec_point plans use median
+    indices: np.ndarray = field(compare=False)
+    codes: np.ndarray = field(compare=False)
+    labels: tuple[str | None, ...] = field(compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, design: str, entries: Sequence[PlanEntry] | None = None,
+                 *, reps: int, seed: int, space_fingerprint: str,
+                 policy: str = "mean", indices: np.ndarray | None = None,
+                 codes: np.ndarray | None = None, labels: tuple = ()) -> None:
+        """The columns as another plan holds them or, in their place, the
+        `PlanEntry`s of `entries`, which are checked."""
+        # frozen: the fields are set through the instance dict
+        vars(self).update(design=design, reps=reps, seed=seed, policy=policy,
+                          space_fingerprint=space_fingerprint)
         for name, wanted in (("design", str), ("space_fingerprint", str),
                              ("reps", int), ("seed", int)):
             check_type(f"plan {name}", getattr(self, name), wanted, PlanError)
@@ -63,13 +78,21 @@ class SamplePlan:
             raise PlanError("reps must be >= 1")
         if self.policy not in ("mean", "median"):
             raise PlanError(f"unknown aggregation policy {self.policy!r}")
-        for n, e in enumerate(self.entries):  # each entry a defined point
-            if type(e.ec_index) is not int or e.ec_index < 0:
-                raise PlanError(f"plan entry {n}: index must be a non-negative "
-                                f"integer, not {e.ec_index!r}")
-            if e.stratum is not None and type(e.stratum) is not str:
-                raise PlanError(f"plan entry {n}: stratum must be a string or "
-                                f"null, not {e.stratum!r}")
+        if entries is not None or indices is None:
+            indices, codes, labels = _columns(entries or ())
+        vars(self).update(indices=indices, codes=codes, labels=labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SamplePlan):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    @functools.cached_property
+    def entries(self) -> tuple[PlanEntry, ...]:
+        return tuple(map(PlanEntry, self.indices.tolist(), self._strata()))
+
+    def _strata(self) -> list[str | None]:
+        return list(map(self.labels.__getitem__, self.codes.tolist()))
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -86,55 +109,58 @@ class SamplePlan:
             "policy": self.policy,
             "space_fingerprint": self.space_fingerprint,
             "entries": [
-                {"index": e.ec_index}
-                if e.stratum is None
-                else {"index": e.ec_index, "stratum": e.stratum}
-                for e in self.entries
+                {"index": index}
+                if stratum is None
+                else {"index": index, "stratum": stratum}
+                for index, stratum in zip(self.indices.tolist(),
+                                          self._strata())
             ],
         }
 
     def _json(self, indent: bool) -> Iterator[str]:
         """The text of `canonical_json(self.to_dict())`, or with `indent` of
         `json.dumps(self.to_dict(), sort_keys=True, indent=2)`, in pieces of
-        at most `_SLICE` entries, built from columns: each piece's indices
-        in one encoder call, each distinct stratum label once."""
+        at most `_SLICE` entries, built from the columns: each piece's
+        indices in one encoder call, each stratum label once."""
         design, policy, reps, seed, space = canonical_column(
             [self.design, self.policy, self.reps, self.seed,
              self.space_fingerprint])
-        labels = dict.fromkeys(e.stratum for e in self.entries)
         nl, pad, sep = ("\n", "  ", ": ") if indent else ("", "", ":")
         i1, i2, i3 = nl + pad, nl + pad * 2, nl + pad * 3
-        ends = {label: ("" if label is None else f',{i3}"stratum"{sep}{text}')
-                + i2 + "}"
-                for label, text in zip(labels, canonical_column(list(labels)))}
+        ends = [("" if label is None else f',{i3}"stratum"{sep}{text}')
+                + i2 + "}" for label, text in zip(
+                    self.labels, canonical_column(list(self.labels)))]
         start = "{" + i3 + '"index"' + sep
         yield "{" + i1 + f'"design"{sep}{design},{i1}"entries"{sep}'
         opening = "[" + i2  # before the first entry, then between slices
-        for first in range(0, len(self.entries), _SLICE):
-            part = self.entries[first:first + _SLICE]
+        for first in range(0, len(self.indices), _SLICE):
+            part = slice(first, first + _SLICE)
             yield opening + ("," + i2).join([
-                start + index + ends[e.stratum] for index, e in zip(
-                    canonical_column([e.ec_index for e in part]), part)])
+                start + index + ends[code] for index, code in zip(
+                    canonical_column(self.indices[part].tolist()),
+                    self.codes[part].tolist())])
             opening = "," + i2
-        yield (i1 + "]" if self.entries else "[]") + "".join(
+        yield (i1 + "]" if len(self.indices) else "[]") + "".join(
             f',{i1}"{key}"{sep}{text}' for key, text in (
                 ("policy", policy), ("reps", reps), ("seed", seed),
                 ("space_fingerprint", space))) + nl + "}"
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SamplePlan":
-        entries = doc["entries"]
-        if not (type(entries) is list  # read by `load` as PlanEntry objects
-                and {PlanEntry}.issuperset(map(type, entries))):
-            check_objects("plan entries", entries, PlanError)
-            entries = map(_entry, entries)
+    def from_dict(cls, doc: dict, **columns) -> "SamplePlan":
+        """The plan of `doc`; its entries are read from doc["entries"], or
+        given as `columns`, as `load` decodes them."""
+        if not columns:
+            check_objects("plan entries", doc["entries"], PlanError)
         return cls(
             design=doc["design"],
-            entries=tuple(entries),
+            entries=None if columns else tuple(
+                PlanEntry(e["index"], e.get("stratum"))
+                for e in doc["entries"]),
             reps=doc["reps"],
             seed=doc["seed"],
             space_fingerprint=doc["space_fingerprint"],
             policy=doc.get("policy", "mean"),
+            **columns,
         )
 
     def save(self, path: str | Path) -> None:
@@ -143,35 +169,52 @@ class SamplePlan:
     @classmethod
     def load(cls, path: str | Path) -> "SamplePlan":
         """The plan in the file at `path`, its entry objects decoded straight
-        to `PlanEntry`s (no dict kept per entry) with one str per distinct
-        stratum label. A file in which an object with an "index" member is
-        not an entry is read again as plain JSON, so that `from_dict` sees,
-        and its errors name, what `json.loads` gives."""
-        text = Path(path).read_text()
-        labels: dict[str, str] = {}
-        made = 0
+        to columns (no dict or `PlanEntry` kept per entry): each index into a
+        list, and each stratum, a string or null, into a code, with one str
+        per distinct label. A file in which an object with an "index" member
+        is not such an entry, or an index is not a non-negative integer, is
+        read again as plain JSON, so that `from_dict` sees, and its errors
+        name, what `json.loads` gives."""
+        indices: list = []
+        codes: list[int] = []
+        labels: dict[str | None, int] = {}
 
         def hook(obj: dict):
-            nonlocal made
-            if "index" not in obj:
-                return obj
-            made += 1
             stratum = obj.get("stratum")
-            if type(stratum) is str:
-                obj["stratum"] = labels.setdefault(stratum, stratum)
-            return _entry(obj)
+            if "index" not in obj or type(stratum) not in _STRATA:
+                return obj
+            indices.append(obj["index"])
+            codes.append(labels.setdefault(stratum, len(labels)))
+            return _DECODED
 
-        doc = json.loads(text, object_hook=hook)
+        doc = json.loads(Path(path).read_text(), object_hook=hook)
         entries = doc.get("entries") if type(doc) is dict else None
-        if not (type(entries) is list and len(entries) == made
-                and {PlanEntry}.issuperset(map(type, entries))):
-            doc = read_object(path, PlanError)
-        return cls.from_dict(doc)
+        if (type(entries) is list
+                and entries.count(_DECODED) == len(entries) == len(indices)
+                and {int}.issuperset(map(type, indices))):
+            column = index_column(indices)
+            if not (column < 0).any():
+                return cls.from_dict(doc, indices=column, codes=np.array(
+                    codes, dtype=np.intp), labels=tuple(labels))
+        return cls.from_dict(read_object(path, PlanError))
 
 
-def _entry(doc: dict) -> PlanEntry:
-    # positional: keyword binding is a measurable share of a load
-    return PlanEntry(doc["index"], doc.get("stratum"))
+def _columns(entries: Sequence[PlanEntry]
+             ) -> tuple[np.ndarray, np.ndarray, tuple[str | None, ...]]:
+    """`SamplePlan`'s columns of `entries`, after naming the first entry
+    whose index is not a non-negative int or whose stratum is not a string
+    or None; labels are coded in order of first use."""
+    for n, e in enumerate(entries):
+        if type(e.ec_index) is not int or e.ec_index < 0:
+            raise PlanError(f"plan entry {n}: index must be a non-negative "
+                            f"integer, not {e.ec_index!r}")
+        if type(e.stratum) not in _STRATA:
+            raise PlanError(f"plan entry {n}: stratum must be a string or "
+                            f"null, not {e.stratum!r}")
+    codes: dict[str | None, int] = {}
+    column = [codes.setdefault(e.stratum, len(codes)) for e in entries]
+    return (index_column([e.ec_index for e in entries]),
+            np.array(column, dtype=np.intp), tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -229,13 +272,14 @@ def _random_indices(space: ConfigSpace, rng: np.random.Generator, count: int,
 
 
 def _plan(design: str, indices: np.ndarray, reps: int, seed: int, fp: str,
-          strata: list | None = None, policy: str = "mean") -> SamplePlan:
-    """A plan of one entry per index, each labelled by `strata` if given."""
+          labels: tuple = (None,), codes: np.ndarray | None = None,
+          policy: str = "mean") -> SamplePlan:
+    """A plan of one entry per index, entry n labelled `labels[codes[n]]`,
+    or each `labels[0]` without `codes`."""
     return SamplePlan(
-        design=design,
-        entries=tuple(map(PlanEntry, indices.tolist(),
-                          strata or itertools.repeat(None))),
-        reps=reps, seed=seed, space_fingerprint=fp, policy=policy)
+        design=design, reps=reps, seed=seed, space_fingerprint=fp,
+        policy=policy, indices=index_column(indices.tolist()), labels=labels,
+        codes=np.zeros(len(indices), np.intp) if codes is None else codes)
 
 
 def stratified_indices(space: ConfigSpace, stratum_factor: str,
@@ -257,8 +301,8 @@ def stratified_sample(space: ConfigSpace, stratum_factor: str, iterations: int,
                       reps: int, seed: int) -> SamplePlan:
     indices = stratified_indices(space, stratum_factor, iterations, seed)
     labels = space.factor(stratum_factor).levels
-    return _plan("stratified", indices, reps, seed,
-                 space_fingerprint(space), list(labels) * iterations)
+    return _plan("stratified", indices, reps, seed, space_fingerprint(space),
+                 labels, np.arange(len(indices)) % len(labels))
 
 
 def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
@@ -364,8 +408,8 @@ def spec_point(space: ConfigSpace, recommended: Configuration,
     sf = stratum_factor or space.factors[0].name
     label = space.factor(sf).levels[recommended.level_index(sf)]
     design = DESIGNS["spec_point"]
-    return _plan(design.name, np.array([index]), design.reps, 0,
-                 space_fingerprint(space), [label], design.policy)
+    return _plan(design.name, index_column([index]), design.reps, 0,
+                 space_fingerprint(space), (label,), policy=design.policy)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 # `json.dumps` with these arguments builds this same encoder on every call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
-_SLICE = 1024  # values of a list of scalars per encoder call in `fingerprint`
+_SLICE = 1024  # items of a long list per encoder call in `fingerprint`
 _DEPTH = 8  # containers `fingerprint` opens before encoding a value whole
 
 
@@ -67,15 +67,22 @@ def fingerprint(doc) -> str:
 
 
 def _canonical_pieces(value, depth: int) -> Iterator[str]:
-    """The text of `canonical_json(value)` in pieces. A list or tuple that
-    holds a container goes item by item, and one of more than `_SLICE`
-    scalars `_SLICE` values per encoder call; a dict with string keys that
-    holds a container or more than `_SLICE` values goes key by key in sorted
-    order. Every other value is encoded whole, as is a container `_DEPTH`
-    levels down, so a cycle meets the encoder's own check, and a dict with
-    another key type meets its sort and key rules."""
+    """The text of `canonical_json(value)` in pieces. A list or tuple of
+    more than `_SLICE` items goes `_SLICE` items per encoder call, whatever
+    they are (only a piece's size depends on them), and a shorter one that
+    holds a container item by item; a dict with string keys that holds a
+    container or more than `_SLICE` values goes key by key in sorted order.
+    Every other value is encoded whole, as is a container `_DEPTH` levels
+    down, so a cycle meets the encoder's own check, and a dict with another
+    key type meets its sort and key rules."""
     kind = type(value)
     if kind in _CONTAINERS and value and depth < _DEPTH:
+        if kind is not dict and len(value) > _SLICE:
+            for first in range(0, len(value), _SLICE):
+                yield ("," if first else "[") + canonical_json(
+                    value[first:first + _SLICE])[1:-1]
+            yield "]"
+            return
         nested = any(issubclass(t, _CONTAINERS) for t in set(map(
             type, value.values() if kind is dict else value)))
         if kind is dict:
@@ -94,12 +101,6 @@ def _canonical_pieces(value, depth: int) -> Iterator[str]:
                 yield opening
                 yield from _canonical_pieces(item, depth + 1)
                 opening = ","
-            yield "]"
-            return
-        elif len(value) > _SLICE:
-            for first in range(0, len(value), _SLICE):
-                yield ("," if first else "[") + canonical_json(
-                    value[first:first + _SLICE])[1:-1]
             yield "]"
             return
     yield canonical_json(value)

@@ -320,9 +320,9 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
     executor.validate_against(space)
     policy = policy or plan.policy
     results = ResultSet(object_id=obj.object_id, plan_fingerprint=plan.fingerprint)
-    indices = index_column([entry.ec_index for entry in plan.entries])
-    keys = zip(indices.tolist(), occurrence_ordinals(indices).tolist())
-    pending = [(key, entry) for key, entry in zip(keys, plan.entries)
+    keys = zip(plan.indices.tolist(),
+               occurrence_ordinals(plan.indices).tolist())
+    pending = [(key, code) for key, code in zip(keys, plan.codes.tolist())
                if not (already_done and key in already_done)]
 
     rows = None
@@ -334,19 +334,20 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
         rows = executor.model.compile(space).noisy_values(
             index_column([key[0] for key, _ in pending])[:, None],
             obj.object_id, np.arange(plan.reps, dtype=np.int64)).tolist()
-    for i, (key, entry) in enumerate(pending):
+    for i, (key, code) in enumerate(pending):
+        index = key[0]
         try:
             if rows is not None:
                 # synthetic runs carry no meaningful wall time; zero
                 # timestamps keep result files byte-reproducible
-                m = Measurement(entry.ec_index, obj.object_id, tuple(rows[i]),
+                m = Measurement(index, obj.object_id, tuple(rows[i]),
                                 aggregate(rows[i], policy), policy)
             else:
-                m = measure(executor, obj, space, space.config_at(entry.ec_index),
-                            plan.reps, policy, stratum=entry.stratum)
+                m = measure(executor, obj, space, space.config_at(index),
+                            plan.reps, policy, stratum=plan.labels[code])
         except ExecutionError as e:
             failed = Measurement(
-                ec_index=entry.ec_index, object_id=obj.object_id,
+                ec_index=index, object_id=obj.object_id,
                 replicates=(), aggregate=float("nan"), policy=policy,
                 error=str(e),
             )

@@ -11,6 +11,7 @@ and range-checks indices, one at a time or as arrays, which hold int64 up to
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,16 @@ MAX_CARDINALITY = 2**128 - 1
 INT64_MAX = 2**63 - 1
 
 
+def _has_duplicates(labels: tuple[str, ...]) -> bool:
+    """`len(set(labels)) != len(labels)`, holding one int64 per label: the
+    labels' hashes are sorted, and the set is built only when two of them
+    are equal, for a duplicate or a hash collision."""
+    hashes = np.fromiter(map(hash, labels), dtype=np.int64, count=len(labels))
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any()) and len(
+        set(labels)) != len(labels)
+
+
 @dataclass(frozen=True)
 class Factor:
     """One indispensable component: a name, its ordered levels, and optional
@@ -33,11 +44,18 @@ class Factor:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_type("factor name", self.name, str, SpaceError)
         if not self.name:
             raise SpaceError("factor name must be non-empty")
         if not self.levels:
             raise SpaceError(f"factor {self.name!r} has an empty level list")
-        if len(set(self.levels)) != len(self.levels):
+        try:
+            "".join(self.levels)  # a scan in C that every label is a str
+        except TypeError:
+            for label in self.levels:
+                check_type(f"factor {self.name!r}: level label", label, str,
+                           SpaceError)
+        if _has_duplicates(self.levels):
             raise SpaceError(f"factor {self.name!r} has duplicate level labels")
         if self.weights is not None:
             if len(self.weights) != len(self.levels):
@@ -45,6 +63,9 @@ class Factor:
                     f"factor {self.name!r}: {len(self.weights)} weights for "
                     f"{len(self.levels)} levels"
                 )
+            what = f"factor {self.name!r}: weight"
+            for w in self.weights:
+                check_type(what, w, numbers.Real, SpaceError)
             if any(w < 0 for w in self.weights):
                 raise SpaceError(f"factor {self.name!r} has a negative weight")
             if sum(self.weights) <= 0:
@@ -250,10 +271,16 @@ class ConfigSpace:
         factors = []
         check_objects("space factors", doc["factors"], SpaceError)
         for entry in doc["factors"]:
+            name, levels = entry["name"], entry["levels"]
+            for what, value in (("levels", levels),
+                                ("weights", entry.get("weights", []))):
+                if type(value) is not list:
+                    raise SpaceError(f"factor {name!r}: {what} must be a list, "
+                                     f"not {value!r}")
             factors.append(
                 Factor(
-                    name=entry["name"],
-                    levels=tuple(entry["levels"]),
+                    name=name,
+                    levels=tuple(levels),
                     weights=tuple(entry["weights"]) if "weights" in entry else None,
                 )
             )

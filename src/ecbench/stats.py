@@ -173,12 +173,16 @@ _SQRT_BITS = 2 * _MANT_BITS + 3
 
 def _fmean(values: np.ndarray) -> float:
     """`statistics.fmean(values.tolist())` for a 1-D float64 array, its
-    fsum taken over `_BLOCK` Python floats at a time."""
+    fsum taken over `_BLOCK` Python floats at a time; a StatsError where
+    that sum is past float range."""
     if not values.size:
         return statistics.fmean(())  # raises its error for no data
-    return math.fsum(chain.from_iterable(
-        values[i:i + _BLOCK].tolist()
-        for i in range(0, values.size, _BLOCK))) / values.size
+    try:
+        return math.fsum(chain.from_iterable(
+            values[i:i + _BLOCK].tolist()
+            for i in range(0, values.size, _BLOCK))) / values.size
+    except OverflowError:
+        raise StatsError("sample sum overflows the float range") from None
 
 
 def exact_stdev(values: np.ndarray) -> float:

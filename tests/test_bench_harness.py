@@ -2,8 +2,8 @@
 
 `benchmarks/` drives ecbench through its public names and rebinds others in
 its tracer; this loads `benchmarks/workloads.py` and `benchmarks/tracing.py`
-the way the tracer tests do and runs each workload that reads or writes
-result files once, checked, then once traced.
+the way the tracer tests do and runs each workload once, checked, then
+once traced.
 """
 
 import importlib.util
@@ -19,6 +19,7 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 @pytest.mark.parametrize("name, metric, expected", [
     ("campaign", "runner.measurements", 1376),
+    ("coverage", "oracle.iterations", 2500),
     ("reanalysis", "manifest.load.rows", 40_000),
 ])
 def test_workload_repeats_checks_and_traces(tmp_path, monkeypatch, name,

@@ -78,7 +78,7 @@ class TestCompareObjects:
         a = result_set("a", [float(i) for i in range(10)])
         b = result_set("b", [0.5] * 10)
         group_by = GroupMap(np.arange(10), np.zeros(10, dtype=np.int64),
-                            ["even" if i % 2 == 0 else "odd" for i in range(10)])
+                            ["even", "odd"], np.arange(10) % 2)
         report = compare_objects(a, b, 0.95, group_by=group_by)
         assert sum(g.n for g in report.groups) == report.overall.n
         assert [g.group for g in report.groups] == ["even", "odd"]
@@ -88,13 +88,13 @@ class TestCompareObjects:
         b = result_set("b", [1.0, 2.0])
         with pytest.raises(PairingError):
             compare_objects(a, b, 0.95, group_by=GroupMap(
-                np.array([0]), np.array([0]), ["g"]))
+                np.array([0]), np.array([0]), ["g"], np.array([0])))
 
     def test_report_roundtrip(self):
         a = result_set("a", [5.0, 7.0, 9.0])
         b = result_set("b", [1.0, 2.0, 3.0])
         report = compare_objects(a, b, 0.99, group_by=GroupMap(
-            np.arange(3), np.zeros(3, dtype=np.int64), ["g"] * 3))
+            np.arange(3), np.zeros(3, dtype=np.int64), ["g"], np.zeros(3, int)))
         again = ComparisonReport.from_dict(report.to_dict())
         assert again == report
 

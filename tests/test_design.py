@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +300,34 @@ def test_plan_load_reads_a_file_as_from_dict_reads_its_json(
     for value in (doc, extra):  # extra alone is a top level without entries
         path.write_text(json.dumps(value))
         assert outcome(SamplePlan.load, path) == outcome(plain_load, path)
+
+
+column_entries = st.lists(st.fixed_dictionaries(
+    {"index": st.one_of(st.integers(0, 2**63 - 1),
+                        st.integers(0, 2**128 - 1))},
+    optional={"stratum": st.one_of(st.none(), st.sampled_from(["a", "b"]),
+                                   st.text(max_size=3))}), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=column_entries)
+def test_plan_load_gives_the_columns_from_dict_gives(tmp_path_factory,
+                                                     entries):
+    # null and absent strata, and indices past 2^63 (an object column)
+    path = tmp_path_factory.mktemp("plan") / "plan.json"
+    path.write_text(json.dumps({
+        "design": "stratified", "seed": 1, "reps": 2, "policy": "mean",
+        "space_fingerprint": "s", "entries": entries}))
+    loaded, reference = SamplePlan.load(path), plain_load(path)
+    assert loaded.indices.dtype == reference.indices.dtype == (
+        object if any(e["index"] >= 2**63 for e in entries) else np.int64)
+    for column in ("indices", "codes"):
+        assert (getattr(loaded, column).tolist()
+                == getattr(reference, column).tolist())
+    assert loaded.labels == reference.labels
+    assert loaded.entries == reference.entries == tuple(
+        PlanEntry(e["index"], e.get("stratum")) for e in entries)
+    assert loaded == reference
 
 
 def test_plan_load_shares_stratum_labels(tmp_path):

@@ -1128,6 +1128,89 @@ class TestIllTypedInputs:
             2, f"ecbench: error: {message.format(path=ran / 'cmp.json')}\n")
         assert not (ran / "cmp.csv").exists()
 
+    @pytest.mark.parametrize("format_", ["csv", "json"])
+    @pytest.mark.parametrize("where, field, value, message", [
+        ("overall", "group", 5, "report overall group must be a string, "
+                                "not 5"),
+        ("overall", "n", 2.5, "report overall n must be an integer, not 2.5"),
+        ("overall", "n", True, "report overall n must be an integer, "
+                               "not True"),
+        ("overall", "mean_diff", "1", "report overall mean_diff must be a "
+                                      "number, not '1'"),
+        ("overall", "ci_lo", None, "report overall ci_lo must be a number, "
+                                   "not None"),
+        ("overall", "ci_hi", False, "report overall ci_hi must be a number, "
+                                    "not False"),
+        ("overall", "level", [0.95], "report overall level must be a "
+                                     "number, not [0.95]"),
+        ("overall", "verdict", "Faster", "report overall verdict must be one "
+         "of NoSignificantDifference, MinuendOutperforms, "
+         "SubtrahendOutperforms, not 'Faster'"),
+        (0, "ci_lo", None, "report group 0 ci_lo must be a number, not None"),
+    ])
+    def test_report_group_field_ill_typed(self, ran, capsys, format_, where,
+                                          field, value, message):
+        assert self.call(capsys, self.compare_argv(ran))[0] == 0
+        self.edit(ran / "cmp.json", lambda d: (
+            d["overall"] if where == "overall" else d["groups"][where]
+        ).update({field: value}))
+        code, err = self.call(capsys, [
+            "report", "--input", ran / "cmp.json", "--format", format_,
+            "--out", ran / "out"])
+        assert (code, err) == (2, f"ecbench: error: {message}\n")
+        assert not (ran / "out").exists()
+
+    def test_compare_refuses_aggregates_whose_sum_overflows(self, tmp_path,
+                                                            capsys):
+        # each aggregate and each difference is within float range; the
+        # sum of the differences is not
+        for oid, values in (("cpu_a", [1e308, 1.5e308, 1.7e308]),
+                            ("cpu_b", [1.0, 2.0, 3.0])):
+            results = ResultSet(object_id=oid, plan_fingerprint="p")
+            for i, v in enumerate(values):
+                results.add((i, 0), Measurement(i, oid, (v,), v, "mean"))
+            persist_results(results, RunManifest(
+                space_fingerprint="s", plan_fingerprint="p",
+                executor_hash="e", object_config={"object_id": oid}),
+                tmp_path / f"{oid}.jsonl")
+        code, err = self.call(capsys, [
+            "compare", "--a", tmp_path / "cpu_a.jsonl", "--b",
+            tmp_path / "cpu_b.jsonl", "--level", "0.95",
+            "--out", tmp_path / "cmp.json"])
+        assert (code, err) == (
+            2, "ecbench: error: sample sum overflows the float range\n")
+        assert not (tmp_path / "cmp.json").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: f.update(levels="xy"),
+         "factor 'workload': levels must be a list, not 'xy'"),
+        (lambda f: f.update(levels=[1, 2]),
+         "factor 'workload': level label must be a string, not 1"),
+        (lambda f: f.update(levels=["a", ["b"]]),
+         "factor 'workload': level label must be a string, not ['b']"),
+        (lambda f: f.update(levels=[]),
+         "factor 'workload' has an empty level list"),
+        (lambda f: f.update(levels=["a", "b", "a"]),
+         "factor 'workload' has duplicate level labels"),
+        (lambda f: f.update(name=["n"]),
+         "factor name must be a string, not ['n']"),
+        (lambda f: f.update(name=""), "factor name must be non-empty"),
+        (lambda f: f.update(levels=["a", "b"], weights=["1", "2"]),
+         "factor 'workload': weight must be a number, not '1'"),
+        (lambda f: f.update(levels=["a", "b"], weights=[1, True]),
+         "factor 'workload': weight must be a number, not True"),
+        (lambda f: f.update(levels=["a", "b"], weights=None),
+         "factor 'workload': weights must be a list, not None"),
+    ], ids=["levels_a_string", "levels_ints", "level_a_list", "levels_empty",
+            "levels_duplicated", "name_a_list", "name_empty",
+            "weights_strings", "weight_a_bool", "weights_null"])
+    def test_space_factor_ill_typed(self, workspace, capsys, change,
+                                    message):
+        self.edit(workspace / "space.json", lambda d: change(d["factors"][0]))
+        code, err = self.call(capsys, [
+            "space", "info", "--space", workspace / "space.json"])
+        assert (code, err) == (2, f"ecbench: error: {message}\n")
+
     @pytest.mark.parametrize("stratum", [3, 0])
     def test_plan_stratum_not_a_string(self, ran, capsys, stratum):
         # the runs' manifests name the edited plan, so compare reaches it
@@ -1510,12 +1593,16 @@ def fingerprint_outcome(digest, doc):
         return type(e), str(e)
 
 
-@given(fingerprint_docs, st.sampled_from([1, 2, 5, 1024]))
+@given(st.one_of(fingerprint_docs,
+                 st.lists(fingerprint_docs, min_size=6, max_size=8)),
+       st.sampled_from([1, 2, 5, 1024]))
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fingerprint_hashes_the_canonical_text(monkeypatch, doc, slice_):
-    # hashed a piece at a time, with lists of scalars a slice of values per
-    # encoder call, the digest is the digest of the whole canonical text
+    # hashed a piece at a time, with a list longer than `_SLICE` a slice of
+    # items per encoder call whatever they hold (the second strategy's
+    # lists of 6 to 8 documents), the digest is the digest of the whole
+    # canonical text
     monkeypatch.setattr(ecbench.fingerprints, "_SLICE", slice_)
     assert fingerprint_outcome(fingerprint, doc) == fingerprint_outcome(
         lambda d: hashlib.sha256(canonical_json(d).encode()).hexdigest(), doc)
@@ -1530,12 +1617,13 @@ def test_fingerprint_of_long_lists_deep_nesting_and_cycles():
         deep = {"k": deep, "n": depth} if depth % 2 else [deep, "x"]
     docs = [demo.demo_space_billion().to_dict(), list(range(3 * 1024 + 1)),
             {"a": [float("nan"), float("inf"), -float("inf"), -0.0] * 700},
-            deep]
+            [{"i": i, "v": [i, str(i)]} for i in range(2 * 1024 + 3)], deep]
     assert [fingerprint(doc) for doc in docs] == [whole(doc) for doc in docs]
-    loop: list = [1]
-    loop.append({"back": loop})
-    assert fingerprint_outcome(fingerprint, loop) == (
-        ValueError, "Circular reference detected")
+    for size in (1, 1500):  # a cycle through a list, short or sliced
+        loop: list = [1] * size
+        loop.append({"back": loop})
+        assert fingerprint_outcome(fingerprint, loop) == (
+            ValueError, "Circular reference detected")
 
 
 def test_plan_group_map_tracks_occurrences():

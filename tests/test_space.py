@@ -1,10 +1,13 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecbench.space
 from ecbench import demo
 from ecbench.errors import SpaceError
 from ecbench.space import (
@@ -258,3 +261,47 @@ def test_space_json_roundtrip(tmp_path):
     assert [f["name"] for f in doc["factors"]] == [
         "workload", "dataset", "flags", "threads"
     ]
+
+
+def test_duplicate_check_builds_the_set_when_every_hash_collides(
+        monkeypatch):
+    # a constant hash makes every pair of labels neighbours in the sorted
+    # hashes, so the set alone tells a collision from a duplicate
+    hashed = []
+    monkeypatch.setattr(ecbench.space, "hash", lambda label: hashed.append(
+        label) or 0, raising=False)
+    assert Factor("A", ("x", "y", "z")).levels == ("x", "y", "z")
+    assert hashed == ["x", "y", "z"]
+    with pytest.raises(SpaceError) as e:
+        Factor("A", ("x", "y", "x"))
+    assert str(e.value) == "factor 'A' has duplicate level labels"
+
+
+@given(st.lists(st.one_of(st.sampled_from(["a", "b", "c", "", "s000001"]),
+                          st.text(max_size=4)), min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_duplicate_check_agrees_with_a_set(labels):
+    duplicated = len(set(labels)) != len(labels)
+    try:
+        Factor("A", tuple(labels))
+    except SpaceError as e:
+        assert (duplicated, str(e)) == (
+            True, "factor 'A' has duplicate level labels")
+    else:
+        assert not duplicated
+
+
+def test_loading_the_billion_point_space_holds_little_beside_it(tmp_path):
+    # the decoded document and the space, not a set of 60,000 labels
+    # beside them: the load peaks at most 1.5 file sizes above what it keeps
+    path = tmp_path / "space.json"
+    demo.demo_space_billion().save(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        space = ConfigSpace.load(path)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space == demo.demo_space_billion()
+    assert peak - live <= 1.5 * path.stat().st_size

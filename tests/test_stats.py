@@ -441,14 +441,16 @@ def test_jensen_product_at_least_one(ratios):
                             "ignore:divide by zero encountered")
 def test_asymmetry_product_is_the_fmean_product(num, den):
     # the bits of fmean(r) * fmean(1/r) (NaN or inf where a ratio underflows
-    # to 0), or the refusal of a ratio past float range
+    # to 0), or the refusal of a ratio, or of a sum, past float range
     num, den = np.array(num), np.resize(np.array(den), len(num))
     ratios = num / den
 
     def outcome(product):
         try:
             return repr(product())
-        except (StatsError, OverflowError) as e:
+        except OverflowError:  # fsum's, which ratio_summary refuses
+            return StatsError, "sample sum overflows the float range"
+        except StatsError as e:
             return type(e), str(e)
 
     expected = (outcome(lambda: statistics.fmean(ratios.tolist())
