@@ -68,6 +68,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: a non-negative integer, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, not {text!r}")
+    return int(text)
+
+
+def _pair(metavar: str, convert=str):
+    """A parser of `metavar` flag values, FACTOR=VALUE, into (factor,
+    `convert(VALUE)`) pairs."""
+    def parse(text: str) -> tuple[str, object]:
+        factor, sep, value = text.partition("=")
+        try:
+            if sep:
+                return factor, convert(value)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {metavar}, not {text!r}")
+    return parse
+
+
+def _by_factor(flag: str, pairs: list[tuple[str, object]]) -> dict:
+    """The (factor, value) pairs of a repeated flag as a dict, refusing a
+    factor given twice."""
+    out: dict = {}
+    for factor, value in pairs:
+        if factor in out:
+            raise PlanError(f"{flag} gives factor {factor!r} twice")
+        out[factor] = value
+    return out
+
+
 def plan_group_map(plan: SamplePlan) -> GroupMap:
     """Key -> stratum label, replaying the plan's occurrence ordering."""
     return GroupMap(plan.indices, occurrence_ordinals(plan.indices),
@@ -129,7 +162,7 @@ def _cmd_run(args) -> int:
             executor, obj, space, plan,
             skip_failures=args.skip_failures,
             policy=args.agg,
-            on_measurement=writer.write,
+            on_measurements=writer.write,
             already_done=already_done,
         )
     finally:
@@ -229,7 +262,7 @@ def build_parser() -> _Parser:
     plan_sub = p_plan.add_subparsers(dest="design", required=True)
 
     shared = {"--reps": {"type": int, "default": 3},
-              "--seed": {"type": int, "required": True},
+              "--seed": {"type": _seed, "required": True},
               "--out": {"required": True}}
 
     def plan_parser(design: str, *options, generate) -> None:
@@ -254,13 +287,13 @@ def build_parser() -> _Parser:
                 ("--split", {"required": True, "help":
                              "JSON file: {factor: {low: [...], high: [...]}}"}),
                 ("--default", {"action": "append", "default": [],
-                               "metavar": "FACTOR=LEVEL_INDEX"}),
+                               "metavar": "FACTOR=LEVEL_INDEX",
+                               "type": _pair("FACTOR=LEVEL_INDEX", int)}),
                 "--reps", "--seed", "--out",
                 generate=lambda space, a: factorial_2k(
                     space,
                     FactorSplit.from_dict(read_object(a.split, PlanError)),
-                    {k: int(v) for k, v in (d.split("=", 1) for d in a.default)},
-                    a.reps, a.seed))
+                    _by_factor("--default", a.default), a.reps, a.seed))
     plan_parser("full_factorial", "--reps", "--out",
                 generate=lambda space, a: full_factorial(space, a.reps))
     plan_parser("rct_arm",
@@ -271,12 +304,13 @@ def build_parser() -> _Parser:
                     space, a.per_arm, a.reps, a.seed))
     plan_parser("spec_point",
                 ("--level-label", {"action": "append", "required": True,
-                                   "metavar": "FACTOR=LABEL"}),
+                                   "metavar": "FACTOR=LABEL",
+                                   "type": _pair("FACTOR=LABEL")}),
                 ("--stratum-factor", {"default": None}), "--out",
                 generate=lambda space, a: spec_point(
                     space,
                     space.config_from_labels(
-                        dict(kv.split("=", 1) for kv in a.level_label)),
+                        _by_factor("--level-label", a.level_label)),
                     stratum_factor=a.stratum_factor))
 
     p_run = sub.add_parser("run", help="execute a plan")
@@ -308,7 +342,7 @@ def build_parser() -> _Parser:
                        help="JSON file: {objects: [..], methodologies: [..]}")
     p_sim.add_argument("--iterations", type=int, required=True)
     p_sim.add_argument("--level", type=float, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)

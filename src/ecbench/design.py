@@ -311,6 +311,8 @@ def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
     sets, all 2^k combinations in binary order (first selected factor is the
     most significant bit); unselected factors pinned to defaults."""
     selected = split.factor_names
+    for name in defaults:
+        space.factor(name)  # refuses a default for a factor the space lacks
     if len(selected) > len(space.factors):
         raise PlanError("more selected factors than the space has")
     for name, low, high in split.splits:

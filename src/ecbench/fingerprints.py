@@ -2,7 +2,8 @@
 
 The writers here run CPython's C encoder only: `json.dumps` with `indent`
 always takes the pure-Python one, so indented text is laid out a container at
-a time, with every scalar, and every list of scalars, encoded by C.
+a time, with every scalar, and every list of scalars, encoded by C. A list of
+strings that need no escapes is not encoded at all: its strings are joined.
 """
 
 from __future__ import annotations
@@ -18,11 +19,30 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
 _SLICE = 1024  # items of a long list per encoder call in `fingerprint`
 _DEPTH = 8  # containers `fingerprint` opens before encoding a value whole
+# the bytes a JSON string holds as they are: printable ASCII but `"` and `\`
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
 
 
 def canonical_json(doc) -> str:
     """Deterministic JSON encoding: sorted keys, compact separators."""
-    return _CANONICAL.encode(doc)
+    plain = _plain_strings(doc, ",")
+    return "[" + plain + "]" if plain is not None else _CANONICAL.encode(doc)
+
+
+def _plain_strings(items, sep: str) -> str | None:
+    """The JSON text of the items of `items`, with `sep` between them, when
+    `items` is a non-empty list or tuple of strings whose characters the
+    encoder writes as they are (`_PLAIN`): the strings are joined, not
+    encoded one by one. None for any other value."""
+    if not isinstance(items, (list, tuple)) or not items:
+        return None
+    try:
+        text = "".join(items)
+    except TypeError:  # an item that is not a string
+        return None
+    if not text.isascii() or text.encode().translate(None, _PLAIN):
+        return None
+    return '"' + ('"' + sep + '"').join(items) + '"'
 
 
 def canonical_column(values: list) -> list[str]:
@@ -51,6 +71,9 @@ def _indented(value, sort_keys: bool, newline: str) -> str:
             encode_basestring_ascii(k) + ": " + _indented(v, sort_keys, inner)
             for k, v in items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
+        plain = _plain_strings(value, "," + inner)
+        if plain is not None:
+            return "[" + inner + plain + newline + "]"
         if any(issubclass(t, _CONTAINERS) for t in set(map(type, value))):
             return "[" + inner + ("," + inner).join(
                 _indented(v, sort_keys, inner) for v in value) + newline + "]"

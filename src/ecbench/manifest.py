@@ -87,6 +87,8 @@ class RunManifest:
 
 
 def measurement_line(m: Measurement) -> str:
+    """One result line without its newline: the reference `measurement_lines`
+    is tested against, and what benchmarks/tracing.py counts."""
     return canonical_json(m.to_dict())
 
 
@@ -125,10 +127,13 @@ def _lines(aggregates: list, indices: list, ended: list, errors: list,
             canonical_column(started))])
 
 
+_ROWS = 1024  # result lines built per `measurement_lines` call of a writer
+
+
 class ResultWriter:
-    """Incremental JSON Lines writer: one flushed line per measurement, so a
-    crashed run keeps every line it wrote, with the manifest (including the
-    results-file hash) written at finalize."""
+    """Incremental JSON Lines writer: each batch of measurements is flushed
+    as it comes, so a crashed run keeps every line it wrote, with the
+    manifest (including the results-file hash) written at finalize."""
 
     def __init__(self, path: str | Path, manifest: RunManifest,
                  append: bool = False):
@@ -137,8 +142,13 @@ class ResultWriter:
         mode = "a" if append and self.path.exists() else "w"
         self._fh = self.path.open(mode)
 
-    def write(self, key: tuple[int, int], m: Measurement) -> None:
-        self._fh.write(measurement_line(m) + "\n")
+    def write(self, pairs: list[tuple[tuple[int, int], Measurement]]) -> None:
+        """Append the result lines of the (key, measurement) `pairs`, as
+        `execute_plan` reports them, `_ROWS` lines per `measurement_lines`
+        call, and flush them."""
+        for first in range(0, len(pairs), _ROWS):
+            self._fh.write(measurement_lines(
+                [m for _, m in pairs[first:first + _ROWS]]))
         self._fh.flush()
 
     def finalize(self) -> None:

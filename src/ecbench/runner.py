@@ -302,7 +302,7 @@ def measure(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
 def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
                  plan: SamplePlan, skip_failures: bool = False,
                  policy: str | None = None,
-                 on_measurement=None,
+                 on_measurements=None,
                  already_done: set[tuple[int, int]] | None = None) -> ResultSet:
     """One measurement per plan entry, strictly in plan order.
 
@@ -311,9 +311,12 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
     a single vectorised call, so an out-of-range entry fails before any
     measurement is reported.
 
-    `on_measurement(key, measurement)` is invoked after each entry (incremental
-    persistence hook). `already_done` keys are skipped, enabling resume of an
-    interrupted run without duplicate keys.
+    `on_measurements(pairs)` gets the (key, measurement) pairs finished since
+    its last call (incremental persistence hook): a command executor's one
+    pair after each entry, before the next entry starts, and a synthetic
+    executor's every pair at once, after the loop.
+    `already_done` keys are skipped, enabling resume of an interrupted run
+    without duplicate keys.
     """
     if plan.space_fingerprint != space_fingerprint(space):
         raise FingerprintError("plan was generated for a different space")
@@ -334,6 +337,7 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
         rows = executor.model.compile(space).noisy_values(
             index_column([key[0] for key, _ in pending])[:, None],
             obj.object_id, np.arange(plan.reps, dtype=np.int64)).tolist()
+    finished = []  # pairs not yet reported
     for i, (key, code) in enumerate(pending):
         index = key[0]
         try:
@@ -346,18 +350,22 @@ def execute_plan(executor: ExecutorSpec, obj: ObjectConfig, space: ConfigSpace,
                 m = measure(executor, obj, space, space.config_at(index),
                             plan.reps, policy, stratum=plan.labels[code])
         except ExecutionError as e:
-            failed = Measurement(
+            m = Measurement(
                 ec_index=index, object_id=obj.object_id,
                 replicates=(), aggregate=float("nan"), policy=policy,
                 error=str(e),
             )
             if not skip_failures:
                 raise
-            results.failures.append(failed)
-            if on_measurement is not None:
-                on_measurement(key, failed)
+            results.failures.append(m)
+        else:
+            results.add(key, m)
+        if on_measurements is None:
             continue
-        results.add(key, m)
-        if on_measurement is not None:
-            on_measurement(key, m)
+        finished.append((key, m))
+        if rows is None:  # a command entry is reported before the next runs
+            on_measurements(finished)
+            finished = []
+    if finished:
+        on_measurements(finished)
     return results

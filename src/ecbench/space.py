@@ -207,7 +207,10 @@ class ConfigSpace:
         return index
 
     def config_from_labels(self, labels: dict[str, str]) -> Configuration:
-        """Build a configuration from {factor name: level label}."""
+        """Build a configuration from {factor name: level label}, one for
+        each factor of the space and none for another."""
+        for name in labels:
+            self.factor(name)  # refuses a factor the space lacks
         assignments = []
         for f in self.factors:
             if f.name not in labels:

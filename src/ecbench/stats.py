@@ -61,9 +61,9 @@ def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
     """Inverse CDF of Student's t, by bisection on the regularized incomplete
     beta representation of the CDF, refined to ~1e-12. Fractional df is
     accepted for Welch intervals. An array `df` runs one bisection per
-    element in lockstep, with one betainc call per step for all of them; each
-    element takes the steps a scalar call would take and stops by the same
-    rule. A scalar `df` returns a float."""
+    distinct element in lockstep, with one betainc call per step for all of
+    them; each takes the steps a scalar call would take and stops by the
+    same rule. A scalar `df` returns a float."""
     if not 0 < p < 1:
         raise StatsError("p must be in (0, 1)")
     dfs = np.asarray(df, dtype=np.float64)
@@ -71,7 +71,9 @@ def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
         raise StatsError("df must be positive")
     if dfs.ndim == 0:
         return _t_quantiles(p, [float(dfs)])[0]
-    return np.array(_t_quantiles(p, dfs.ravel().tolist())).reshape(dfs.shape)
+    distinct, inverse = np.unique(dfs, return_inverse=True)
+    return np.array(_t_quantiles(p, distinct.tolist()),
+                    dtype=np.float64)[inverse].reshape(dfs.shape)
 
 
 def _t_quantiles(p: float, dfs: list[float]) -> list[float]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ecbench
 import ecbench.fingerprints
+import ecbench.manifest
 
 from ecbench import demo
 from ecbench.cli import main, plan_group_map
@@ -172,9 +173,9 @@ class TestPersistLoad:
         persist_results(results, manifest(), tmp_path / "all.jsonl")
         writer = ResultWriter(tmp_path / "lines.jsonl", manifest())
         for key in sorted(rows):
-            writer.write(key, rows[key])
+            writer.write([(key, rows[key])])
         for m in results.failures:
-            writer.write((m.ec_index, -1), m)
+            writer.write([((m.ec_index, -1), m)])
         writer.finalize()
         for name in ("{}.jsonl", "{}.jsonl.manifest.json"):
             assert ((tmp_path / name.format("all")).read_bytes()
@@ -681,6 +682,45 @@ class TestCli:
                      "--out", str(ws / "cpu_a.jsonl")]) == 0
         assert (ws / "cpu_a.jsonl").read_bytes() == first
 
+    def test_a_synthetic_run_writes_its_lines_in_one_batch(self, workspace,
+                                                           monkeypatch):
+        ws = workspace
+        self.plan_run_compare(ws)
+        first = (ws / "cpu_a.jsonl").read_bytes()
+        batches = []
+        write = ResultWriter.write
+        monkeypatch.setattr(ResultWriter, "write", lambda self, pairs: (
+            batches.append(len(pairs)), write(self, pairs)))
+        monkeypatch.setattr(ecbench.manifest, "_ROWS", 5)  # 16 rows, 4 slices
+        assert main(["run", "--space", str(ws / "space.json"),
+                     "--plan", str(ws / "plan.json"),
+                     "--executor", str(ws / "executor.json"),
+                     "--object", str(ws / "cpu_a.json"),
+                     "--out", str(ws / "cpu_a.jsonl")]) == 0
+        assert batches == [16]
+        assert (ws / "cpu_a.jsonl").read_bytes() == first
+
+    def test_a_command_sees_the_line_of_every_earlier_entry(self, workspace):
+        # crash-safe resume: an entry's line is flushed before the next
+        # entry's command starts
+        ws = workspace
+        out, seen = ws / "cmd.jsonl", ws / "seen.txt"
+        code = (f"import pathlib; n = pathlib.Path({str(out)!r}).read_text()"
+                f".count(chr(10)); open({str(seen)!r}, 'a').write(str(n) + "
+                f"chr(10))")
+        (ws / "cmd.json").write_text(json.dumps({
+            "kind": "command",
+            "templates": {"*": f'{sys.executable} -c "{code}"'}}))
+        stratified_sample(demo.demo_space_720(), "workload", 3, 2,
+                          seed=1).save(ws / "plan.json")
+        assert main(["run", "--space", str(ws / "space.json"),
+                     "--plan", str(ws / "plan.json"),
+                     "--executor", str(ws / "cmd.json"),
+                     "--object", str(ws / "cpu_a.json"),
+                     "--out", str(out)]) == 0
+        assert seen.read_text().split() == ["0", "0", "1", "1", "2", "2"]
+        assert len(out.read_text().splitlines()) == 3
+
     def test_resume_adds_no_duplicate_keys(self, workspace):
         ws = workspace
         plan = self.plan_run_compare(ws)
@@ -1034,6 +1074,56 @@ class TestCli:
         plan = SamplePlan.load(ws / "sp.json")
         assert len(plan.entries) == 1 and plan.policy == "median"
 
+    SPEC_LABELS = ("--level-label", "workload=exchange2",
+                   "--level-label", "dataset=d10", "--level-label", "flags=-O3",
+                   "--level-label", "threads=56")
+    SPLIT_DEFAULTS = ("--split", "split.json", "--default", "workload=0",
+                      "--default", "dataset=0", "--default", "flags=1",
+                      "--seed", "1")
+
+    def plan_argv(self, ws, design, *flags):
+        (ws / "split.json").write_text(json.dumps(
+            {"threads": {"low": [0], "high": [23]}}))
+        return ["plan", design, "--space", str(ws / "space.json"),
+                *(str(ws / f) if f == "split.json" else f for f in flags),
+                "--out", str(ws / "p.json")]
+
+    @pytest.mark.parametrize("design, flags, message", [
+        ("spec-point", SPEC_LABELS + ("--level-label", "bogus=1"),
+         "unknown factor 'bogus'"),
+        ("spec-point", SPEC_LABELS + ("--level-label", "threads=8"),
+         "--level-label gives factor 'threads' twice"),
+        ("factorial2k", SPLIT_DEFAULTS + ("--default", "bogus=0"),
+         "unknown factor 'bogus'"),
+        ("factorial2k", SPLIT_DEFAULTS + ("--default", "flags=2"),
+         "--default gives factor 'flags' twice"),
+    ])
+    def test_plan_refuses_a_factor_flag_the_space_cannot_take(
+            self, workspace, capsys, design, flags, message):
+        assert main(self.plan_argv(workspace, design, *flags)) == 2
+        assert capsys.readouterr().err == f"ecbench: error: {message}\n"
+        assert not (workspace / "p.json").exists()
+
+    @pytest.mark.parametrize("design, flags, message", [
+        ("spec-point", SPEC_LABELS[2:] + ("--level-label", "workload"),
+         "argument --level-label: expected FACTOR=LABEL, not 'workload'"),
+        ("factorial2k", SPLIT_DEFAULTS + ("--default", "threads"),
+         "argument --default: expected FACTOR=LEVEL_INDEX, not 'threads'"),
+        ("factorial2k", SPLIT_DEFAULTS + ("--default", "threads=x"),
+         "argument --default: expected FACTOR=LEVEL_INDEX, not 'threads=x'"),
+        ("stratified", ("--stratum-factor", "workload", "--iterations", "4",
+                        "--seed", "-1"),
+         "argument --seed: expected a non-negative integer, not '-1'"),
+    ])
+    def test_malformed_flag_value_is_a_usage_error_naming_it(
+            self, workspace, capsys, design, flags, message):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(self.plan_argv(workspace, design, *flags))
+        assert e.value.code == 1
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+        assert not (workspace / "p.json").exists()
+
     def test_report_reemit(self, workspace):
         ws = workspace
         self.plan_run_compare(ws)
@@ -1094,6 +1184,18 @@ class TestIllTypedInputs:
         code, err = self.call(capsys, self.simulate_argv(ws, iterations))
         assert (code, err) == (2, "ecbench: error: iterations must be >= 1\n")
         assert not (ws / "cov.csv").exists()
+
+    def test_simulate_negative_seed_is_a_usage_error(self, workspace,
+                                                     capsys):
+        argv = self.simulate_argv(workspace)
+        argv[argv.index("--seed") + 1] = "-1"
+        with pytest.raises(SystemExit) as e:
+            self.call(capsys, argv)
+        assert e.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            ": error: argument --seed: expected a non-negative integer, "
+            "not '-1'\n")
+        assert not (workspace / "cov.csv").exists()
 
     @pytest.mark.parametrize("objects", [
         ["cpu_a"], [1, 2], "ab", ["cpu_a", "cpu_b", "cpu_c"], None])

@@ -299,9 +299,9 @@ class TestExecutePlan:
         ex = ExecutorSpec(kind="synthetic", model=constant_model())
         seen = []
         rs = execute_plan(ex, ObjectConfig("o"), space, dup,
-                          on_measurement=lambda key, m: seen.append((key, m)))
+                          on_measurements=seen.extend)
         assert set(keyed_rows(rs)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        # one callback per entry, in plan order, with the row the set holds
+        # every entry reported, in plan order, with the row the set holds
         assert [key for key, _ in seen] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(keyed_rows(rs)[key] == m for key, m in seen)
 
@@ -311,9 +311,9 @@ class TestExecutePlan:
         ex = ExecutorSpec(kind="synthetic", model=constant_model())
         seen = []
         rs = execute_plan(ex, ObjectConfig("o"), space, plan,
-                          on_measurement=lambda key, m: seen.append(key),
+                          on_measurements=seen.extend,
                           already_done={(0, 0)})
-        assert seen == [(1, 0)] and set(keyed_rows(rs)) == {(1, 0)}
+        assert [key for key, _ in seen] == [(1, 0)] and set(keyed_rows(rs)) == {(1, 0)}
 
     @pytest.mark.parametrize("skip_failures", [False, True])
     def test_out_of_range_entry_fails_before_any_measurement(self, skip_failures):
@@ -328,7 +328,7 @@ class TestExecutePlan:
         with pytest.raises(SpaceError, match="index 2 out of range for cardinality 2"):
             execute_plan(ex, ObjectConfig("o"), space, plan,
                          skip_failures=skip_failures,
-                         on_measurement=lambda key, m: seen.append(key))
+                         on_measurements=seen.extend)
         assert seen == []
 
     def test_unknown_policy_recorded_per_entry_when_skipping(self):

@@ -116,6 +116,26 @@ class TestTQuantile:
         assert t_quantile(0.5, dfs).tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert t_quantile(0.95, np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("p", [0.975, 0.995, 0.05])
+    def test_repeated_dfs_bisect_once_and_give_scalar_bits(self, monkeypatch,
+                                                          p):
+        # compare's 44 intervals on 43 groups ask for 2 distinct dfs
+        dfs = np.array([[15.0, 687.0, 15.0], [2.5, 15.0, 687.0]])
+        calls = []
+        real = ecbench.stats._t_quantiles
+
+        def spy(p, dfs):
+            calls.append(sorted(dfs))
+            return real(p, dfs)
+
+        monkeypatch.setattr(ecbench.stats, "_t_quantiles", spy)
+        q = t_quantile(p, dfs)
+        assert calls and all(c == [2.5, 15.0, 687.0] for c in calls)
+        monkeypatch.undo()
+        assert q.dtype == np.float64 and q.shape == dfs.shape
+        for got, df in zip(q.ravel().tolist(), dfs.ravel().tolist()):
+            assert got.hex() == t_quantile(p, df).hex()
+
 
 class TestConfidenceInterval:
     def test_hand_computed_five_points(self):

@@ -6,6 +6,7 @@ manifests (`indented_json`) are built by CPython's C encoder a column at a
 time; each must give the bytes `json.dumps` gives for the same document.
 """
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -197,6 +198,43 @@ def test_indented_json_is_json_dumps_indent_2(doc, sort_keys):
         return
     assert indented_json(doc, sort_keys=sort_keys) == json.dumps(
         doc, sort_keys=sort_keys, indent=2)
+
+
+class Label(str):
+    """A `str` subclass: JSON writes its text."""
+
+
+# mostly printable ASCII, as labels are, and the characters on either side
+near_plain = st.text(st.characters(min_codepoint=0x1F, max_codepoint=0x80),
+                     max_size=8)
+labels = st.one_of(st.sampled_from(AWKWARD + ["\x7f", "~ !#", "-O3"]),
+                   st.text(max_size=8), near_plain, near_plain.map(Label))
+
+
+@st.composite
+def long_label_lists(draw):
+    """A list of more than a fingerprint slice of plain labels, with up to
+    three items of any kind at drawn positions."""
+    items = [f"d{i}" for i in range(draw(st.integers(1025, 2600)))]
+    for _ in range(draw(st.integers(0, 3))):
+        items[draw(st.integers(0, len(items) - 1))] = draw(st.one_of(
+            labels, st.none(), st.integers(), floats))
+    return items
+
+
+@given(st.one_of(
+    st.lists(labels, max_size=12),  # strings only: the joined text
+    st.lists(st.one_of(labels, st.none(), st.booleans(), st.integers(),
+                       floats), max_size=12),
+    long_label_lists()))
+@settings(max_examples=200)
+def test_lists_of_strings_give_json_dumps_text(items):
+    for doc in (items, tuple(items), {"levels": items, "name": "f"},
+                [items, [items[:3]]]):
+        compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert canonical_json(doc) == compact
+        assert fingerprint(doc) == hashlib.sha256(compact.encode()).hexdigest()
+        assert indented_json(doc) == json.dumps(doc, indent=2)
 
 
 def test_writers_never_take_the_pure_python_encoder(tmp_path, monkeypatch):
