@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .compare import AsymmetryReport, ComparisonReport
-from .errors import FingerprintError, fits_float, read_object
+from .errors import FingerprintError, check_type, fits_float, read_object
 # fingerprint_bytes stays bound: benchmarks/tracing.py patches it here
 from .fingerprints import fingerprint_bytes  # noqa: F401
 from .fingerprints import canonical_column, canonical_json, indented_json
@@ -73,6 +73,8 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunManifest":
+        check_type("manifest object_config", doc.get("object_config", {}),
+                   dict, FingerprintError)
         return cls(
             space_fingerprint=doc["space_fingerprint"],
             plan_fingerprint=doc["plan_fingerprint"],

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpaceError, check_type, read_object
+from .errors import SpaceError, check_objects, check_type, read_object
 from .space import ConfigSpace, Configuration, ObjectConfig
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -165,22 +165,15 @@ class SyntheticModel:
     def from_dict(cls, doc: dict) -> "SyntheticModel":
         return cls(
             stratum_factor=doc["stratum_factor"],
-            base=tuple(doc["base"].items()),
-            effects=tuple(
-                (f, tuple(tab.items())) for f, tab in doc.get("effects", {}).items()
-            ),
-            interactions=tuple(
-                Interaction(
-                    factor_a=it["factors"][0],
-                    factor_b=it["factors"][1],
-                    table=tuple((a, b, v) for a, b, v in it["table"]),
-                )
-                for it in doc.get("interactions", [])
-            ),
-            object_offsets=tuple(doc.get("object_offsets", {}).items()),
+            base=_items("base", doc["base"]),
+            effects=_tables("effects", doc.get("effects", {})),
+            interactions=_interactions(doc.get("interactions", [])),
+            object_offsets=_items("object_offsets",
+                                  doc.get("object_offsets", {})),
             object_effects=tuple(
-                (oid, tuple((f, tuple(tab.items())) for f, tab in eff.items()))
-                for oid, eff in doc.get("object_effects", {}).items()
+                (oid, _tables(f"object_effects {oid!r}", eff))
+                for oid, eff in _items("object_effects",
+                                       doc.get("object_effects", {}))
             ),
             sigma=doc.get("sigma", 0.0),
             noise_seed=doc.get("noise_seed", 0),
@@ -192,6 +185,39 @@ class SyntheticModel:
     @classmethod
     def load(cls, path: str | Path) -> "SyntheticModel":
         return cls.from_dict(read_object(path, SpaceError))
+
+
+def _items(what: str, table) -> tuple:
+    """The (key, value) pairs of the model file's JSON object `what`."""
+    check_type(f"model {what}", table, dict, SpaceError)
+    return tuple(table.items())
+
+
+def _tables(what: str, tables) -> tuple:
+    """The (name, (key, value) pairs) of the model file's JSON object of
+    JSON objects `what`."""
+    return tuple((name, _items(f"{what} {name!r}", table))
+                 for name, table in _items(what, tables))
+
+
+def _interactions(docs) -> tuple[Interaction, ...]:
+    """The model file's interactions: each names two factors and holds
+    [level a, level b, seconds] rows."""
+    check_objects("model interactions", docs, SpaceError)
+    out = []
+    for it in docs:
+        factors, rows = it["factors"], it["table"]
+        if type(factors) is not list or len(factors) != 2 or not all(
+                type(f) is str for f in factors):
+            raise SpaceError(f"model interaction factors must be a list of "
+                             f"two factor names, not {factors!r}")
+        if type(rows) is not list or not all(
+                type(row) is list and len(row) == 3 for row in rows):
+            raise SpaceError(f"model interaction {factors[0]!r} x "
+                             f"{factors[1]!r} table must be a list of [level "
+                             f"a, level b, seconds] rows")
+        out.append(Interaction(*factors, table=tuple(map(tuple, rows))))
+    return tuple(out)
 
 
 def _level_vectors(space: ConfigSpace, tables, what: str,

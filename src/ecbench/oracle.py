@@ -33,8 +33,9 @@ from .fingerprints import fingerprint
 from .model import CompiledModel, SyntheticModel
 from .runner import ResultSet
 from .space import ConfigSpace
-from .stats import mean_ci_from_array, t_quantile, welch_bounds
-from .stats import welch_interval  # noqa: F401  (benchmarks/tracing.py patches it here)
+from .stats import StatsError, mean_ci_from_array, welch_bounds
+from .stats import (  # noqa: F401  (benchmarks/tracing.py patches them here)
+    t_quantile, welch_interval)
 
 ENUMERATION_CAP = 10**6
 # Noise values per model call in the Monte Carlo loop (a chunk holds at least
@@ -192,16 +193,13 @@ def _default_spec_margin(compiled: CompiledModel, tables: list[np.ndarray],
     """Margin for scoring the single-point methodology: the average half-width
     of the stratified (n=32 per stratum) paired-difference CI on this model."""
     half_widths: list[float] = []
-    t_crit = None
     for (idx,), noise in _chunks(
             lambda seed: stratified_indices(space, model.stratum_factor, 32,
                                             seed),
             SPEC_MARGIN_PROBE_ITERATIONS, 3, master_seed ^ 0x5BEC):
         agg_a = _simulate_aggregates(compiled, tables[0], idx, objects[0], 3, noise)
         agg_b = _simulate_aggregates(compiled, tables[1], idx, objects[1], 3, noise)
-        if t_crit is None:
-            t_crit = t_quantile((1.0 + level) / 2.0, idx.shape[1] - 1)
-        lo, _, hi = mean_ci_from_array(agg_a - agg_b, level, t_crit=t_crit)
+        lo, _, hi = mean_ci_from_array(agg_a - agg_b, level)
         half_widths.extend(((hi - lo) / 2.0).tolist())
     return statistics.fmean(half_widths)
 
@@ -219,7 +217,6 @@ def coverage_experiment(model: SyntheticModel, space: ConfigSpace,
     p = methodology.params
     reps = design.reps or p.get("reps", 3)
     margin = p.get("margin")
-    t_crit = None
     hits = 0
     cost = 0
     for arms, noise in _chunks(lambda seed: design.draw(space, p, seed),
@@ -238,10 +235,8 @@ def coverage_experiment(model: SyntheticModel, space: ConfigSpace,
             hits += int(np.count_nonzero(
                 np.abs((agg_a[:, 0] - agg_b[:, 0]) - mu) <= margin))
             continue
-        else:  # the paired-difference CI; every draw has the same size
-            if t_crit is None:
-                t_crit = t_quantile((1.0 + level) / 2.0, cost - 1)
-            lo, _, hi = mean_ci_from_array(agg_a - agg_b, level, t_crit=t_crit)
+        else:  # the paired-difference CI
+            lo, _, hi = mean_ci_from_array(agg_a - agg_b, level)
         hits += int(np.count_nonzero((lo <= mu) & (mu <= hi)))
 
     return CoverageResult(
@@ -260,6 +255,8 @@ def methodology_comparison(model: SyntheticModel, space: ConfigSpace,
     """One coverage row per methodology, in the given order."""
     if iterations < 1:
         raise PlanError("iterations must be >= 1")
+    if not 0 < level < 1:  # also where no methodology asks for a quantile
+        raise StatsError("confidence level must be in (0, 1)")
     return [
         coverage_experiment(model, space, m, iterations, level, master_seed,
                             objects)

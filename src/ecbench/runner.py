@@ -73,6 +73,7 @@ class ExecutorSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutorSpec":
         if doc["kind"] == "synthetic":
+            check_type("executor model", doc["model"], dict, ExecutionError)
             return cls(kind="synthetic",
                        model=SyntheticModel.from_dict(doc["model"]))
         templates = doc.get("templates", {})

@@ -58,68 +58,23 @@ def geometric_mean(values: tuple[float, ...] | list[float]) -> float:
 
 
 def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
-    """Inverse CDF of Student's t, by bisection on the regularized incomplete
-    beta representation of the CDF, refined to ~1e-12. Fractional df is
-    accepted for Welch intervals. An array `df` runs one bisection per
-    distinct element in lockstep, with one betainc call per step for all of
-    them; each takes the steps a scalar call would take and stops by the
-    same rule. A scalar `df` returns a float."""
+    """Inverse CDF of Student's t, from `scipy.special.stdtrit`; fractional
+    df is accepted for Welch intervals. The median is 0.0 and a lower
+    quantile is the reflected upper one, t_p = -t_{1-p}, so the symmetry is
+    exact. A scalar `df` returns a float, an array `df` an array of its
+    shape."""
     if not 0 < p < 1:
         raise StatsError("p must be in (0, 1)")
     dfs = np.asarray(df, dtype=np.float64)
     if np.any(dfs <= 0):
         raise StatsError("df must be positive")
-    if dfs.ndim == 0:
-        return _t_quantiles(p, [float(dfs)])[0]
-    distinct, inverse = np.unique(dfs, return_inverse=True)
-    return np.array(_t_quantiles(p, distinct.tolist()),
-                    dtype=np.float64)[inverse].reshape(dfs.shape)
-
-
-def _t_quantiles(p: float, dfs: list[float]) -> list[float]:
-    """Quantiles for every df: the scalar bisections advance in lockstep, and
-    each step evaluates the CDF for all of them in one betainc call."""
     if p == 0.5:
-        return [0.0] * len(dfs)
-    if p < 0.5:
-        return [-t for t in _t_quantiles(1.0 - p, dfs)]
-    out = [0.0] * len(dfs)
-    live = []  # (position, df, its bisection, the t whose CDF it asks for)
-    for i, df in enumerate(dfs):
-        bisection = _t_bisection(p)
-        live.append((i, df, bisection, next(bisection)))
-    while live:
-        # P(T <= t) for t >= 0 via I_x(df/2, 1/2) with x = df / (df + t^2)
-        tails = special.betainc([df / 2.0 for _, df, _, _ in live], 0.5,
-                                [df / (df + t * t) for _, df, _, t in live]
-                                ).tolist()
-        going = []
-        for (i, df, bisection, _), tail in zip(live, tails):
-            try:
-                going.append((i, df, bisection, bisection.send(1.0 - 0.5 * tail)))
-            except StopIteration as done:
-                out[i] = done.value
-        live = going
-    return out
-
-
-def _t_bisection(p: float):
-    """Bisection for the t with CDF(t) = p > 0.5: yields each t whose CDF it
-    needs and is sent that CDF; returns the quantile."""
-    lo, hi = 0.0, 1.0
-    while (yield hi) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise StatsError("t quantile diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (yield mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+        t = np.zeros(dfs.shape)
+    elif p < 0.5:
+        t = -special.stdtrit(dfs, 1.0 - p)
+    else:
+        t = special.stdtrit(dfs, p)
+    return float(t) if dfs.ndim == 0 else t
 
 
 def confidence_interval(values: np.ndarray, level: float) -> Interval:
@@ -269,20 +224,16 @@ def _isqrt_rto(num: int, den: int) -> int:
     return root | (root * root * den != num)
 
 
-def mean_ci_from_array(values: np.ndarray, level: float,
-                       t_crit: float | None = None) -> tuple:
+def mean_ci_from_array(values: np.ndarray, level: float) -> tuple:
     """Fast-path CI over the last axis of a numpy array: (low, mean, high),
     floats for a 1-D array and one element per row for a 2-D array. Used by
-    the Monte Carlo oracle where the t critical value is hoisted out of the
-    loop."""
+    the Monte Carlo oracle on a chunk of iterations at a time."""
     n = values.shape[-1]
     if n < 2:
         raise StatsError("confidence interval needs n >= 2")
     mean = values.mean(axis=-1)
     s = values.std(ddof=1, axis=-1)
-    if t_crit is None:
-        t_crit = t_quantile((1.0 + level) / 2.0, n - 1)
-    half = t_crit * s / math.sqrt(n)
+    half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
     if values.ndim == 1:
         mean, half = float(mean), float(half)
     return mean - half, mean, mean + half

@@ -2,8 +2,9 @@
 
 Deliberately written on different mathematical routes from the package code:
 the t quantile comes from direct numerical integration of the density (no
-incomplete beta function), the population enumerator walks the raw JSON
-documents with itertools.product (no numpy, no mixed-radix decode), the
+incomplete beta function) or from a table of 50-digit mpmath roots, the
+population enumerator walks the raw JSON documents with itertools.product
+(no numpy, no mixed-radix decode), the
 samplers draw one level at a time with scalar rng calls and compose indices
 in Python ints, the Welch interval is plain float64-scalar arithmetic on
 one pair of samples, the standard deviation is a two-pass Fraction variance
@@ -64,6 +65,55 @@ def t_quantile_oracle(p: float, df: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# Student-t quantiles t_p(df), to 20 significant digits, for each p in
+# T_TABLE_PS: the root in t of 1 - I_x(df/2, 1/2) / 2 = p with
+# x = df / (df + t^2), for the float values of p and df, found once with
+# mpmath 1.3.0 at 50 digits (`mp.findroot` on `mp.betainc`, the complement
+# I_{1-x}(1/2, df/2) where x >= 1/2) and bracketed to 1e-30 relative. The df
+# cover the criterion-8 range, df below 1 and df from 2e4 to 1e10.
+T_TABLE_PS = (0.9, 0.95, 0.975, 0.995)
+T_TABLE = (
+    (0.05, ("1.08760446760019835e+13", "1.1404359422183193847e+19",
+            "1.1958337585475155469e+25", "1.1404359422183164693e+39")),
+    (0.1, ("1604425.7056665548298", "1.642931922602549989e+9",
+           "1.6823622887450105415e+12", "1.6429319226025478891e+19")),
+    (0.25, ("170.46892571212422134", "2727.5093038874717828",
+            "43640.149267980317895", "2.7275093293482256847e+7")),
+    (0.5, ("10.270324410234510724", "41.13600009287820237",
+           "164.5576734804882408", "4113.9645888041738438")),
+    (0.9, ("3.4738457420241535923", "7.645346698104868106",
+           "16.580058171327139128", "99.236516821931705036")),
+    (1, ("3.0776835371752541331", "6.3137515146750373979",
+         "12.706204736174693314", "63.656741162871524447")),
+    (2, ("1.8856180831641270225", "2.9199855803537241703",
+         "4.3026527297494617894", "9.9248432009182886403")),
+    (3, ("1.6377443536962103222", "2.353363434801822899",
+         "3.1824463052837084359", "5.8409093097333554113")),
+    (5, ("1.4758840488244812516", "2.0150483733330235417",
+         "2.5705818356363147828", "4.0321429835552271793")),
+    (10, ("1.3721836411103357746", "1.8124611228116758693",
+          "2.2281388519862742245", "3.1692726726169507118")),
+    (12.5, ("1.3530668727547328475", "1.7763662212470301171",
+            "2.1691859427125406168", "3.0324366528705624889")),
+    (31, ("1.3094635494946456388", "1.6955187825458650989",
+          "2.0395134463964080672", "2.7440419192942689588")),
+    (61.789, ("1.2954034173550035446", "1.6698906593576713326",
+              "1.9991073124900669544", "2.6577656182861049231")),
+    (100, ("1.2900747613465160976", "1.660234326085339115",
+           "1.9839715185235518946", "2.625890521438017607")),
+    (200, ("1.285798793994801202", "1.6525081009108771121",
+           "1.9718962236339089963", "2.6006344361915576429")),
+    (2e4, ("1.2815938962102156111", "1.6449298189594813079",
+           "1.9600826051581348142", "2.5760751530172547008")),
+    (1e6, ("1.2815524121299386069", "1.644855150722040062",
+           "1.9599663568141066553", "2.5758342201053338472")),
+    (1e8, ("1.2815515740104483218", "1.644853642189163902",
+           "1.9599640082627664408", "2.5758293527143773235")),
+    (1e10, ("1.2815515656292590702", "1.644853627103849199",
+            "1.9599639847772809787", "2.5758293040405552138")),
+)
 
 
 def brute_force_population_mean(space_doc: dict, model_doc: dict,

@@ -293,11 +293,12 @@ def wide_compare(work, *extra):
                  "--asymmetry", str(work / "asymmetry.json"), *extra])
 
 
-# the bytes the sorted-tuple alignment gave before result sets were columns
+# the bytes the sorted-tuple alignment gave before result sets were columns;
+# the JSON files' recorded again when t quantiles came to scipy's stdtrit
 WIDE_SHA256 = {
-    "report.json": "5123039a9a5cf40ae78c04dbd1e7f34b6fbe9035850355bfd4bd50d15f42e497",
+    "report.json": "fbe35a3674a984d93923330ff159535241d95660077b1ef49b80ca21e62e93fd",
     "report.csv": "9f98a6edb2a907f7da9a21b9147db2b52500bc91372d25a17c912b59716d7f54",
-    "asymmetry.json": "597fe5ed8e3b5d67e0edc53cbd3daf0bef23a891f69ca17a6e29952e5550213d",
+    "asymmetry.json": "3ff075686b4c45a5d99c8c856e850ab575bcbe16e47b57e1db10aed7435bfd49",
 }
 
 

@@ -1185,6 +1185,23 @@ class TestIllTypedInputs:
         assert (code, err) == (2, "ecbench: error: iterations must be >= 1\n")
         assert not (ws / "cov.csv").exists()
 
+    @pytest.mark.parametrize("level", ["7", "1", "0", "-0.5", "nan"])
+    def test_simulate_level_outside_unit_interval(self, workspace, capsys,
+                                                  level):
+        # a single point with a given margin asks for no t quantile, so the
+        # level is checked before any methodology runs
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "spec_point", "params": {
+                "recommended_index": 0, "margin": 5.0}}]}))
+        argv = self.simulate_argv(ws)
+        argv[argv.index("--level") + 1] = level
+        code, err = self.call(capsys, argv)
+        assert (code, err) == (
+            2, "ecbench: error: confidence level must be in (0, 1)\n")
+        assert not (ws / "cov.csv").exists()
+
     def test_simulate_negative_seed_is_a_usage_error(self, workspace,
                                                      capsys):
         argv = self.simulate_argv(workspace)
@@ -1465,22 +1482,61 @@ class TestIllTypedInputs:
          "space factors must be a list of JSON objects"),
         ("cpu_a.jsonl.manifest.json", lambda d: [1],
          "{path} must hold a JSON object"),
+        ("model.json", lambda d: d.update(base=[1]),
+         "model base must be a JSON object, not [1]"),
+        ("model.json", lambda d: d.update(effects=[1]),
+         "model effects must be a JSON object, not [1]"),
+        ("model.json", lambda d: d.update(effects={"flags": [1]}),
+         "model effects 'flags' must be a JSON object, not [1]"),
+        ("model.json", lambda d: d.update(object_offsets=[1]),
+         "model object_offsets must be a JSON object, not [1]"),
+        ("model.json", lambda d: d.update(object_effects=[1]),
+         "model object_effects must be a JSON object, not [1]"),
+        ("model.json", lambda d: d.update(object_effects={"cpu_a": [1]}),
+         "model object_effects 'cpu_a' must be a JSON object, not [1]"),
+        ("model.json", lambda d: d.update(interactions={"flags": 1}),
+         "model interactions must be a list of JSON objects"),
+        ("model.json", lambda d: d.update(interactions=[
+            {"factors": ["flags"], "table": []}]),
+         "model interaction factors must be a list of two factor names, "
+         "not ['flags']"),
+        ("model.json", lambda d: d.update(interactions=[
+            {"factors": ["flags", "threads"], "table": [["-O2", "8"]]}]),
+         "model interaction 'flags' x 'threads' table must be a list of "
+         "[level a, level b, seconds] rows"),
+        ("executor.json", lambda d: d.update(model=[1]),
+         "executor model must be a JSON object, not [1]"),
+        ("executor.json", lambda d: d["model"].update(base=[1]),
+         "model base must be a JSON object, not [1]"),
+        ("cpu_a.jsonl.manifest.json", lambda d: d.update(object_config=[]),
+         "manifest object_config must be a JSON object, not []"),
+        ("resume", lambda d: d.update(object_config=[]),
+         "manifest object_config must be a JSON object, not []"),
     ], ids=["plan_entries", "plan", "object_settings", "object", "executor",
             "methodologies_file", "methodologies", "methodology_params",
-            "model", "space", "space_factors", "manifest"])
+            "model", "space", "space_factors", "manifest",
+            "model_base", "model_effects", "model_effect_table",
+            "model_object_offsets", "model_object_effects",
+            "model_object_effect_tables", "model_interactions",
+            "interaction_one_factor", "interaction_row_of_two",
+            "executor_model", "executor_model_base", "manifest_compare",
+            "manifest_resume"])
     def test_file_structure_ill_typed(self, ran, capsys, name, change,
                                       message):
         ws = ran
         (ws / "meth.json").write_text(json.dumps({
             "objects": ["cpu_a", "cpu_b"],
             "methodologies": [{"kind": "full_factorial", "params": {}}]}))
-        doc = json.loads((ws / name).read_text())
+        # "resume": the manifest of a run that `run --resume` appends to
+        path = ws / ("cpu_a.jsonl.manifest.json" if name == "resume" else name)
+        doc = json.loads(path.read_text())
         changed = change(doc)
-        (ws / name).write_text(json.dumps(doc if changed is None else changed))
+        path.write_text(json.dumps(doc if changed is None else changed))
         argv = {
             "space.json": ["space", "info", "--space", ws / "space.json"],
             "meth.json": None, "model.json": None,
             "cpu_a.jsonl.manifest.json": self.compare_argv(ws),
+            "resume": [*self.run_argv(ws, out=ws / "cpu_a.jsonl"), "--resume"],
         }.get(name, self.run_argv(ws))
         if argv is None:
             argv = ["simulate", "--space", ws / "space.json", "--model",
@@ -1488,10 +1544,11 @@ class TestIllTypedInputs:
                     "--iterations", "2", "--level", "0.95", "--seed", "1",
                     "--out", ws / "cov.csv"]
         code, err = self.call(capsys, argv)
-        kind = "integrity error" if name.endswith(".manifest.json") else "error"
+        kind = ("integrity error" if name.endswith(".manifest.json")
+                or name == "resume" else "error")
         assert (code, err.strip()) == (
             3 if kind == "integrity error" else 2,
-            f"ecbench: {kind}: {message.format(path=ws / name)}")
+            f"ecbench: {kind}: {message.format(path=path)}")
 
     @pytest.mark.parametrize("field, value, message", [
         ("sigma", "1.0", "noise sigma must be a number, not '1.0'"),
