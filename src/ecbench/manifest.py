@@ -13,10 +13,11 @@ import io
 import json
 import os
 import platform
+import re
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -199,13 +200,16 @@ def persist_results(results: ResultSet, manifest: RunManifest,
 
 def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
     """Load a results file and validate it against its manifest: content hash,
-    one manifest per file, no duplicate keys. Unknown extra fields in either
-    file are ignored for forward compatibility."""
+    one manifest per file, no duplicate keys. A manifest must record the
+    hash as a string. Unknown extra fields in either file are ignored for
+    forward compatibility."""
     path = Path(path)
     mpath = manifest_path(path)
     if not mpath.exists():
         raise FingerprintError(f"missing manifest for {path}")
     manifest = RunManifest.from_dict(read_object(mpath, FingerprintError))
+    check_type(f"{mpath}: results_sha256", manifest.results_sha256, str,
+               FingerprintError)
     results = read_results(
         path, str(manifest.object_config.get("object_id", "")),
         manifest.plan_fingerprint, manifest.results_sha256)
@@ -272,6 +276,34 @@ _RANGE = ("aggregate, started_at, ended_at and a measured line's "
           "replicates lie within float range")
 _NUMBERS = frozenset((float, int))  # the types of a JSON number's value
 
+# a JSON number with a fraction or an exponent, which `json` decodes by
+# `float(token)`; `[0-9]`, not `\d`, since `float` takes any Unicode digit
+_FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
+          r"(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)")
+_NAME = r'"([ !#-\[\]-~]*+)"'  # printable ASCII but `"` and `\`
+
+
+def _compile_possessive(pattern: str) -> re.Pattern:
+    """`pattern` compiled with `re.MULTILINE`. Python 3.10 has no possessive
+    quantifiers (`*+`, `++`, `?+`, `{m,n}+`); there each is made greedy,
+    which matches the same lines, since no match of `_MEASURED` is helped
+    by giving a character back, only with backtracking state to keep."""
+    try:
+        return re.compile(pattern, re.MULTILINE)
+    except re.error:
+        return re.compile(re.sub(r"(?<=[*+?}])\+", "", pattern), re.MULTILINE)
+
+
+# the whole line, newline included, that `_lines` writes for a measured row
+# whose numbers are all `_FLOAT`s and whose names need no escapes, with an
+# index of at most 39 digits, as 2^128 - 1 has, which `int` always takes;
+# no part of it is a line boundary, so a match is one line
+_MEASURED = _compile_possessive(
+    rf'^\{{"aggregate":({_FLOAT}),"ec_index":(0|[1-9][0-9]{{0,38}}+),'
+    rf'"ended_at":({_FLOAT}),"error":null,"object_id":{_NAME},'
+    rf'"policy":{_NAME},"replicates":\[({_FLOAT}(?:,{_FLOAT})*+)\],'
+    rf'"started_at":({_FLOAT})\}}\n')
+
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
                   plan_fingerprint: str) -> ResultSet:
@@ -280,8 +312,9 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
     order. `object_id` names the set only when no line does.
 
     The bytes go to `_Rows.feed` `_BLOCK` bytes at a time, as `read_results`
-    reads a file. Each line is decoded once and checked, by the one rule
-    set of `_Rows.add_lines`, for the fields `Measurement.from_dict` reads
+    reads a file. Each line is decoded once (a block of the lines ecbench
+    writes for measured rows, in one pass) and checked, by the one rule set
+    of `_Rows.add_lines`, for the fields `Measurement.from_dict` reads
     and for their types (`_LINE_TYPES`), so the first bad line decides the
     error; a UTF-8 error anywhere outranks it. Every line names the first
     line's object, and its numbers lie within float range (`_RANGE`). A
@@ -301,7 +334,10 @@ class _Rows:
     lines, and line numbers, that it gives on the whole text (a `\\r\\n`
     pair is never split, and a cut never falls inside a UTF-8 character,
     since a newline is never part of one); only one block's text is live at
-    once. The first error is kept and raised by `result`, after every block
+    once. A block of lines that all match `_MEASURED` goes whole into the
+    columns (`_add_columns`), every other block line by line (`add_lines`),
+    so each block gives the same columns, or the same first error, either
+    way. The first error is kept and raised by `result`, after every block
     has been checked to decode."""
 
     def __init__(self, path: str | Path, object_id: str):
@@ -338,7 +374,7 @@ class _Rows:
                     e.encoding, bytes(self.offset) + e.object,
                     self.offset + e.start, self.offset + e.end, e.reason)
             else:
-                if self.error is None:
+                if self.error is None and not self._add_columns(text):
                     lines = text.splitlines()
                     try:  # a line's error waits until the rest decodes
                         self.add_lines(lines, self.lineno)
@@ -346,6 +382,40 @@ class _Rows:
                         self.error = e
                     self.lineno += len(lines)
         self.offset += len(block)
+
+    def _add_columns(self, text: str) -> bool:
+        """Add the rows of a block's text when every line of it matches
+        `_MEASURED` and names this set's object (or the first object of a
+        set with no lines yet) with the set's replicate count; otherwise
+        change nothing and return False. A fed block ends in a newline and
+        the last tail holds none, so a match per newline is a match per
+        line."""
+        found = _MEASURED.findall(text)
+        if not found or len(found) != text.count("\n"):
+            return False
+        aggregates, indices, ended, owners, policies, replicates, started = (
+            zip(*found))
+        n, owner = len(found), owners[0]
+        widths = set(map(str.count, replicates, repeat(",")))
+        width = widths.pop() + 1
+        if (owners.count(owner) != n or widths
+                or self.width not in (None, width)
+                or owner != self.object_id and (self.columns[0]
+                                                or self.failures)):
+            return False
+        values = np.fromiter(map(float, chain(
+            aggregates, started, ended, ",".join(replicates).split(","))),
+            np.float64, n * (3 + width))
+        self.object_id, self.width = owner, width
+        for column, array in zip(self.columns, (
+                index_column(list(map(int, indices))), values[:n],
+                values[3 * n:].reshape(n, width),
+                np.array(list(map(self.names.setdefault, policies, policies)),
+                         dtype=object),
+                values[n:2 * n], values[2 * n:3 * n])):
+            column.append(array)
+        self.lineno += n
+        return True
 
     def add_lines(self, lines: list[str], lineno: int) -> None:
         """Add the rows of `lines`, the first of them line `lineno`, one

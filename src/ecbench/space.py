@@ -12,7 +12,9 @@ and range-checks indices, one at a time or as arrays, which hold int64 up to
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,12 @@ INT64_MAX = 2**63 - 1
 
 
 def _has_duplicates(labels: tuple[str, ...]) -> bool:
-    """`len(set(labels)) != len(labels)`, holding one int64 per label: the
+    """`len(set(labels)) != len(labels)`, holding one int64 per label:
+    strictly increasing labels hold none, in one pass of comparisons; other
     labels' hashes are sorted, and the set is built only when two of them
     are equal, for a duplicate or a hash collision."""
+    if all(map(operator.lt, labels, islice(labels, 1, None))):
+        return False
     hashes = np.fromiter(map(hash, labels), dtype=np.int64, count=len(labels))
     hashes.sort()
     return bool((hashes[1:] == hashes[:-1]).any()) and len(

@@ -310,6 +310,28 @@ def keyed_rows(results) -> dict[tuple[int, int], Measurement]:
                 m.started_at.tolist(), m.ended_at.tolist())}
 
 
+def columns_reference(measured) -> dict[str, np.ndarray]:
+    """The columns of `Measurements` (by attribute name) for `measured`,
+    the measurements of a file's measured lines in file order, each array
+    built from a Python list of the values: int64 indices, or objects when
+    one is 2^63 or more, float64 numbers and a row of replicates per
+    measurement."""
+    indices = [m.ec_index for m in measured]
+    width = len(measured[0].replicates) if measured else 0
+    return {
+        "indices": np.array(indices, dtype=object if any(
+            i >= 2**63 for i in indices) else np.int64),
+        "ordinals": np.array([k[1] for k in occurrence_keys_reference(
+            indices)], dtype=np.int64),
+        "aggregates": np.array([m.aggregate for m in measured], np.float64),
+        "replicates": np.array([m.replicates for m in measured],
+                               np.float64).reshape(len(measured), width),
+        "policies": np.array([m.policy for m in measured], dtype=object),
+        "started_at": np.array([m.started_at for m in measured], np.float64),
+        "ended_at": np.array([m.ended_at for m in measured], np.float64),
+    }
+
+
 def occurrence_keys_reference(indices) -> list[tuple[int, int]]:
     """The (ec_index, occurrence ordinal) key of each index in order, with
     the earlier occurrences of each index counted in a dict."""

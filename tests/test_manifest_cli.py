@@ -1,7 +1,10 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ecbench
@@ -44,6 +47,7 @@ from ecbench.space import Factor, build_space
 from oracles import (
     LineParseError,
     LineTypeError,
+    columns_reference,
     keyed_rows,
     line_in_file_reference,
     measurement_reference,
@@ -51,6 +55,18 @@ from oracles import (
     parse_lines_reference,
 )
 from test_golden import persisted_pair
+
+
+def assert_same_columns(rows, want):
+    """Each column of `rows` has the dtype, shape and bits of its reference
+    in `want` (an object column, its values): -0.0 is not 0.0, and a NaN is
+    the NaN it was read as."""
+    for name, column in want.items():
+        got = getattr(rows, name)
+        assert (name, got.dtype, got.shape) == (name, column.dtype,
+                                                column.shape)
+        assert (got.tolist() if got.dtype == object else got.tobytes()) == (
+            column.tolist() if column.dtype == object else column.tobytes())
 
 
 def run_demo(tmp_path, obj, plan=None, space=None):
@@ -129,6 +145,24 @@ class TestPersistLoad:
         mp.write_text(json.dumps(doc))
         with pytest.raises(FingerprintError):
             load_results(path)
+
+    @pytest.mark.parametrize("recorded", ["missing", None, 5])
+    def test_a_manifest_without_a_hash_string_is_refused(self, tmp_path,
+                                                         recorded):
+        # a tampered file is refused when its manifest drops the hash too
+        _, path = run_demo(tmp_path, demo.OBJECT_A)
+        path.write_text(path.read_text().replace('"aggregate":',
+                                                 '"aggregate":9', 1))
+        mp = manifest_path(path)
+        doc = json.loads(mp.read_text())
+        del doc["results_sha256"]
+        if recorded != "missing":
+            doc["results_sha256"] = recorded
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(FingerprintError) as e:
+            load_results(path)
+        assert str(e.value) == (f"{mp}: results_sha256 must be a string, "
+                                f"not {doc.get('results_sha256')!r}")
 
     def test_extra_fields_tolerated(self, tmp_path):
         _, path = run_demo(tmp_path, demo.OBJECT_A)
@@ -214,11 +248,47 @@ class TestPersistLoad:
             st.tuples(doc, st.integers(1, 40)).map(lambda t: t[0][:-t[1]]),
             st.text(alphabet='{}[]":,.-0e1nultr \t\xa0', max_size=6),
             pad,
-        )
+        ).map(lambda text: [text])
+        # runs of written lines, long enough to fill whole blocks, most of
+        # them of one object and replicate count: in a clean run, every
+        # number is a float written with a fraction or an exponent and no
+        # name needs an escape, but for the hand-edited token -0; other runs
+        # add ints, Infinity and NaN, and names that do
+        floats = [-0.0, 0.0, 5e-324, 1e16, 3.0, -2.5, 0.1, 1e308]
+        numbers = {True: st.sampled_from(floats), False: st.sampled_from([
+            *floats, 0, 3, 2**60, float("inf"), float("-inf"), float("nan")])}
+        ascii_names = ["mean", "median", "", "p q"]
+        names = {True: st.sampled_from(ascii_names), False: st.sampled_from([
+            *ascii_names, "\xe9", "\u20ac", 'a"b', "a\\b", "\x7f"])}
+        index = st.integers(0, 40) | st.sampled_from([2**63, 2**70])
+
+        @st.composite
+        def run(draw):
+            plain = draw(st.booleans())
+            owners = st.sampled_from(draw(st.sampled_from([
+                ["cpu_a"], ["cpu_b"], ["\xe9"], ["cpu_a", "cpu_b"]])))
+            widths = st.sampled_from(draw(st.sampled_from([[1], [3], [2, 3]])))
+            number = numbers[plain]
+            rows = [measurement_line(Measurement(
+                draw(index), draw(owners),
+                tuple(draw(st.lists(number, min_size=width, max_size=width))),
+                draw(number), draw(names[plain]), draw(number), draw(number))
+            ).replace(":-0.0,", ":-0," if draw(st.booleans()) else ":-0.0,")
+                for width in draw(st.lists(widths, min_size=1, max_size=4))]
+            return rows * draw(st.integers(1, 130))
+
+        written = [measurement_line(Measurement(i, owner, reps, 1.5, "mean"))
+                   for i, owner, reps in ((0, "cpu_a", (0.5,)),
+                                          (1, "cpu_b", (0.5,)),
+                                          (2, "cpu_a", (0.5, 1.5)))]
 
         @settings(max_examples=300, deadline=None)
-        @given(lines=st.lists(line, max_size=5),
+        @given(lines=st.lists(line | run(), max_size=5).map(
+                   lambda runs: sum(runs, [])),
                end=st.sampled_from(["", "\n", "\r\n"]))
+        @example(lines=written[:2], end="\n")  # two objects in a block
+        @example(lines=written[::2], end="\n")  # two replicate counts
+        @example(lines=[written[0].replace(":1.5,", ":-0,")], end="\n")
         def check(lines, end):
             data = ("\n".join(lines) + end).encode()
             path.write_bytes(data)
@@ -244,15 +314,19 @@ class TestPersistLoad:
             else:
                 results, _ = load_results(path)
                 # failure lines are not measurements
-                assert list(keyed_rows(results).values()) == [
-                    m for m in seen if m.error is None]
+                measured = [m for m in seen if m.error is None]
+                assert results.object_id == (
+                    seen[0].object_id if seen else "cpu_a")
+                assert_same_columns(results.measurements,
+                                    columns_reference(measured))
 
         check()
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("block", [1, 7, 64, 1024])
     def test_lines_parse_as_json_loads_parses_them_across_block_cuts(
             self, tmp_path, monkeypatch, block):
-        # the same lines and references, with a cut after nearly every line
+        # the same lines and references, with a cut after nearly every line,
+        # or after every few lines
         monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
         self.test_lines_parse_as_json_loads_parses_them(tmp_path)
 
@@ -294,6 +368,81 @@ class TestPersistLoad:
         rows, failures = outcome("\n".join(lines).encode())
         assert (len(rows), [m.error for m in failures]) == (
             4, ["\xe9" + euro + emoji, euro * 9])
+
+    def test_written_lines_skip_the_per_line_decoder(self, tmp_path,
+                                                     monkeypatch):
+        # blocks of the lines ecbench writes go into the columns whole; one
+        # hand-edited line sends its block, and no other, line by line
+        persisted_pair(tmp_path)  # cpu_b: 2000 rows and no failure line
+        path = tmp_path / "cpu_b.jsonl"
+        mp = manifest_path(path)
+        data = path.read_bytes()
+        want = columns_reference([Measurement.from_dict(json.loads(line))
+                                  for line in data.splitlines()])
+
+        def refuse(line):
+            raise AssertionError(f"decoded {line!r}")
+
+        monkeypatch.setattr(ecbench.manifest, "_decode_line", refuse)
+        assert_same_columns(load_results(path)[0].measurements, want)
+
+        # a space after one colon, halfway through the file: the same values
+        lines = data.decode().splitlines(keepends=True)
+        k = len(lines) // 2
+        at = len("".join(lines[:k]))
+        lines[k] = lines[k].replace('"aggregate":', '"aggregate": ')
+        edited = "".join(lines).encode()
+        doc = json.loads(mp.read_text())
+        doc["results_sha256"] = fingerprint_bytes(edited)
+        path.write_bytes(edited)
+        mp.write_text(json.dumps(doc))
+        # blocks end after the last newline of each `_BLOCK`-byte read
+        block = ecbench.manifest._BLOCK
+        cuts = {0} | {edited.rfind(b"\n", start, start + block) + 1
+                      for start in range(0, len(edited), block)}
+        first = max(c for c in cuts if c <= at)
+        expected = edited[first:min(c for c in cuts if c > at)].decode()
+        decoded = []
+        monkeypatch.setattr(ecbench.manifest, "_decode_line",
+                            lambda line: decoded.append(line) or json.loads(
+                                line))
+        assert_same_columns(load_results(path)[0].measurements, want)
+        assert decoded == expected.splitlines()
+        assert lines[k].rstrip("\n") in decoded and len(decoded) > 1
+
+    def test_the_line_pattern_without_possessive_quantifiers(self, tmp_path,
+                                                            monkeypatch):
+        # Python 3.10 refuses `*+` and the like ("multiple repeat"): the
+        # pattern put in its place holds none and finds the same lines
+        compile = re.compile
+
+        def possessive(pattern):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                compile(pattern, re.DEBUG)  # prints the parsed pattern
+            return "POSSESSIVE" in out.getvalue()
+
+        def compile_310(pattern, flags=0):
+            if possessive(pattern):
+                raise re.error("multiple repeat")
+            return compile(pattern, flags)
+
+        measured = ecbench.manifest._MEASURED
+        assert possessive(measured.pattern)
+        monkeypatch.setattr(re, "compile", compile_310)
+        greedy = ecbench.manifest._compile_possessive(measured.pattern)
+        monkeypatch.undo()
+        persisted_pair(tmp_path)  # cpu_a ends with a failure line
+        lines = (tmp_path / "cpu_a.jsonl").read_text().splitlines(True)
+        line = lines[0]
+        text = "".join(lines + [line.replace(old, new) for old, new in (
+            (":1", ":01"), (".", ""), (".", "e"), (".", "E+"), (".", ".e"),
+            ("0,", "0e5,"), ("0,", "0.,"), ("[", "[1.5,"), ("],", ",]"),
+            ("mean", 'm\\"'), ("mean", "m\x7f"), ("null", "nul"),
+            ("\n", "\r\n"), ("{", " {"), (":", ":-"), (":", ":--"))])
+        assert text.count("\n") > len(lines) + 15
+        assert greedy.findall(text) == measured.findall(text)
+        assert len(measured.findall(text)) >= len(lines) - 1
 
     def test_a_decode_error_outranks_every_line_error(self, monkeypatch):
         # as when the whole text was decoded before any line was read: the
@@ -499,18 +648,23 @@ class TestPersistLoad:
 
     def test_parse_leaves_no_object_per_row(self, tmp_path):
         rows = 20_000
-        data = "".join(
-            measurement_line(Measurement(
-                ec_index=i % 7_000, object_id="cpu_a", replicates=(i, i + 1.5),
-                aggregate=i + 0.75, policy="mean")) + "\n"
-            for i in range(rows)).encode()
-        gc.collect()
-        before = len(gc.get_objects())
-        results = parse_results(data, tmp_path / "r.jsonl", "cpu_a", "p")
-        gc.collect()
-        assert len(gc.get_objects()) - before < 50
-        assert len(results.measurements) == rows
-        assert len(gc.get_objects()) - before < 50  # len() built no rows
+        # an int replicate sends every block line by line; with a float one,
+        # every block goes into the columns whole
+        for first in (0, 0.5):
+            data = "".join(
+                measurement_line(Measurement(
+                    ec_index=i % 7_000, object_id="cpu_a",
+                    replicates=(i + first, i + 1.5),
+                    aggregate=i + 0.75, policy="mean")) + "\n"
+                for i in range(rows)).encode()
+            gc.collect()
+            before = len(gc.get_objects())
+            results = parse_results(data, tmp_path / "r.jsonl", "cpu_a", "p")
+            gc.collect()
+            assert len(gc.get_objects()) - before < 50
+            assert len(results.measurements) == rows
+            assert len(gc.get_objects()) - before < 50  # len() built no rows
+            del results
 
     def test_byte_identical_across_runs(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -1512,6 +1666,8 @@ class TestIllTypedInputs:
          "manifest object_config must be a JSON object, not []"),
         ("resume", lambda d: d.update(object_config=[]),
          "manifest object_config must be a JSON object, not []"),
+        ("cpu_a.jsonl.manifest.json", lambda d: d.update(results_sha256=None),
+         "{path}: results_sha256 must be a string, not None"),
     ], ids=["plan_entries", "plan", "object_settings", "object", "executor",
             "methodologies_file", "methodologies", "methodology_params",
             "model", "space", "space_factors", "manifest",
@@ -1520,7 +1676,7 @@ class TestIllTypedInputs:
             "model_object_effect_tables", "model_interactions",
             "interaction_one_factor", "interaction_row_of_two",
             "executor_model", "executor_model_base", "manifest_compare",
-            "manifest_resume"])
+            "manifest_resume", "manifest_hash"])
     def test_file_structure_ill_typed(self, ran, capsys, name, change,
                                       message):
         ws = ran

@@ -73,7 +73,7 @@ plans = st.builds(
 
 
 @given(plans)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_plan_texts_equal_json_dumps(plan):
     assert saved_text(plan) == plan_dumps(plan)
     assert plan.fingerprint == fingerprint(plan.to_dict())
@@ -120,7 +120,7 @@ def measurements(max_replicates):
 
 
 @given(st.lists(measurements(4), max_size=8))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_result_lines_equal_measurement_line(rows):
     assert measurement_lines(rows) == "".join(
         measurement_line(m) + "\n" for m in rows)
@@ -165,7 +165,7 @@ def spaces(draw):
 
 
 @given(spaces())
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_space_file_equals_json_dumps(space):
     assert saved_text(space) == json.dumps(space.to_dict(), indent=2) + "\n"
 
@@ -190,7 +190,7 @@ def has_other_keys(doc) -> bool:
 
 
 @given(json_docs, st.booleans())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_indented_json_is_json_dumps_indent_2(doc, sort_keys):
     if has_other_keys(doc):  # space and manifest keys are strings
         with pytest.raises(TypeError):
@@ -227,7 +227,7 @@ def long_label_lists(draw):
     st.lists(st.one_of(labels, st.none(), st.booleans(), st.integers(),
                        floats), max_size=12),
     long_label_lists()))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_lists_of_strings_give_json_dumps_text(items):
     for doc in (items, tuple(items), {"levels": items, "name": "f"},
                 [items, [items[:3]]]):
