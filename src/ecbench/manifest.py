@@ -16,7 +16,7 @@ import platform
 import re
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -60,17 +60,7 @@ class RunManifest:
     results_sha256: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "space_fingerprint": self.space_fingerprint,
-            "plan_fingerprint": self.plan_fingerprint,
-            "executor_hash": self.executor_hash,
-            "object_config": self.object_config,
-            "seeds": self.seeds,
-            "host": self.host,
-            "created_at": self.created_at,
-            "results_sha256": self.results_sha256,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunManifest":
@@ -252,20 +242,6 @@ def drop_torn_line(path: str | Path) -> None:
         os.truncate(path, keep)
 
 
-_SCAN = json.JSONDecoder().scan_once
-
-
-def _decode_line(line: str):
-    """`json.loads(line)`, decoding a line without padding only once."""
-    try:
-        doc, end = _SCAN(line, 0)  # JSONDecoder.raw_decode without its frame
-        if end == len(line):
-            return doc
-    except (StopIteration, json.JSONDecodeError):  # no value, a bad value
-        pass
-    return json.loads(line)  # raises json.loads' own error for this line
-
-
 _LINE_TYPES = ("a measurement is a JSON object: ec_index a non-negative "
                "integer, object_id and policy strings, replicates a list, "
                "aggregate, started_at and ended_at numbers, error a string "
@@ -425,7 +401,7 @@ class _Rows:
             if not line.strip():
                 continue
             try:
-                doc = _decode_line(line)
+                doc = json.loads(line)
             except json.JSONDecodeError as e:
                 raise FingerprintError(
                     f"{path}:{lineno}: parse failure: {e}") from e
@@ -452,10 +428,7 @@ class _Rows:
                         f"{path}:{lineno}: object_id {owner!r}, where the "
                         f"first line has {self.object_id!r}")
                 self.object_id = owner  # the first line names the set
-            # floats, the common case, need one test
-            if not (type(aggregate) is type(started_at) is type(ended_at)
-                    is float or all(map(fits_float, (aggregate, started_at,
-                                                     ended_at)))):
+            if not all(map(fits_float, (aggregate, started_at, ended_at))):
                 raise FingerprintError(f"{path}:{lineno}: {_RANGE}")
             if error is not None:
                 self.failures.append(Measurement.from_dict(doc))
@@ -465,12 +438,10 @@ class _Rows:
             if len(replicates) != self.width:
                 raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
             for value in replicates:
-                if type(value) is not float:
-                    if type(value) is not int:
-                        raise FingerprintError(
-                            f"{path}:{lineno}: {_REPLICATES}")
-                    if not fits_float(value):
-                        raise FingerprintError(f"{path}:{lineno}: {_RANGE}")
+                if type(value) not in _NUMBERS:
+                    raise FingerprintError(f"{path}:{lineno}: {_REPLICATES}")
+                if not fits_float(value):
+                    raise FingerprintError(f"{path}:{lineno}: {_RANGE}")
             rows.append((index, aggregate, replicates, policy, started_at,
                          ended_at))
         if rows:
@@ -536,49 +507,36 @@ def check_resumable(path: str | Path, manifest: RunManifest) -> None:
             )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def comparison_csv(report: ComparisonReport) -> str:
+def _csv(header: tuple[str, ...], rows: list[dict],
+         float_columns: set[str]) -> str:
+    """The `header` columns of `rows`, those in `float_columns` with 6
+    decimals whatever the type of their value (a stored report may hold 5)."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["group", "n", "mean_diff", "ci_lo", "ci_hi", "level", "verdict"])
-    for g in (report.overall, *report.groups):
-        w.writerow([
-            g.group, g.n, _fmt(g.interval.center), _fmt(g.interval.low),
-            _fmt(g.interval.high), _fmt(g.interval.level), g.verdict.value,
-        ])
-    return buf.getvalue()
-
-
-def coverage_csv(rows: list[CoverageResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["methodology", "params", "cost_per_object", "iterations",
-                "coverage"])
-    for r in rows:
-        w.writerow([r.methodology, r.params, r.cost_per_object, r.iterations,
-                    _fmt(r.coverage)])
+    w.writerow(header)
+    w.writerows([f"{row[c]:.6f}" if c in float_columns else row[c]
+                 for c in header] for row in rows)
     return buf.getvalue()
 
 
 def emit_report(report: ComparisonReport | AsymmetryReport | list[CoverageResult],
                 fmt: str, path: str | Path) -> None:
-    """Bit-stable serialization: sorted keys in JSON, fixed 6-decimal CSV."""
-    path = Path(path)
+    """Bit-stable serialization: sorted keys in JSON, fixed 6-decimal CSV.
+    A CSV row is the fields of a JSON row: a comparison group's or a
+    coverage result's."""
+    doc = ([r.to_row() for r in report] if isinstance(report, list)
+           else report.to_dict())
     if fmt == "json":
-        if isinstance(report, list):
-            doc: object = [r.to_row() for r in report]
-        else:
-            doc = report.to_dict()
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    elif fmt == "csv":
-        if isinstance(report, list):
-            path.write_text(coverage_csv(report))
-        elif isinstance(report, ComparisonReport):
-            path.write_text(comparison_csv(report))
-        else:
-            raise ValueError("asymmetry reports are JSON-only")
-    else:
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    elif fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
+    elif isinstance(report, list):
+        text = _csv(("methodology", "params", "cost_per_object", "iterations",
+                     "coverage"), doc, {"coverage"})
+    elif isinstance(report, ComparisonReport):
+        text = _csv(("group", "n", "mean_diff", "ci_lo", "ci_hi", "level",
+                     "verdict"), [doc["overall"], *doc["groups"]],
+                    {"mean_diff", "ci_lo", "ci_hi", "level"})
+    else:
+        raise ValueError("asymmetry reports are JSON-only")
+    Path(path).write_text(text)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -57,12 +58,24 @@ def geometric_mean(values: tuple[float, ...] | list[float]) -> float:
     return math.exp(statistics.fmean(math.log(v) for v in values))
 
 
+# `stdtrit` solves for x = df / (df + t^2) and gives sqrt(df (1 - x) / x), but
+# takes x no lower than the smallest normal double: past |t| = 6.7e153
+# sqrt(df) it returns that floor, not the quantile. Its value is not used past
+# |t| = 1e50 sqrt(df), x < 1e-100: of the tests' 50-digit roots, it meets
+# every one short of that (df >= 0.05) within 1e-14, and misses by more every
+# one past it that it reaches (df <= 0.02). Below df 0.05 it is good to about
+# 6e-16 / df relative, short of the bound too.
+_LOG_MAX2 = 2 * math.log(sys.float_info.max)  # log t^2 past which t is inf
+
+
 def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
     """Inverse CDF of Student's t, from `scipy.special.stdtrit`; fractional
     df is accepted for Welch intervals. The median is 0.0 and a lower
     quantile is the reflected upper one, t_p = -t_{1-p}, so the symmetry is
     exact. A scalar `df` returns a float, an array `df` an array of its
-    shape."""
+    shape. Past |t| = 1e50 sqrt(df), which only a df far below 1 reaches
+    (df 0.02 from p 0.975), a quantile past the float range is +-inf, its
+    rounded value, and any other raises a StatsError."""
     if not 0 < p < 1:
         raise StatsError("p must be in (0, 1)")
     dfs = np.asarray(df, dtype=np.float64)
@@ -74,6 +87,23 @@ def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
         t = -special.stdtrit(dfs, 1.0 - p)
     else:
         t = special.stdtrit(dfs, p)
+    given = t * t <= dfs * 1e100  # False for a NaN or inf t too
+    if not given.all():
+        # there I_x(a, 1/2) = x^a / (a B(a, 1/2)), a = df/2, to 1 + O(x)
+        # (DLMF 8.17.8) and t^2 = df / x: t is finite where a log x, that is
+        # log 2q + log(a B(a, 1/2)) for the tail q, exceeds a log(df / t^2)
+        # at t = DBL_MAX. The log-gammas are within about 2e-16 even where
+        # a + 1 rounds to 1: one step of log 2q between neighbouring p.
+        past = dfs[~given]
+        a = past / 2
+        finite = (math.log(2 * min(p, 1.0 - p)) + special.gammaln(a + 1)
+                  + special.gammaln(0.5) - special.gammaln(a + 0.5)
+                  > a * (np.log(past) - _LOG_MAX2))
+        if finite.any():
+            raise StatsError(
+                f"the t quantile at p {p} and df {float(past[finite][0])} "
+                f"lies past |t| = 1e50 sqrt(df), where it cannot be given")
+        t = np.where(given, t, math.copysign(math.inf, p - 0.5))
     return float(t) if dfs.ndim == 0 else t
 
 

@@ -380,10 +380,11 @@ class TestPersistLoad:
         want = columns_reference([Measurement.from_dict(json.loads(line))
                                   for line in data.splitlines()])
 
-        def refuse(line):
-            raise AssertionError(f"decoded {line!r}")
+        def refuse(rows, lines, lineno):
+            raise AssertionError(f"line by line from {lineno}: {lines[:1]!r}")
 
-        monkeypatch.setattr(ecbench.manifest, "_decode_line", refuse)
+        add_lines = ecbench.manifest._Rows.add_lines
+        monkeypatch.setattr(ecbench.manifest._Rows, "add_lines", refuse)
         assert_same_columns(load_results(path)[0].measurements, want)
 
         # a space after one colon, halfway through the file: the same values
@@ -403,9 +404,12 @@ class TestPersistLoad:
         first = max(c for c in cuts if c <= at)
         expected = edited[first:min(c for c in cuts if c > at)].decode()
         decoded = []
-        monkeypatch.setattr(ecbench.manifest, "_decode_line",
-                            lambda line: decoded.append(line) or json.loads(
-                                line))
+
+        def record(rows, lines, lineno):
+            decoded.extend(lines)
+            add_lines(rows, lines, lineno)
+
+        monkeypatch.setattr(ecbench.manifest._Rows, "add_lines", record)
         assert_same_columns(load_results(path)[0].measurements, want)
         assert decoded == expected.splitlines()
         assert lines[k].rstrip("\n") in decoded and len(decoded) > 1
@@ -1287,6 +1291,26 @@ class TestCli:
         assert main(["report", "--input", str(ws / "cmp.json"),
                      "--format", "csv", "--out", str(ws / "cmp.csv")]) == 0
         assert (ws / "cmp.csv").read_text().startswith("group,")
+
+    def test_report_csv_formats_by_column(self, tmp_path):
+        # the float columns take 6 decimals by name, whatever the type of
+        # the stored value; `n` is written as stored
+        group = {"n": 7, "mean_diff": 5, "ci_lo": -1, "ci_hi": 11,
+                 "level": 1, "verdict": "NoSignificantDifference"}
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps({
+            "minuend": "cpu_a", "subtrahend": "cpu_b", "level": 1,
+            "overall": {"group": "all", **group},
+            "groups": [{"group": "w1", **group, "n": 3}]}))
+        out = tmp_path / "stored.csv"
+        assert main(["report", "--input", str(stored), "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "group,n,mean_diff,ci_lo,ci_hi,level,verdict\n"
+            "all,7,5.000000,-1.000000,11.000000,1.000000,"
+            "NoSignificantDifference\n"
+            "w1,3,5.000000,-1.000000,11.000000,1.000000,"
+            "NoSignificantDifference\n")
 
 
 class TestIllTypedInputs:

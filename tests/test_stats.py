@@ -1,6 +1,7 @@
 import math
 import statistics
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from ecbench.stats import (
     welch_interval,
 )
 from oracles import (
+    T_OVERFLOW_EDGE,
+    T_SMALL_DF_TABLE,
+    T_SMALL_DF_TABLE_PS,
     T_TABLE,
     T_TABLE_PS,
     confidence_interval_reference,
@@ -89,6 +93,64 @@ class TestTQuantile:
             for p, text in zip(T_TABLE_PS, quantiles):
                 want = float(text)
                 assert abs(t_quantile(p, df) - want) <= 1e-14 * want, (p, df)
+
+    def test_small_df_quantiles_are_right_inf_or_refused(self):
+        # stdtrit misses these roots by 1e-14 to 5e-14 below 6.7e153 sqrt(df)
+        # and returns that floor above it. Each is within 1e-14 of its root,
+        # or +-inf where the root is past the float range, or refused; only
+        # roots past the stated bound are not within 1e-14. Array and
+        # reflected calls agree with the scalar call.
+        top = Decimal(sys.float_info.max)
+        for df, quantiles in T_SMALL_DF_TABLE:
+            bound = Decimal("1e50") * Decimal(df).sqrt()
+            for p, text in zip(T_SMALL_DF_TABLE_PS, quantiles):
+                want = Decimal(text)
+                try:
+                    got = t_quantile(p, df)
+                except StatsError as e:
+                    assert bound < want < top, (p, df)
+                    assert f"p {p} and df {df} " in str(e)
+                    for call in (lambda: t_quantile(1.0 - p, df),
+                                 lambda: t_quantile(p, np.array([1.0, df]))):
+                        with pytest.raises(StatsError, match=f"df {df} "):
+                            call()
+                    continue
+                if got == math.inf:
+                    assert want > top, (p, df)
+                else:
+                    assert abs(Decimal(got) - want) <= Decimal(1e-14) * want
+                assert t_quantile(1.0 - p, df) == -got
+                assert t_quantile(p, np.array([1.0, df]))[1] == got
+        # a quantile short of the bound is given: the df >= 0.05 table's
+        # largest root, 1.14e39 at df 0.05, lies under 2.2e49
+        for df, quantiles in T_TABLE:
+            bound = Decimal("1e50") * Decimal(df).sqrt()
+            assert all(Decimal(text) < bound for text in quantiles)
+        # in one array: given, inf and refused elements
+        q = t_quantile(0.025, np.array([[1.0, 1e-3], [0.5, 1e-6]]))
+        assert (q[:, 1] == -math.inf).all() and np.isfinite(q[:, 0]).all()
+        with pytest.raises(StatsError, match="df 0.02 "):
+            t_quantile(0.975, np.array([1e-3, 1.0, 0.02, 0.01]))
+
+    def test_inf_exactly_past_the_float_range(self):
+        # roots 1 % either side of the largest double, at df 0.009
+        (df, below, _), (_, above, _) = T_OVERFLOW_EDGE
+        for p in (below, 1.0 - below):
+            with pytest.raises(StatsError, match="cannot be given"):
+                t_quantile(p, df)
+        assert t_quantile(above, df) == math.inf
+        assert t_quantile(1.0 - above, np.array([df])).tolist() == [-math.inf]
+        assert [Decimal(root) > Decimal(sys.float_info.max)
+                for _, _, root in T_OVERFLOW_EDGE] == [False, True]
+
+    def test_quantiles_at_the_stdtrit_floor_are_inf(self):
+        # at df 1e-300 stdtrit returns 6703.9 for every p, its floor
+        # sqrt(df / 2.2e-308), and inf or NaN at a subnormal df; the
+        # quantiles lie far past the float range
+        for df in (1e-300, 1e-310, 5e-324):
+            for p in (0.6, 0.975, 0.025):
+                assert t_quantile(p, df) == math.copysign(math.inf, p - 0.5)
+            assert t_quantile(0.5, df) == 0.0
 
     def test_fractional_df(self):
         assert t_quantile(0.975, 12.5) == pytest.approx(
