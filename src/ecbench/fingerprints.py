@@ -57,26 +57,25 @@ def canonical_column(values: list) -> list[str]:
     return [_CANONICAL.encode(v) for v in values]
 
 
-def indented_json(doc, sort_keys: bool = False) -> str:
-    """`json.dumps(doc, sort_keys=sort_keys, indent=2)` for a document whose
-    dict keys are strings; any other key raises TypeError."""
-    return _indented(doc, sort_keys, "\n")
+def indented_json(doc) -> str:
+    """`json.dumps(doc, indent=2)` for a document whose dict keys are
+    strings; any other key raises TypeError."""
+    return _indented(doc, "\n")
 
 
-def _indented(value, sort_keys: bool, newline: str) -> str:
+def _indented(value, newline: str) -> str:
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = sorted(value.items()) if sort_keys else value.items()
         return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _indented(v, sort_keys, inner)
-            for k, v in items) + newline + "}"
+            encode_basestring_ascii(k) + ": " + _indented(v, inner)
+            for k, v in value.items()) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
         plain = _plain_strings(value, "," + inner)
         if plain is not None:
             return "[" + inner + plain + newline + "]"
         if any(issubclass(t, _CONTAINERS) for t in set(map(type, value))):
             return "[" + inner + ("," + inner).join(
-                _indented(v, sort_keys, inner) for v in value) + newline + "]"
+                _indented(v, inner) for v in value) + newline + "]"
         # a list of scalars in one call, with this depth's item separator
         text = json.JSONEncoder(separators=("," + inner, ":")).encode(value)
         return "[" + inner + text[1:-1] + newline + "]"

@@ -158,8 +158,10 @@ def _write_manifest(path: str | Path, manifest: RunManifest) -> None:
     for chunk in _chunks(path):
         digest.update(chunk)
     manifest.results_sha256 = digest.hexdigest()
+    # canonical_json sorts every dict's keys and json.loads keeps that order:
+    # json.dumps(doc, sort_keys=True, indent=2)'s text, from the C encoder
     manifest_path(path).write_text(
-        indented_json(manifest.to_dict(), sort_keys=True) + "\n")
+        indented_json(json.loads(canonical_json(manifest.to_dict()))) + "\n")
 
 
 def _chunks(path: str | Path) -> Iterator[bytes]:

@@ -151,21 +151,13 @@ class ConfigSpace:
 
     def config_at(self, index: int) -> Configuration:
         """Decode a mixed-radix index; the last factor varies fastest."""
-        if not 0 <= index < self.cardinality:
-            raise SpaceError(
-                f"index {index} out of range for cardinality {self.cardinality}"
-            )
-        rem = index
-        rev: list[tuple[str, int]] = []
-        for f in reversed(self.factors):
-            m = len(f.levels)
-            rev.append((f.name, rem % m))
-            rem //= m
-        return Configuration(assignments=tuple(reversed(rev)), index=index)
+        levels = self.level_columns(index_column([index]))[:, 0].tolist()
+        return Configuration(assignments=tuple(zip(self._by_name, levels)),
+                             index=index)
 
     def check_indices(self, indices) -> np.ndarray:
-        """`indices` as an array, after `config_at`'s range check of each: the
-        first (in C order) outside the space raises `config_at`'s error."""
+        """`indices` as an array, after a range check of each: the first (in
+        C order) outside the space raises a SpaceError naming it."""
         idx = np.asarray(indices)
         bad = (idx < 0) | (idx >= self.cardinality)
         if bad.any():
@@ -174,7 +166,7 @@ class ConfigSpace:
         return idx
 
     def level_columns(self, indices) -> np.ndarray:
-        """Vectorised `config_at`, after `check_indices`: the int64 level of
+        """The levels of each index, after `check_indices`: the int64 level of
         each factor at each index, shape (n_factors, *indices.shape)."""
         rem = self.check_indices(indices).astype(self.index_dtype)
         out = np.empty((len(self.factors),) + rem.shape, dtype=np.int64)

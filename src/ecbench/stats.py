@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -58,52 +57,32 @@ def geometric_mean(values: tuple[float, ...] | list[float]) -> float:
     return math.exp(statistics.fmean(math.log(v) for v in values))
 
 
-# `stdtrit` solves for x = df / (df + t^2) and gives sqrt(df (1 - x) / x), but
-# takes x no lower than the smallest normal double: past |t| = 6.7e153
-# sqrt(df) it returns that floor, not the quantile. Its value is not used past
-# |t| = 1e50 sqrt(df), x < 1e-100: of the tests' 50-digit roots, it meets
-# every one short of that (df >= 0.05) within 1e-14, and misses by more every
-# one past it that it reaches (df <= 0.02). Below df 0.05 it is good to about
-# 6e-16 / df relative, short of the bound too.
-_LOG_MAX2 = 2 * math.log(sys.float_info.max)  # log t^2 past which t is inf
+# The least df `t_quantile` answers for: the lowest df of the tests' 50-digit
+# table, where `stdtrit` is checked to 1e-14. Below it `stdtrit` misses by
+# about 6e-16 / df relative; Welch df is at least 1 for n >= 2 per arm.
+DF_FLOOR = 0.05
 
 
 def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
-    """Inverse CDF of Student's t, from `scipy.special.stdtrit`; fractional
-    df is accepted for Welch intervals. The median is 0.0 and a lower
-    quantile is the reflected upper one, t_p = -t_{1-p}, so the symmetry is
-    exact. A scalar `df` returns a float, an array `df` an array of its
-    shape. Past |t| = 1e50 sqrt(df), which only a df far below 1 reaches
-    (df 0.02 from p 0.975), a quantile past the float range is +-inf, its
-    rounded value, and any other raises a StatsError."""
+    """Inverse CDF of Student's t, from `scipy.special.stdtrit`, for df >=
+    `DF_FLOOR` (inf gives the normal limit); fractional df is accepted for
+    Welch intervals. Any other df, NaN too, raises a StatsError naming it.
+    The median is 0.0 and a lower quantile is the reflected upper one,
+    t_p = -t_{1-p}, so the symmetry is exact. A scalar `df` returns a float,
+    an array `df` an array of its shape."""
     if not 0 < p < 1:
         raise StatsError("p must be in (0, 1)")
     dfs = np.asarray(df, dtype=np.float64)
-    if np.any(dfs <= 0):
-        raise StatsError("df must be positive")
+    answered = dfs >= DF_FLOOR  # False for NaN
+    if not answered.all():
+        raise StatsError(f"df must be at least {DF_FLOOR}, not "
+                         f"{float(dfs[~answered].flat[0])}")
     if p == 0.5:
         t = np.zeros(dfs.shape)
     elif p < 0.5:
         t = -special.stdtrit(dfs, 1.0 - p)
     else:
         t = special.stdtrit(dfs, p)
-    given = t * t <= dfs * 1e100  # False for a NaN or inf t too
-    if not given.all():
-        # there I_x(a, 1/2) = x^a / (a B(a, 1/2)), a = df/2, to 1 + O(x)
-        # (DLMF 8.17.8) and t^2 = df / x: t is finite where a log x, that is
-        # log 2q + log(a B(a, 1/2)) for the tail q, exceeds a log(df / t^2)
-        # at t = DBL_MAX. The log-gammas are within about 2e-16 even where
-        # a + 1 rounds to 1: one step of log 2q between neighbouring p.
-        past = dfs[~given]
-        a = past / 2
-        finite = (math.log(2 * min(p, 1.0 - p)) + special.gammaln(a + 1)
-                  + special.gammaln(0.5) - special.gammaln(a + 0.5)
-                  > a * (np.log(past) - _LOG_MAX2))
-        if finite.any():
-            raise StatsError(
-                f"the t quantile at p {p} and df {float(past[finite][0])} "
-                f"lies past |t| = 1e50 sqrt(df), where it cannot be given")
-        t = np.where(given, t, math.copysign(math.inf, p - 0.5))
     return float(t) if dfs.ndim == 0 else t
 
 
@@ -269,24 +248,41 @@ def mean_ci_from_array(values: np.ndarray, level: float) -> tuple:
     return mean - half, mean, mean + half
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+
+
 def welch_bounds(a: np.ndarray, b: np.ndarray,
                  level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise two-independent-sample CI for mean(a) - mean(b) with Welch
-    df, over the last axis of 2-D arrays: (low, center, high) per row."""
+    df, over the last axis of 2-D arrays: (low, center, high) per row. The
+    df lies in [min(na, nb) - 1, na + nb - 2] at every scale, so it is at
+    least 1; a variance past the float range raises a StatsError."""
     na, nb = a.shape[-1], b.shape[-1]
     if na < 2 or nb < 2:
         raise StatsError("Welch interval needs n >= 2 per arm")
     ea, eb = a.var(ddof=1, axis=-1) / na, b.var(ddof=1, axis=-1) / nb
     se2 = ea + eb
+    if not np.isfinite(se2).all():
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise StatsError("sample contains non-finite values")
+        raise StatsError("sample variance overflows the float range")
     center = a.mean(axis=-1) - b.mean(axis=-1)
     half = np.zeros(se2.shape)
     spread = se2 != 0.0  # zero spread: a degenerate interval at the center
+    ea, eb, se2 = ea[spread], eb[spread], se2[spread]
     # float_power squares through pow(), as float64 scalar `**` does; the
     # ndarray `**` squares by multiplication, which can differ in the last bit
     sq = np.float_power
-    df = sq(se2[spread], 2) / (sq(ea[spread], 2) / (na - 1)
-                               + sq(eb[spread], 2) / (nb - 1))
-    half[spread] = t_quantile((1.0 + level) / 2.0, df) * np.sqrt(se2[spread])
+    with np.errstate(all="ignore"):
+        num = sq(se2, 2)
+        df = num / (sq(ea, 2) / (na - 1) + sq(eb, 2) / (nb - 1))
+    # where se2^2 is not a normal float, that df is 0/0, inf/inf or a ratio
+    # of a few bits: take it from the shares of se2, in [0, 1], instead
+    off = ~(np.isfinite(df) & (num >= _TINY))
+    if off.any():
+        fa, fb = ea[off] / se2[off], eb[off] / se2[off]
+        df[off] = 1.0 / (fa * fa / (na - 1) + fb * fb / (nb - 1))
+    half[spread] = t_quantile((1.0 + level) / 2.0, df) * np.sqrt(se2)
     return center - half, center, center + half
 
 

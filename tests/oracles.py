@@ -116,37 +116,6 @@ T_TABLE = (
 )
 
 
-# The same roots for small df, T_SMALL_DF_TABLE_PS by row, solved for
-# log x at 50 and at 60 digits (`mp.findroot` on `log mp.betainc`, started
-# from the leading term x^(df/2) / ((df/2) B(df/2, 1/2)) = 2 (1 - p)); the
-# two agree to 1e-30 relative. Most lie past the float range, hence strings.
-T_SMALL_DF_TABLE_PS = (0.975, 0.99, 0.995, 0.999)
-T_SMALL_DF_TABLE = (
-    (0.02, ("8.0261139063969427223e+63", "6.3314874816072374117e+83",
-            "7.1286211657168234955e+98", "6.3314874816072222376e+133")),
-    (0.012, ("1.4449455183048829057e+107", "2.096615835535855263e+140",
-             "2.5547701526335823405e+165", "4.5170218877486111908e+223")),
-    (0.01, ("6.3641819284000114604e+128", "3.9604401371520978433e+168",
-            "5.0204543170288207605e+198", "3.9604401371520788601e+268")),
-    (0.009, ("1.7241559179467165206e+143", "2.8322595918201594632e+187",
-             "7.9416428518894016253e+220", "3.6580039270505894056e+298")),
-    (0.005, ("5.6930352325659983205e+258", "2.2046802212587309313e+338",
-             "3.5427845229659728149e+398", "2.2046802212587097963e+538")),
-    (0.001, ("1.6949002133385409405e+1299", "1.4762258515644397028e+1697",
-             "1.5817887061021513675e+1998", "1.476225851564368944e+2697")),
-    (1e-6, ("4.9503301466620223472e+1301026",
-            "5.0501723691969110592e+1698966",
-            "5.0000020527675733955e+1999996",
-            "5.0501723697231204513e+2698966")),
-)
-# (df, p, root) the same way, with the root 1 % below and 1 % above the
-# largest double, 1.7976931348623157e+308
-T_OVERFLOW_EDGE = (
-    (0.009, 0.999181882195951, "1.7798057893030806072e+308"),
-    (0.009, 0.9991820294439031, "1.8157602512437818499e+308"),
-)
-
-
 def brute_force_population_mean(space_doc: dict, model_doc: dict,
                                 objects) -> float:
     """Noise-free mean over every configuration, straight from the JSON

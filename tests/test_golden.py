@@ -28,7 +28,7 @@ from ecbench.fingerprints import fingerprint
 from ecbench.manifest import RunManifest, emit_report, persist_results
 from ecbench.oracle import Methodology, coverage_experiment, methodology_comparison
 from ecbench.runner import Measurement, ResultSet
-from ecbench.stats import t_quantile
+from ecbench.stats import DF_FLOOR, t_quantile
 
 OBJECTS = ("cpu_a", "cpu_b")
 
@@ -134,7 +134,7 @@ def test_t_quantile_array_equals_scalar_calls(p):
     rng = np.random.Generator(np.random.PCG64(8))
     # integer dfs and Welch-like fractional dfs
     dfs = np.concatenate([np.arange(1.0, 301.0), rng.uniform(1.0, 200.0, 300),
-                          [1e-3, 0.3, 1e6]])
+                          [DF_FLOOR, 0.3, 1e6]])
     q = t_quantile(p, dfs)
     assert q.shape == dfs.shape
     assert all(q[i] == t_quantile(p, float(dfs[i])) for i in range(dfs.size))

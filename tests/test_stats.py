@@ -1,7 +1,6 @@
 import math
 import statistics
 import sys
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from ecbench.compare import paired_differences, ratio_diagnostics
 from ecbench.errors import PairingError
 from ecbench.runner import Measurement, ResultSet
 from ecbench.stats import (
+    DF_FLOOR,
     Interval,
     StatsError,
     confidence_interval,
@@ -27,9 +27,6 @@ from ecbench.stats import (
     welch_interval,
 )
 from oracles import (
-    T_OVERFLOW_EDGE,
-    T_SMALL_DF_TABLE,
-    T_SMALL_DF_TABLE_PS,
     T_TABLE,
     T_TABLE_PS,
     confidence_interval_reference,
@@ -94,63 +91,30 @@ class TestTQuantile:
                 want = float(text)
                 assert abs(t_quantile(p, df) - want) <= 1e-14 * want, (p, df)
 
-    def test_small_df_quantiles_are_right_inf_or_refused(self):
-        # stdtrit misses these roots by 1e-14 to 5e-14 below 6.7e153 sqrt(df)
-        # and returns that floor above it. Each is within 1e-14 of its root,
-        # or +-inf where the root is past the float range, or refused; only
-        # roots past the stated bound are not within 1e-14. Array and
-        # reflected calls agree with the scalar call.
-        top = Decimal(sys.float_info.max)
-        for df, quantiles in T_SMALL_DF_TABLE:
-            bound = Decimal("1e50") * Decimal(df).sqrt()
-            for p, text in zip(T_SMALL_DF_TABLE_PS, quantiles):
-                want = Decimal(text)
-                try:
-                    got = t_quantile(p, df)
-                except StatsError as e:
-                    assert bound < want < top, (p, df)
-                    assert f"p {p} and df {df} " in str(e)
-                    for call in (lambda: t_quantile(1.0 - p, df),
-                                 lambda: t_quantile(p, np.array([1.0, df]))):
-                        with pytest.raises(StatsError, match=f"df {df} "):
-                            call()
-                    continue
-                if got == math.inf:
-                    assert want > top, (p, df)
-                else:
-                    assert abs(Decimal(got) - want) <= Decimal(1e-14) * want
-                assert t_quantile(1.0 - p, df) == -got
-                assert t_quantile(p, np.array([1.0, df]))[1] == got
-        # a quantile short of the bound is given: the df >= 0.05 table's
-        # largest root, 1.14e39 at df 0.05, lies under 2.2e49
-        for df, quantiles in T_TABLE:
-            bound = Decimal("1e50") * Decimal(df).sqrt()
-            assert all(Decimal(text) < bound for text in quantiles)
-        # in one array: given, inf and refused elements
-        q = t_quantile(0.025, np.array([[1.0, 1e-3], [0.5, 1e-6]]))
-        assert (q[:, 1] == -math.inf).all() and np.isfinite(q[:, 0]).all()
-        with pytest.raises(StatsError, match="df 0.02 "):
-            t_quantile(0.975, np.array([1e-3, 1.0, 0.02, 0.01]))
+    def test_df_below_the_floor_is_refused(self):
+        # 0.05 is the lowest df of the 50-digit table, where stdtrit is
+        # checked to 1e-14; below it, stdtrit misses that by about 6e-16 / df
+        assert DF_FLOOR == 0.05 == T_TABLE[0][0]
+        for df in (0.0499, 0.02, 1e-3, 1e-300, 5e-324, 0.0, -0.0, -1.0,
+                   -math.inf):
+            for p in (0.975, 0.025, 0.5):
+                with pytest.raises(StatsError,
+                                   match=f"at least 0.05, not {df}$"):
+                    t_quantile(p, df)
+            with pytest.raises(StatsError, match=f"not {df}$"):
+                t_quantile(0.975, np.array([[1.0, 2.0], [df, 0.01]]))
 
-    def test_inf_exactly_past_the_float_range(self):
-        # roots 1 % either side of the largest double, at df 0.009
-        (df, below, _), (_, above, _) = T_OVERFLOW_EDGE
-        for p in (below, 1.0 - below):
-            with pytest.raises(StatsError, match="cannot be given"):
-                t_quantile(p, df)
-        assert t_quantile(above, df) == math.inf
-        assert t_quantile(1.0 - above, np.array([df])).tolist() == [-math.inf]
-        assert [Decimal(root) > Decimal(sys.float_info.max)
-                for _, _, root in T_OVERFLOW_EDGE] == [False, True]
+    def test_nan_df_is_refused(self):
+        for p in (0.975, 0.025, 0.5):
+            for df in (math.nan, np.array([1.0, math.nan]),
+                       np.array([[math.nan]])):
+                with pytest.raises(StatsError, match="df .* not nan$"):
+                    t_quantile(p, df)
 
-    def test_quantiles_at_the_stdtrit_floor_are_inf(self):
-        # at df 1e-300 stdtrit returns 6703.9 for every p, its floor
-        # sqrt(df / 2.2e-308), and inf or NaN at a subnormal df; the
-        # quantiles lie far past the float range
-        for df in (1e-300, 1e-310, 5e-324):
-            for p in (0.6, 0.975, 0.025):
-                assert t_quantile(p, df) == math.copysign(math.inf, p - 0.5)
-            assert t_quantile(0.5, df) == 0.0
+    def test_inf_df_is_the_normal_limit(self):
+        assert t_quantile(0.975, math.inf) == 1.9599639845400538
+        assert t_quantile(0.025, np.array([math.inf])).tolist() == [
+            -1.9599639845400538]
 
     def test_fractional_df(self):
         assert t_quantile(0.975, 12.5) == pytest.approx(
@@ -284,6 +248,69 @@ class TestWelch:
             iv = welch_interval(a[i], b[i], 0.99)
             assert (iv.low, iv.center, iv.high) == ref
         assert low[9] == center[9] == high[9] == 1.0
+
+
+    def test_small_spread_keeps_its_df(self, monkeypatch):
+        # below a scale of about 1e-77, se2^2 is subnormal, so the textbook
+        # df is a ratio of few bits (2.5714 for 2.56 at 10^-80.5), inf or
+        # 0/0; the df asked is the unscaled samples' at every scale
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 5.0])
+        asked = []
+        monkeypatch.setattr(ecbench.stats, "t_quantile", lambda p, df: (
+            asked.extend(df.tolist()) or t_quantile(p, df)))
+        for scale in (1.0, 1e-78, 10**-80.5, 1e-81, 1e-100):
+            welch_interval(a * scale, b * scale, 0.95)
+        assert asked == pytest.approx([2.56] * 5, rel=1e-12)
+        monkeypatch.undo()
+        # at 1e-160 se2 itself is subnormal, about 1e-320: the interval is
+        # that of the samples scaled by 1e160, to the digits it keeps
+        scaled = welch_interval(a, b, 0.95)
+        assert scaled.high == pytest.approx(5.7407, abs=1e-4)
+        iv = welch_interval(a * 1e-160, b * 1e-160, 0.95)
+        assert iv.center == 0.0
+        assert iv.high == -iv.low == pytest.approx(scaled.high * 1e-160,
+                                                   rel=1e-4)
+
+    def test_variance_past_the_float_range_is_refused(self):
+        # the half-width, about 2.9e300, is in range; the variances are not
+        a = np.array([1e300, -1e300, 1e300])
+        b = np.array([-1e300, 1e300, 0.0])
+        with pytest.raises(StatsError,
+                           match="^sample variance overflows the float range$"):
+            welch_interval(a, b, 0.95)
+        with pytest.raises(StatsError, match="overflows the float range"):
+            welch_bounds(np.array([[1.0, 2.0], [1e300, -1e300]]),
+                         np.array([[1.0, 3.0], [0.0, 1.0]]), 0.95)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(StatsError, match="non-finite values"):
+                welch_interval(np.array([1.0, bad]), b, 0.95)
+
+
+arms = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40)
+
+
+@given(arms, arms, st.integers(-200, 200), st.integers(-200, 200))
+@settings(max_examples=300, deadline=None)
+def test_welch_df_lies_in_its_range_at_every_scale(a, b, scale_a, scale_b):
+    # the df floor of t_quantile rests on this: Welch df is at least
+    # min(na, nb) - 1 >= 1, whatever the scale of either arm
+    a, b = np.array([a]) * 10.0**scale_a, np.array([b]) * 10.0**scale_b
+    asked = []
+
+    def recording(p, df):
+        asked.extend(np.asarray(df).tolist())
+        return t_quantile(p, df)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ecbench.stats, "t_quantile", recording)
+        try:
+            welch_bounds(a, b, 0.95)
+        except StatsError as e:
+            assert str(e) == "sample variance overflows the float range"
+            return
+    low = min(a.size, b.size) - 1
+    high = a.size + b.size - 2
+    assert all(low * (1 - 1e-12) <= df <= high * (1 + 1e-12) for df in asked)
 
 
 def test_confidence_intervals_match_one_sample_reference():
