@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .compare import (
     ComparisonReport,
-    GroupMap,
     asymmetry_report,
     compare_objects,
     paired_aggregates,
@@ -52,7 +51,7 @@ from .manifest import (
 )
 from .model import SyntheticModel
 from .oracle import Methodology, methodology_comparison
-from .runner import ExecutorSpec, execute_plan, occurrence_ordinals
+from .runner import ExecutorSpec, execute_plan
 from .space import ConfigSpace, ObjectConfig
 
 EXIT_OK = 0
@@ -99,12 +98,6 @@ def _by_factor(flag: str, pairs: list[tuple[str, object]]) -> dict:
             raise PlanError(f"{flag} gives factor {factor!r} twice")
         out[factor] = value
     return out
-
-
-def plan_group_map(plan: SamplePlan) -> GroupMap:
-    """Key -> stratum label, replaying the plan's occurrence ordering."""
-    return GroupMap(plan.indices, occurrence_ordinals(plan.indices),
-                    [label or "" for label in plan.labels], plan.codes)
 
 
 def _cmd_space_info(args) -> int:
@@ -172,15 +165,15 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _group_map(plan_path: str, plan_fingerprint: str) -> GroupMap:
-    """The group map of the plan the runs were made under."""
+def _run_plan(plan_path: str, plan_fingerprint: str) -> SamplePlan:
+    """The plan at `plan_path`, refused unless the runs were made under it."""
     plan = SamplePlan.load(plan_path)
     if plan.fingerprint != plan_fingerprint:
         raise PairingError(
             f"{plan_path} has plan fingerprint {plan.fingerprint}, "
             f"the runs have {plan_fingerprint}"
         )
-    return plan_group_map(plan)
+    return plan
 
 
 def _cmd_compare(args) -> int:
@@ -188,7 +181,7 @@ def _cmd_compare(args) -> int:
     b, _ = load_results(args.b)
     group_by = None
     if args.group_by_plan:
-        group_by = _group_map(args.group_by_plan, a.plan_fingerprint)
+        group_by = _run_plan(args.group_by_plan, a.plan_fingerprint)
     aligned = paired_aggregates(a, b)
     report = compare_objects(a, b, args.level, group_by=group_by,
                              aligned=aligned)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import SamplePlan
 from .errors import EcbenchError, PairingError, check_type
 from .runner import ResultSet
 from .stats import (
@@ -152,51 +153,36 @@ def paired_aggregates(a: ResultSet, b: ResultSet) -> Aligned:
     return indices, ordinals, ca.aggregates[oa], cb.aggregates[ob]
 
 
-class GroupMap:
-    """A group label per (ec_index, ordinal) key, held as columns: distinct
-    keys, and for each the code of its label in the sorted `names`. It is
-    built from each key's position (`codes`) in a list of `labels`."""
-
-    def __init__(self, indices: np.ndarray, ordinals: np.ndarray,
-                 labels: list[str], codes: np.ndarray):
-        self.indices, self.ordinals = indices, ordinals
-        self.names = sorted(set(labels))
-        code = {name: i for i, name in enumerate(self.names)}
-        self.codes = np.array([code[label] for label in labels],
-                              dtype=np.intp)[codes]
-
-    def _rows(self, indices: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
-        """The map row of each key (indices[i], ordinals[i]), -1 where the
-        map lacks it. A key's code, the rank of its index among the map's
-        distinct indices times a width above every ordinal, plus the
-        ordinal, sorts as the key does, so the map's sorted codes find the
-        one row that can hold it."""
-        if not len(self.codes):
-            return np.full(len(indices), -1)
-        distinct, rank = np.unique(self.indices, return_inverse=True)
-        width = 1 + max(self.ordinals.max(), ordinals.max(initial=0))
-        held = rank * width + self.ordinals
-        order = np.argsort(held)
-        # a code past every held one finds the last row, which differs from it
-        at = order[np.searchsorted(
-            held, np.searchsorted(distinct, indices) * width + ordinals,
-            sorter=order).clip(max=len(order) - 1)]
-        return np.where((self.indices[at] == indices)
-                        & (self.ordinals[at] == ordinals), at, -1)
-
-    def groups_of(self, indices: np.ndarray, ordinals: np.ndarray
-                  ) -> tuple[list[str], np.ndarray]:
-        """The sorted labels of the distinct keys (indices[i], ordinals[i]),
-        and the position of each key's label in them; a PairingError names
-        the first keys the map lacks."""
-        at = self._rows(indices, ordinals)
-        missing = at < 0
-        if missing.any():
-            raise PairingError(
-                "group map misses keys, e.g. "
-                f"{_keys(indices[missing][:5], ordinals[missing][:5])}")
-        used, codes = np.unique(self.codes[at], return_inverse=True)
-        return [self.names[c] for c in used.tolist()], codes
+def _plan_groups(plan: SamplePlan, indices: np.ndarray, ordinals: np.ndarray
+                 ) -> tuple[list[str], np.ndarray]:
+    """The sorted labels, None read as "", of the plan entries that the keys
+    (indices[i], ordinals[i]) name, and the position of each key's label in
+    them; a PairingError names the first keys the plan lacks. An entry's key
+    is its index and the number of earlier entries with that index, so in a
+    stable sort of the plan's indices it sits at the start of its index's
+    run plus its ordinal."""
+    order = np.argsort(plan.indices, kind="stable")
+    start = np.searchsorted(plan.indices, indices, sorter=order)
+    run = np.searchsorted(plan.indices, indices, side="right", sorter=order)
+    run -= start
+    missing = (ordinals < 0) | (ordinals >= run)
+    if missing.any():
+        raise PairingError(
+            "group map misses keys, e.g. "
+            f"{_keys(indices[missing][:5], ordinals[missing][:5])}")
+    # the search columns go before the label step: alive beside it, at 20k
+    # keys, they would lift `ecbench compare` past the plan load's peak
+    del run, missing
+    start += ordinals
+    entries = order[start]
+    del order, start
+    names = sorted({label or "" for label in plan.labels})
+    code = {name: i for i, name in enumerate(names)}
+    label_codes = np.array([code[label or ""] for label in plan.labels],
+                           dtype=np.intp)
+    used, codes = np.unique(label_codes[plan.codes[entries]],
+                            return_inverse=True)
+    return [names[c] for c in used.tolist()], codes
 
 
 def paired_differences(a: ResultSet, b: ResultSet) -> np.ndarray:
@@ -206,17 +192,18 @@ def paired_differences(a: ResultSet, b: ResultSet) -> np.ndarray:
 
 
 def compare_objects(a: ResultSet, b: ResultSet, level: float,
-                    group_by: GroupMap | None = None,
+                    group_by: SamplePlan | None = None,
                     aligned: Aligned | None = None) -> ComparisonReport:
-    """Paired differences a - b with an overall CI/verdict and, when a
-    grouping map is given, one CI/verdict per group. `aligned` is
-    `paired_aggregates(a, b)` when the caller has already computed it."""
+    """Paired differences a - b with an overall CI/verdict and, when the
+    plan both sets ran is given, one CI/verdict per stratum label.
+    `aligned` is `paired_aggregates(a, b)` when the caller has already
+    computed it."""
     indices, ordinals, xa, xb = (paired_aggregates(a, b) if aligned is None
                                  else aligned)
     diffs = xa - xb
     samples, labels = [diffs], []
     if group_by is not None:
-        labels, codes = group_by.groups_of(indices, ordinals)
+        labels, codes = _plan_groups(group_by, indices, ordinals)
         sizes = np.bincount(codes, minlength=len(labels))
         # fsum and exact_stdev ignore the order of values within a group
         samples += np.split(diffs[np.argsort(codes, kind="stable")],

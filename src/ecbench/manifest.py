@@ -261,26 +261,15 @@ _FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
 _NAME = r'"([ !#-\[\]-~]*+)"'  # printable ASCII but `"` and `\`
 
 
-def _compile_possessive(pattern: str) -> re.Pattern:
-    """`pattern` compiled with `re.MULTILINE`. Python 3.10 has no possessive
-    quantifiers (`*+`, `++`, `?+`, `{m,n}+`); there each is made greedy,
-    which matches the same lines, since no match of `_MEASURED` is helped
-    by giving a character back, only with backtracking state to keep."""
-    try:
-        return re.compile(pattern, re.MULTILINE)
-    except re.error:
-        return re.compile(re.sub(r"(?<=[*+?}])\+", "", pattern), re.MULTILINE)
-
-
 # the whole line, newline included, that `_lines` writes for a measured row
 # whose numbers are all `_FLOAT`s and whose names need no escapes, with an
 # index of at most 39 digits, as 2^128 - 1 has, which `int` always takes;
 # no part of it is a line boundary, so a match is one line
-_MEASURED = _compile_possessive(
+_MEASURED = re.compile(
     rf'^\{{"aggregate":({_FLOAT}),"ec_index":(0|[1-9][0-9]{{0,38}}+),'
     rf'"ended_at":({_FLOAT}),"error":null,"object_id":{_NAME},'
     rf'"policy":{_NAME},"replicates":\[({_FLOAT}(?:,{_FLOAT})*+)\],'
-    rf'"started_at":({_FLOAT})\}}\n')
+    rf'"started_at":({_FLOAT})\}}\n', re.MULTILINE)
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,

@@ -12,9 +12,8 @@ error and do not depend on the order of the values, and then rounds the
 square root of the exact variance once, correctly. The one-pass formula
 n*sum(x^2) - sum(x)^2 it uses is unstable in floating point but exact in
 integers. A correctly rounded result is unique, so the bits equal
-`statistics.stdev` on Python 3.11+ (which rounds the same way) and are the
-same on every supported Python; 3.10's `statistics.stdev` rounds twice and
-can differ in the last bit.
+`statistics.stdev` (which rounds the same way) and are the same on every
+supported Python.
 """
 
 from __future__ import annotations
@@ -236,12 +235,17 @@ def _isqrt_rto(num: int, den: int) -> int:
 def mean_ci_from_array(values: np.ndarray, level: float) -> tuple:
     """Fast-path CI over the last axis of a numpy array: (low, mean, high),
     floats for a 1-D array and one element per row for a 2-D array. Used by
-    the Monte Carlo oracle on a chunk of iterations at a time."""
+    the Monte Carlo oracle on a chunk of iterations at a time. A row whose s
+    is not finite raises the StatsError that `welch_bounds` raises."""
     n = values.shape[-1]
     if n < 2:
         raise StatsError("confidence interval needs n >= 2")
     mean = values.mean(axis=-1)
     s = values.std(ddof=1, axis=-1)
+    if not np.isfinite(s).all():
+        if not np.isfinite(values).all():
+            raise StatsError("sample contains non-finite values")
+        raise StatsError("sample variance overflows the float range")
     half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
     if values.ndim == 1:
         mean, half = float(mean), float(half)

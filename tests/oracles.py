@@ -344,6 +344,20 @@ def occurrence_keys_reference(indices) -> list[tuple[int, int]]:
     return keys
 
 
+def plan_groups_reference(plan, keys) -> tuple[list[str], list[int]]:
+    """The sorted labels, None read as "", of the plan entries that the
+    (ec_index, ordinal) `keys` name, and the position of each key's label in
+    them, looked up in a dict from each entry's occurrence key to its label.
+    Raises PairingError with the message `ecbench compare` prints."""
+    label_of = dict(zip(occurrence_keys_reference(plan.indices.tolist()),
+                        (plan.labels[c] or "" for c in plan.codes.tolist())))
+    missing = [k for k in keys if k not in label_of]
+    if missing:
+        raise PairingError(f"group map misses keys, e.g. {missing[:5]}")
+    names = sorted({label_of[k] for k in keys})
+    return names, [names.index(label_of[k]) for k in keys]
+
+
 def paired_aggregates_reference(a, b):
     """The sorted (ec_index, ordinal) keys two result sets both cover, as
     tuples, with each set's aggregates in that order: dict key sets compared,

@@ -12,7 +12,6 @@ import ecbench.compare
 from ecbench import demo
 from ecbench.compare import (
     ComparisonReport,
-    GroupMap,
     Verdict,
     asymmetry_report,
     compare_objects,
@@ -26,8 +25,13 @@ from ecbench.errors import PairingError
 from ecbench.fingerprints import fingerprint
 from ecbench.manifest import RunManifest, load_results, persist_results
 from ecbench.runner import Measurement, ResultSet
+from ecbench.space import index_column
 from ecbench.stats import Interval, StatsError
-from oracles import occurrence_keys_reference, paired_aggregates_reference
+from oracles import (
+    occurrence_keys_reference,
+    paired_aggregates_reference,
+    plan_groups_reference,
+)
 from test_design import space_4_pow_40
 from test_stats import result_set
 
@@ -55,6 +59,12 @@ class TestVerdict:
         assert verdict_of(iv(0.0, 0.0)) is Verdict.NO_SIGNIFICANT_DIFFERENCE
 
 
+def grouping_plan(indices, codes, labels):
+    """A plan of the given columns, for grouping a comparison."""
+    return SamplePlan("stratified", reps=1, seed=0, space_fingerprint="test",
+                      indices=indices, codes=codes, labels=labels)
+
+
 class TestCompareObjects:
     def test_mirror_law_on_fixed_data(self):
         a = result_set("a", [5.0, 7.0, 9.0, 4.0])
@@ -77,8 +87,8 @@ class TestCompareObjects:
     def test_group_sizes_sum_to_overall(self):
         a = result_set("a", [float(i) for i in range(10)])
         b = result_set("b", [0.5] * 10)
-        group_by = GroupMap(np.arange(10), np.zeros(10, dtype=np.int64),
-                            ["even", "odd"], np.arange(10) % 2)
+        group_by = grouping_plan(np.arange(10), np.arange(10) % 2,
+                                 ("even", "odd"))
         report = compare_objects(a, b, 0.95, group_by=group_by)
         assert sum(g.n for g in report.groups) == report.overall.n
         assert [g.group for g in report.groups] == ["even", "odd"]
@@ -87,14 +97,14 @@ class TestCompareObjects:
         a = result_set("a", [1.0, 2.0])
         b = result_set("b", [1.0, 2.0])
         with pytest.raises(PairingError):
-            compare_objects(a, b, 0.95, group_by=GroupMap(
-                np.array([0]), np.array([0]), ["g"], np.array([0])))
+            compare_objects(a, b, 0.95, group_by=grouping_plan(
+                np.array([0]), np.array([0]), ("g",)))
 
     def test_report_roundtrip(self):
         a = result_set("a", [5.0, 7.0, 9.0])
         b = result_set("b", [1.0, 2.0, 3.0])
-        report = compare_objects(a, b, 0.99, group_by=GroupMap(
-            np.arange(3), np.zeros(3, dtype=np.int64), ["g"], np.zeros(3, int)))
+        report = compare_objects(a, b, 0.99, group_by=grouping_plan(
+            np.arange(3), np.zeros(3, int), ("g",)))
         again = ComparisonReport.from_dict(report.to_dict())
         assert again == report
 
@@ -119,6 +129,50 @@ def test_mirror_property_random_datasets(pairs):
     scale = max(1.0, abs(r_ab.low), abs(r_ab.high))
     assert abs(r_ab.low + r_ba.high) <= 1e-12 * scale
     assert abs(r_ab.high + r_ba.low) <= 1e-12 * scale
+
+
+# indices that repeat, that reach past 2^64, or that are drawn from the
+# whole 128-bit range
+index_values = st.one_of(st.integers(0, 6), st.integers(2**64, 2**64 + 3),
+                         st.integers(0, 2**128 - 1))
+
+
+@st.composite
+def grouping_cases(draw):
+    """A plan of drawn columns, labels repeated, None and "" among them, and
+    keys to group: some of its occurrence keys and, at times, keys it may
+    lack, in any order."""
+    labels = draw(st.lists(st.sampled_from([None, "", "a", "b", "a b"]),
+                           min_size=1, max_size=4))
+    # up to 80 entries: past the runs numpy sorts by insertion, so an
+    # unstable sort of the plan's indices would show
+    codes = draw(st.lists(st.integers(0, len(labels) - 1), max_size=80))
+    indices = draw(st.lists(index_values, min_size=len(codes),
+                            max_size=len(codes)))
+    plan = grouping_plan(index_column(indices), np.array(codes, np.intp),
+                         tuple(labels))
+    held = occurrence_keys_reference(indices)
+    keys = draw(st.lists(st.sampled_from(held), unique=True)) if held else []
+    keys += draw(st.lists(st.tuples(index_values, st.integers(-1, 3)),
+                          max_size=2))
+    return plan, draw(st.permutations(list(dict.fromkeys(keys))))
+
+
+@given(grouping_cases())
+@settings(max_examples=300, deadline=None)
+def test_plan_groups_match_dict_reference(case):
+    plan, keys = case
+    indices = index_column([k[0] for k in keys])
+    ordinals = np.array([k[1] for k in keys], dtype=np.int64)
+    try:
+        expected = plan_groups_reference(plan, keys)
+    except PairingError as e:
+        with pytest.raises(PairingError) as caught:
+            ecbench.compare._plan_groups(plan, indices, ordinals)
+        assert str(caught.value) == str(e)
+        return
+    labels, codes = ecbench.compare._plan_groups(plan, indices, ordinals)
+    assert (labels, codes.tolist()) == expected
 
 
 class TestAsymmetryDemo:

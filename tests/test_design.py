@@ -406,7 +406,11 @@ def space_4_pow_40():
 
 @st.composite
 def small_spaces(draw):
-    radices = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    """1-5 factors of 1-6 levels, or 33-49 factors of 4-6 levels: a space
+    strictly between 2^64 and 2^128 - 1 points, whose indices are objects."""
+    radices = draw(st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        st.lists(st.integers(4, 6), min_size=33, max_size=49)))
     return build_space([Factor(f"f{i}", tuple(f"l{j}" for j in range(m)))
                         for i, m in enumerate(radices)])
 
@@ -434,7 +438,9 @@ def test_stratified_matches_scalar_reference_on_small_spaces(space, data, seed,
 @settings(max_examples=60, deadline=None)
 @given(space=small_spaces(), data=st.data(), seed=st.integers(0, 2**64 - 1))
 def test_rct_matches_scalar_reference_on_small_spaces(space, data, seed):
-    per_arm = data.draw(st.integers(1, max(1, space.cardinality // 2)))
+    # 16 per arm at most on a space past 2^64 points
+    per_arm = data.draw(st.integers(1, 16 if space.cardinality > 2**64
+                                    else max(1, space.cardinality // 2)))
     if 2 * per_arm > space.cardinality:
         return
     assert rct_arms(rct_assign(space, per_arm, 1, seed)) == rct_reference(
@@ -447,7 +453,8 @@ def test_factorial_2k_matches_scalar_reference_on_small_spaces(space, data, seed
     splits, defaults = [], {}
     for f in space.factors:
         m = len(f.levels)
-        if m >= 2 and data.draw(st.booleans()):
+        # at most 6 split factors: the plan has 2^k entries
+        if m >= 2 and len(splits) < 6 and data.draw(st.booleans()):
             cut = data.draw(st.integers(1, m - 1))
             splits.append((f.name, tuple(range(cut)), tuple(range(cut, m))))
         else:

@@ -1,10 +1,7 @@
-import contextlib
 import gc
 import hashlib
-import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,12 +17,11 @@ import ecbench.fingerprints
 import ecbench.manifest
 
 from ecbench import demo
-from ecbench.cli import main, plan_group_map
+from ecbench.cli import main
 from ecbench.compare import compare_objects
 from ecbench.design import (
     PlanEntry,
     SamplePlan,
-    full_factorial,
     stratified_sample,
 )
 from ecbench.errors import FingerprintError
@@ -42,7 +38,13 @@ from ecbench.manifest import (
     persist_results,
 )
 from ecbench.model import SyntheticModel
-from ecbench.runner import ExecutorSpec, Measurement, ResultSet, execute_plan
+from ecbench.runner import (
+    ExecutorSpec,
+    Measurement,
+    ResultSet,
+    execute_plan,
+    occurrence_ordinals,
+)
 from ecbench.space import Factor, build_space
 from oracles import (
     LineParseError,
@@ -413,40 +415,6 @@ class TestPersistLoad:
         assert_same_columns(load_results(path)[0].measurements, want)
         assert decoded == expected.splitlines()
         assert lines[k].rstrip("\n") in decoded and len(decoded) > 1
-
-    def test_the_line_pattern_without_possessive_quantifiers(self, tmp_path,
-                                                            monkeypatch):
-        # Python 3.10 refuses `*+` and the like ("multiple repeat"): the
-        # pattern put in its place holds none and finds the same lines
-        compile = re.compile
-
-        def possessive(pattern):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                compile(pattern, re.DEBUG)  # prints the parsed pattern
-            return "POSSESSIVE" in out.getvalue()
-
-        def compile_310(pattern, flags=0):
-            if possessive(pattern):
-                raise re.error("multiple repeat")
-            return compile(pattern, flags)
-
-        measured = ecbench.manifest._MEASURED
-        assert possessive(measured.pattern)
-        monkeypatch.setattr(re, "compile", compile_310)
-        greedy = ecbench.manifest._compile_possessive(measured.pattern)
-        monkeypatch.undo()
-        persisted_pair(tmp_path)  # cpu_a ends with a failure line
-        lines = (tmp_path / "cpu_a.jsonl").read_text().splitlines(True)
-        line = lines[0]
-        text = "".join(lines + [line.replace(old, new) for old, new in (
-            (":1", ":01"), (".", ""), (".", "e"), (".", "E+"), (".", ".e"),
-            ("0,", "0e5,"), ("0,", "0.,"), ("[", "[1.5,"), ("],", ",]"),
-            ("mean", 'm\\"'), ("mean", "m\x7f"), ("null", "nul"),
-            ("\n", "\r\n"), ("{", " {"), (":", ":-"), (":", ":--"))])
-        assert text.count("\n") > len(lines) + 15
-        assert greedy.findall(text) == measured.findall(text)
-        assert len(measured.findall(text)) >= len(lines) - 1
 
     def test_a_decode_error_outranks_every_line_error(self, monkeypatch):
         # as when the whole text was decoded before any line was read: the
@@ -893,7 +861,7 @@ class TestCli:
         results, _ = load_results(ws / "cpu_a.jsonl")
         assert len(results.measurements) == 16
         assert sorted(keyed_rows(results)) == sorted(
-            plan_group_map_keys(plan))
+            plan_occurrence_keys(plan))
 
     def test_resume_after_any_truncation_matches_uninterrupted_run(self, workspace):
         ws = workspace
@@ -1886,10 +1854,9 @@ def test_a_plan_fingerprint_peaks_below_half_a_file_size(files_20k):
     assert traced_peak(lambda: plan.fingerprint) <= 0.5 * path.stat().st_size
 
 
-def plan_group_map_keys(plan_path):
-    from ecbench.design import SamplePlan
-    mapping = plan_group_map(SamplePlan.load(plan_path))
-    return list(zip(mapping.indices.tolist(), mapping.ordinals.tolist()))
+def plan_occurrence_keys(plan_path):
+    indices = SamplePlan.load(plan_path).indices
+    return list(zip(indices.tolist(), occurrence_ordinals(indices).tolist()))
 
 
 json_docs = st.recursive(
@@ -1963,11 +1930,3 @@ def test_fingerprint_of_long_lists_deep_nesting_and_cycles():
         loop.append({"back": loop})
         assert fingerprint_outcome(fingerprint, loop) == (
             ValueError, "Circular reference detected")
-
-
-def test_plan_group_map_tracks_occurrences():
-    space = demo.demo_space_720()
-    plan = full_factorial(space, reps=1)
-    mapping = plan_group_map(plan)
-    assert len(mapping.codes) == 720
-    assert not mapping.ordinals.any()

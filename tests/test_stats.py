@@ -1,6 +1,5 @@
 import math
 import statistics
-import sys
 
 import numpy as np
 import pytest
@@ -34,10 +33,6 @@ from oracles import (
     t_quantile_oracle,
     welch_reference,
 )
-
-# statistics.stdev rounds its result correctly from Python 3.11 on; before,
-# it rounded the variance to a float first and could differ in the last bit
-STDEV_CORRECTLY_ROUNDED = sys.version_info >= (3, 11)
 
 
 def result_set(object_id: str, values: list[float]) -> ResultSet:
@@ -340,12 +335,27 @@ def test_mean_ci_rows_match_one_dimensional_calls():
         assert mean_ci_from_array(values[i], 0.99) == (low[i], mean[i], high[i])
 
 
+def test_mean_ci_refuses_what_welch_refuses():
+    # s of ±1e300 overflows, though `confidence_interval` answers finitely;
+    # an inf or NaN value is refused before any overflow
+    wide = np.array([1e300, -1e300, 1e300])
+    assert np.isfinite(confidence_interval(wide, 0.95).half_width)
+    for bad, message in ((wide, "sample variance overflows the float range"),
+                         (np.array([1.0, math.inf, 1e300]),
+                          "sample contains non-finite values"),
+                         (np.array([1.0, math.nan, 2.0]),
+                          "sample contains non-finite values")):
+        rows = np.array([[1.0, 2.0, 4.0], bad])
+        for values in (bad, rows):
+            with pytest.raises(StatsError, match=f"^{message}$"):
+                mean_ci_from_array(values, 0.95)
+
+
 def assert_exact_stdev(values: np.ndarray) -> None:
     s = exact_stdev(values)
     assert s == stdev_reference(values.tolist())
     assert exact_stdev(values[::-1].copy()) == s  # order does not matter
-    if STDEV_CORRECTLY_ROUNDED:
-        assert s == statistics.stdev(values.tolist())
+    assert s == statistics.stdev(values.tolist())
 
 
 finite_floats = st.one_of(
