@@ -144,8 +144,8 @@ def _cmd_run(args) -> int:
     if args.resume and out.exists():
         check_resumable(out, manifest)
         drop_torn_line(out)
-        done = read_results(out, obj.object_id,
-                            manifest.plan_fingerprint).measurements
+        done = read_results(out, obj.object_id, manifest.plan_fingerprint,
+                            narrow=True).measurements
         already_done = set(zip(done.indices.tolist(), done.ordinals.tolist()))
         append = True
 
@@ -177,8 +177,9 @@ def _run_plan(plan_path: str, plan_fingerprint: str) -> SamplePlan:
 
 
 def _cmd_compare(args) -> int:
-    a, _ = load_results(args.a)
-    b, _ = load_results(args.b)
+    # a comparison reads keys, aggregates and policies only
+    a, _ = load_results(args.a, narrow=True)
+    b, _ = load_results(args.b, narrow=True)
     group_by = None
     if args.group_by_plan:
         group_by = _run_plan(args.group_by_plan, a.plan_fingerprint)

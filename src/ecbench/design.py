@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlanError, check_objects, check_type, read_object
+from .errors import (PlanError, check_objects, check_type, fits_float,
+                     read_object)
 from .fingerprints import canonical_column, fingerprint, fingerprint_pieces
 from .space import ConfigSpace, Configuration, index_column
 
@@ -449,16 +451,18 @@ DESIGNS = {d.name: d for d in (
 )}
 
 
-# the methodology params of a fixed type; bools are not integers here
+# the methodology params of a fixed type; bools are not integers or
+# numbers here
 PARAM_TYPES = {"iterations": numbers.Integral, "per_arm": numbers.Integral,
                "reps": numbers.Integral, "recommended_index": numbers.Integral,
-               "stratum_factor": str}
+               "stratum_factor": str, "margin": numbers.Real}
 
 
 def design_of(kind: str, params: dict | None = None) -> Design:
     """The design whose name or alias is `kind`. With `params`, first check
     them as a methodology's: each required one given, none the design does
-    not read, each of its `PARAM_TYPES` type, and reps >= 1."""
+    not read, each of its `PARAM_TYPES` type, reps >= 1 and a finite
+    margin >= 0."""
     for design in DESIGNS.values():
         if kind in (design.name, design.alias):
             break
@@ -477,4 +481,8 @@ def design_of(kind: str, params: dict | None = None) -> Design:
                            PARAM_TYPES[name], PlanError)
         if params.get("reps", 1) < 1:
             raise PlanError("reps must be >= 1")
+        margin = params.get("margin", 0.0)
+        if not (fits_float(margin) and math.isfinite(margin) and margin >= 0):
+            raise PlanError(f"design {kind!r}: param 'margin' must be a "
+                            f"finite number >= 0, not {margin!r}")
     return design

@@ -17,7 +17,7 @@ import re
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -190,11 +190,14 @@ def persist_results(results: ResultSet, manifest: RunManifest,
     _write_manifest(path, manifest)
 
 
-def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
+def load_results(path: str | Path, *, narrow: bool = False
+                 ) -> tuple[ResultSet, RunManifest]:
     """Load a results file and validate it against its manifest: content hash,
     one manifest per file, no duplicate keys. A manifest must record the
     hash as a string. Unknown extra fields in either file are ignored for
-    forward compatibility."""
+    forward compatibility. A `narrow` read, as `read_results` makes it,
+    holds only the keys, aggregates and policies that a comparison reads;
+    every other field is checked but not converted."""
     path = Path(path)
     mpath = manifest_path(path)
     if not mpath.exists():
@@ -204,17 +207,25 @@ def load_results(path: str | Path) -> tuple[ResultSet, RunManifest]:
                FingerprintError)
     results = read_results(
         path, str(manifest.object_config.get("object_id", "")),
-        manifest.plan_fingerprint, manifest.results_sha256)
+        manifest.plan_fingerprint, manifest.results_sha256, narrow=narrow)
     return results, manifest
 
 
 def read_results(path: str | Path, object_id: str, plan_fingerprint: str,
-                 sha256: str | None = None) -> ResultSet:
+                 sha256: str | None = None, *,
+                 narrow: bool = False) -> ResultSet:
     """The result set in the results file at `path`, as `parse_results`
     gives it for the file's bytes, read, hashed and parsed in one pass of
     `_BLOCK`-byte reads. With `sha256`, bytes that hash to anything else
-    raise a FingerprintError, which outranks every error of the text."""
-    rows, digest = _Rows(path, object_id), hashlib.sha256()
+    raise a FingerprintError, which outranks every error of the text.
+
+    A `narrow` read, the one a comparison needs, holds the keys, aggregates
+    and policies, and leaves out the replicate, started_at and ended_at
+    columns (`Measurements` raises on a read of one). Those fields are
+    still checked line by line by the same rules, so the read succeeds or
+    fails as the full one does, with the same first error; they are only
+    not converted to floats or kept."""
+    rows, digest = _Rows(path, object_id, narrow), hashlib.sha256()
     for chunk in _chunks(path):
         digest.update(chunk)
         rows.feed(chunk)
@@ -261,15 +272,23 @@ _FLOAT = (r"-?+(?:0|[1-9][0-9]*+)"
 _NAME = r'"([ !#-\[\]-~]*+)"'  # printable ASCII but `"` and `\`
 
 
-# the whole line, newline included, that `_lines` writes for a measured row
-# whose numbers are all `_FLOAT`s and whose names need no escapes, with an
-# index of at most 39 digits, as 2^128 - 1 has, which `int` always takes;
-# no part of it is a line boundary, so a match is one line
-_MEASURED = re.compile(
-    rf'^\{{"aggregate":({_FLOAT}),"ec_index":(0|[1-9][0-9]{{0,38}}+),'
-    rf'"ended_at":({_FLOAT}),"error":null,"object_id":{_NAME},'
-    rf'"policy":{_NAME},"replicates":\[({_FLOAT}(?:,{_FLOAT})*+)\],'
-    rf'"started_at":({_FLOAT})\}}\n', re.MULTILINE)
+def _measured(width: int | None, narrow: bool = False) -> re.Pattern:
+    """The whole line, newline included, that `_lines` writes for a measured
+    row whose numbers are all `_FLOAT`s and whose names need no escapes,
+    with an index of at most 39 digits, as 2^128 - 1 has, which `int`
+    always takes, and `width` replicates (one or more, for None); no part
+    of it is a line boundary, so a match is one line. Its groups are the
+    aggregate, index, object id and policy, and unless `narrow`, ended_at,
+    the replicates and started_at, in line order: a narrow match checks
+    every field and captures only those a comparison reads. `re.compile`
+    keeps the patterns compiled last, so a read's blocks compile none."""
+    kept = "(?:" if narrow else "("
+    more = "*+" if width is None else f"{{{width - 1}}}"
+    return re.compile(
+        rf'^\{{"aggregate":({_FLOAT}),"ec_index":(0|[1-9][0-9]{{0,38}}+),'
+        rf'"ended_at":{kept}{_FLOAT}),"error":null,"object_id":{_NAME},'
+        rf'"policy":{_NAME},"replicates":\[{kept}{_FLOAT}(?:,{_FLOAT}){more})'
+        rf'\],"started_at":{kept}{_FLOAT})\}}\n', re.MULTILINE)
 
 
 def parse_results(data: bytes, path: str | Path, object_id: str,
@@ -295,23 +314,26 @@ def parse_results(data: bytes, path: str | Path, object_id: str,
 
 class _Rows:
     """The rows of a results file's bytes fed so far, as column arrays per
-    block of whole lines, and the bytes after the last newline fed.
+    block of whole lines, and the bytes after the last newline fed; a
+    `narrow` read keeps only the index, aggregate and policy columns.
 
     A block is cut just after a newline, so `str.splitlines` gives the
     lines, and line numbers, that it gives on the whole text (a `\\r\\n`
     pair is never split, and a cut never falls inside a UTF-8 character,
     since a newline is never part of one); only one block's text is live at
-    once. A block of lines that all match `_MEASURED` goes whole into the
+    once. A block of lines that all match `_measured` goes whole into the
     columns (`_add_columns`), every other block line by line (`add_lines`),
     so each block gives the same columns, or the same first error, either
     way. The first error is kept and raised by `result`, after every block
     has been checked to decode."""
 
-    def __init__(self, path: str | Path, object_id: str):
-        self.path, self.object_id = path, object_id
+    def __init__(self, path: str | Path, object_id: str, narrow: bool = False):
+        self.path, self.object_id, self.narrow = path, object_id, narrow
         self.width: int | None = None  # replicates per row, once one is read
-        # per column, its arrays for the blocks so far
-        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [], [])
+        # per column, its arrays for the blocks so far: index, aggregates,
+        # policies, and unless narrow, replicates, started_at and ended_at
+        self.columns: tuple[list[np.ndarray], ...] = tuple(
+            [] for _ in range(3 if narrow else 6))
         self.failures: list[Measurement] = []
         self.names: dict[str, str] = {}  # one str per distinct policy
         self.tail = bytearray()  # the bytes fed after the last newline
@@ -352,37 +374,55 @@ class _Rows:
 
     def _add_columns(self, text: str) -> bool:
         """Add the rows of a block's text when every line of it matches
-        `_MEASURED` and names this set's object (or the first object of a
-        set with no lines yet) with the set's replicate count; otherwise
-        change nothing and return False. A fed block ends in a newline and
-        the last tail holds none, so a match per newline is a match per
-        line."""
-        found = _MEASURED.findall(text)
+        `_measured` at the set's replicate count (the first line's, in a
+        set with none yet) and names this set's object (or the first object
+        of a set with no lines yet); otherwise change nothing and return
+        False. A fed block ends in a newline and the last tail holds none,
+        so a match per newline is a match per line."""
+        width = self.width
+        if width is None:
+            first = _measured(None).match(text)
+            if first is None:
+                return False
+            width = first[6].count(",") + 1
+        elif not width:  # no `_measured` line is one of no replicate
+            return False
+        found = _measured(width, self.narrow).findall(text)
         if not found or len(found) != text.count("\n"):
             return False
-        aggregates, indices, ended, owners, policies, replicates, started = (
-            zip(*found))
-        n, owner = len(found), owners[0]
-        widths = set(map(str.count, replicates, repeat(",")))
-        width = widths.pop() + 1
-        if (owners.count(owner) != n or widths
-                or self.width not in (None, width)
-                or owner != self.object_id and (self.columns[0]
-                                                or self.failures)):
+        columns = tuple(zip(*found))
+        n, owners = len(found), columns[2 if self.narrow else 3]
+        owner = owners[0]
+        if owners.count(owner) != n or owner != self.object_id and (
+                self.columns[0] or self.failures):
             return False
-        values = np.fromiter(map(float, chain(
-            aggregates, started, ended, ",".join(replicates).split(","))),
-            np.float64, n * (3 + width))
         self.object_id, self.width = owner, width
-        for column, array in zip(self.columns, (
-                index_column(list(map(int, indices))), values[:n],
-                values[3 * n:].reshape(n, width),
-                np.array(list(map(self.names.setdefault, policies, policies)),
-                         dtype=object),
-                values[n:2 * n], values[2 * n:3 * n])):
-            column.append(array)
+        if self.narrow:
+            aggregates, indices, _, policies = columns
+            self._append(indices, np.fromiter(map(float, aggregates),
+                                              np.float64, n), policies)
+        else:
+            aggregates, indices, ended, _, policies, replicates, started = (
+                columns)
+            values = np.fromiter(map(float, chain(
+                aggregates, started, ended, ",".join(replicates).split(","))),
+                np.float64, n * (3 + width))
+            self._append(indices, values[:n], policies,
+                         values[3 * n:].reshape(n, width), values[n:2 * n],
+                         values[2 * n:3 * n])
         self.lineno += n
         return True
+
+    def _append(self, indices, aggregates: np.ndarray, policies,
+                *times: np.ndarray) -> None:
+        """Append one block's columns: its indices (ints, or their digits),
+        aggregates and policies, and `times`, its replicate, started_at and
+        ended_at arrays, which a narrow read passes none of."""
+        for column, array in zip(self.columns, (
+                index_column(list(map(int, indices))), aggregates,
+                np.array(list(map(self.names.setdefault, policies, policies)),
+                         dtype=object), *times)):
+            column.append(array)
 
     def add_lines(self, lines: list[str], lineno: int) -> None:
         """Add the rows of `lines`, the first of them line `lineno`, one
@@ -441,16 +481,13 @@ class _Rows:
     def _add(self, indices, aggregates, replicates, policies, started,
              ended) -> None:
         """Append one block's measured rows to the column arrays."""
-        for column, array in zip(self.columns, (
-                index_column(indices), np.array(aggregates, dtype=np.float64),
-                np.fromiter(chain.from_iterable(replicates), np.float64,
-                            len(indices) * (self.width or 0)).reshape(
-                    len(indices), self.width or 0),
-                np.array(list(map(self.names.setdefault, policies, policies)),
-                         dtype=object),
-                np.array(started, dtype=np.float64),
-                np.array(ended, dtype=np.float64))):
-            column.append(array)
+        n, width = len(indices), self.width or 0
+        self._append(indices, np.array(aggregates, dtype=np.float64),
+                     policies, *(() if self.narrow else (
+                         np.fromiter(chain.from_iterable(replicates),
+                                     np.float64, n * width).reshape(n, width),
+                         np.array(started, dtype=np.float64),
+                         np.array(ended, dtype=np.float64))))
 
     def result(self, plan_fingerprint: str) -> ResultSet:
         """The result set of every byte fed, the last line needing no
@@ -466,11 +503,13 @@ class _Rows:
         for parts in self.columns:  # each column's parts dropped once joined
             joined.append(np.concatenate(parts))
             parts.clear()
-        index, *columns = joined
+        index, aggregates, policies, *times = joined
+        replicates, started, ended = times or (None, None, None)
         return ResultSet(
             object_id=self.object_id, plan_fingerprint=plan_fingerprint,
             measurements=Measurements(index, occurrence_ordinals(index),
-                                      *columns),
+                                      aggregates, replicates, policies,
+                                      started, ended),
             failures=self.failures)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExecutionError, FingerprintError, check_type, fits_float
+from .errors import (EcbenchError, ExecutionError, FingerprintError,
+                     check_type, fits_float)
 # fingerprint stays bound here: benchmarks/tracing.py patches runner.fingerprint
 from .fingerprints import fingerprint  # noqa: F401
 from .design import SamplePlan, space_fingerprint
@@ -141,6 +142,21 @@ def _is_number(value) -> bool:
             and fits_float(value))
 
 
+_COLUMNS = ("indices", "ordinals", "aggregates", "replicates", "policies",
+            "started_at", "ended_at")
+
+
+def _column(i: int):
+    """Column i of `_folded()`, read-only; one left out raises."""
+    def read(self) -> np.ndarray:
+        column = self._folded()[i]
+        if column is None:
+            raise EcbenchError(f"the {_COLUMNS[i]} column was left out when "
+                               "these measurements were read")
+        return column
+    return property(read)
+
+
 class Measurements:
     """The measured rows of a result set, as columns in row order: `indices`
     (as `index_column` gives them), `ordinals` (occurrence ordinals, int64),
@@ -149,20 +165,29 @@ class Measurements:
     `ended_at` (float64). Rows `add`ed one at a time wait in a buffer that
     joins the columns when one is next read; `len` reads no column. `add`
     refuses a row unless its replicates, as many as the first row's, its
-    aggregate and its times are numbers (not bools) within float range."""
+    aggregate and its times are numbers (not bools) within float range.
 
-    # column i of `_folded()`, read-only
+    A narrow read of a results file (`load_results(path, narrow=True)`)
+    holds the indices, ordinals, aggregates and policies, and None for the
+    replicates, started_at and ended_at columns, whose fields the read
+    checked but did not convert: reading one of them raises an
+    EcbenchError that names it, and `add` is refused."""
+
     (indices, ordinals, aggregates, replicates, policies, started_at,
-     ended_at) = (property(lambda self, i=i: self._folded()[i])
-                  for i in range(7))
+     ended_at) = map(_column, range(7))
 
-    def __init__(self, *columns: np.ndarray):
+    def __init__(self, *columns: np.ndarray | None):
         self._columns = columns or _columns_of([], [])
         self._added: list[tuple[tuple[int, int], Measurement]] = []
         self._keys: set[tuple[int, int]] | None = None
         self._width: int | None = None  # replicates per row, once one is known
 
     def add(self, key: tuple[int, int], m: Measurement) -> None:
+        if self._columns[3] is None:
+            raise EcbenchError(
+                f"measurement key {key}: rows cannot be added to "
+                "measurements read without their replicates, started_at and "
+                "ended_at columns")
         if self._keys is None:
             self._keys = set(zip(self.indices.tolist(),
                                  self.ordinals.tolist()))

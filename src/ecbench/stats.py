@@ -240,8 +240,9 @@ def mean_ci_from_array(values: np.ndarray, level: float) -> tuple:
     n = values.shape[-1]
     if n < 2:
         raise StatsError("confidence interval needs n >= 2")
-    mean = values.mean(axis=-1)
-    s = values.std(ddof=1, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # s decides below
+        mean = values.mean(axis=-1)
+        s = values.std(ddof=1, axis=-1)
     if not np.isfinite(s).all():
         if not np.isfinite(values).all():
             raise StatsError("sample contains non-finite values")
@@ -264,13 +265,14 @@ def welch_bounds(a: np.ndarray, b: np.ndarray,
     na, nb = a.shape[-1], b.shape[-1]
     if na < 2 or nb < 2:
         raise StatsError("Welch interval needs n >= 2 per arm")
-    ea, eb = a.var(ddof=1, axis=-1) / na, b.var(ddof=1, axis=-1) / nb
-    se2 = ea + eb
+    with np.errstate(over="ignore", invalid="ignore"):  # se2 decides below
+        center = a.mean(axis=-1) - b.mean(axis=-1)
+        ea, eb = a.var(ddof=1, axis=-1) / na, b.var(ddof=1, axis=-1) / nb
+        se2 = ea + eb
     if not np.isfinite(se2).all():
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise StatsError("sample contains non-finite values")
         raise StatsError("sample variance overflows the float range")
-    center = a.mean(axis=-1) - b.mean(axis=-1)
     half = np.zeros(se2.shape)
     spread = se2 != 0.0  # zero spread: a degenerate interval at the center
     ea, eb, se2 = ea[spread], eb[spread], se2[spread]

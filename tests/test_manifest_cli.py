@@ -24,7 +24,7 @@ from ecbench.design import (
     SamplePlan,
     stratified_sample,
 )
-from ecbench.errors import FingerprintError
+from ecbench.errors import EcbenchError, FingerprintError
 from ecbench.fingerprints import canonical_json, fingerprint, fingerprint_bytes
 from ecbench.manifest import (
     ResultWriter,
@@ -85,6 +85,82 @@ def run_demo(tmp_path, obj, plan=None, space=None):
     path = tmp_path / f"{obj.object_id}.jsonl"
     persist_results(results, manifest, path)
     return results, path
+
+
+def read_outcome(path, narrow):
+    """What `load_results(path, narrow=narrow)` gives: the object id, the
+    index, ordinal, aggregate and policy columns and the failure lines, or
+    the type and message of its error."""
+    try:
+        results, _ = load_results(path, narrow=narrow)
+    except Exception as e:  # whatever the full read raises
+        return type(e), str(e)
+    rows = results.measurements
+    return (results.object_id, rows.indices.dtype, rows.indices.tolist(),
+            rows.ordinals.tolist(), rows.aggregates.tobytes(),
+            rows.policies.tolist(),
+            [measurement_line(m) for m in results.failures])
+
+
+def _line(i, owner="cpu_a", reps=(1.5, 2.5, 3.5), aggregate=2.5,
+          policy="mean", error=None):
+    return measurement_line(Measurement(i, owner, reps, aggregate, policy,
+                                        error=error))
+
+
+def _text(*lines, end="\n"):
+    return "".join(line + end for line in lines).encode()
+
+
+_WRITTEN = [_line(i % 40, aggregate=i + 0.25, policy=("mean", "median")[i % 2])
+            for i in range(300)]
+_FAILED = _line(3, reps=(), aggregate=float("nan"), error="timed out")
+
+# the read-path cases, each (file bytes, whether the manifest's hash is
+# another file's, the object id a read gives or the error type it raises)
+NARROW_CASES = {
+    "measured blocks": lambda: (_text(*_WRITTEN), False, "cpu_a"),
+    "another object's file": lambda: (_text(*(
+        line.replace("cpu_a", "cpu_b") for line in _WRITTEN)), False,
+        "cpu_b"),
+    "indices past int64": lambda: (_text(*_WRITTEN[:150], _line(2**70),
+                                         *_WRITTEN[150:]), False, "cpu_a"),
+    "failure lines": lambda: (_text(
+        *_WRITTEN[:100], _FAILED, *_WRITTEN[100:200],
+        _line(4, reps=(), aggregate=float("nan"), error="exit 1"),
+        *_WRITTEN[200:]), False, "cpu_a"),
+    "integer and exponent numbers": lambda: (_text(
+        *_WRITTEN[:100], _line(5).replace("[1.5,", "[2,"),
+        _line(6).replace("[1.5,", "[1e5,"),
+        _line(7).replace('"aggregate":2.5', '"aggregate":2'),
+        *_WRITTEN[100:]), False, "cpu_a"),
+    "CRLF ends and blank lines": lambda: (_text(
+        *_WRITTEN[:100], "", " ", *_WRITTEN[100:], end="\r\n"), False,
+        "cpu_a"),
+    "replicate counts within a block": lambda: (_text(
+        *_WRITTEN[:5], _line(8, reps=(1.5, 2.5)), *_WRITTEN[5:]), False,
+        FingerprintError),
+    "replicate counts across blocks": lambda: (_text(
+        *_WRITTEN[:200], *(_line(i, reps=(1.5, 2.5)) for i in range(100))),
+        False, FingerprintError),
+    "measured lines with no replicate": lambda: (_text(
+        *(_line(i, reps=()) for i in range(20)), _line(20, reps=()).replace(
+            "[]", "[1.0,2.0{-1}]")), False, FingerprintError),
+    "an object id change": lambda: (_text(
+        *_WRITTEN[:150], _line(9, owner="cpu_b"), *_WRITTEN[150:]), False,
+        FingerprintError),
+    "a UTF-8 error": lambda: (_text(*_WRITTEN[:150], "{bad") + b"\xff\n"
+                              + _text(*_WRITTEN[150:]), False,
+                              UnicodeDecodeError),
+    "lines longer than a block": lambda: (_text(
+        *_WRITTEN[:10], _line(10, policy="p" * 40_000), *_WRITTEN[10:],
+        _line(11, reps=(), error="x" * 40_000)), False, "cpu_a"),
+    "a torn tail": lambda: (_text(*_WRITTEN) + _WRITTEN[0][:-7].encode(),
+                            False, FingerprintError),
+    "no final newline": lambda: (_text(*_WRITTEN)[:-1], False, "cpu_a"),
+    "a hash mismatch": lambda: (_text(*_WRITTEN[:200], "{bad"), True,
+                                FingerprintError),
+}
 
 
 class TestPersistLoad:
@@ -296,6 +372,8 @@ class TestPersistLoad:
             path.write_bytes(data)
             manifest.results_sha256 = fingerprint_bytes(data)
             manifest_path(path).write_text(json.dumps(manifest.to_dict()))
+            assert read_outcome(path, narrow=True) == read_outcome(
+                path, narrow=False)
             seen = []
             try:  # lines are read in order: the first bad line decides
                 for lineno, value in parse_lines_reference(data):
@@ -521,6 +599,8 @@ class TestPersistLoad:
             for block in (1, 7, 64, len(data) + 1):
                 monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
                 got = outcome()
+                assert read_outcome(path, narrow=True) == read_outcome(
+                    path, narrow=False)
                 if want[0] is FingerprintError and want[1].endswith(": "):
                     assert got[0] is FingerprintError
                     assert got[1].startswith(want[1])
@@ -576,6 +656,65 @@ class TestPersistLoad:
         results, _ = load(f"{good}\n{long}\n{good}".encode())
         assert results.failures[0].error == "x" * 200_000
         assert results.measurements.indices.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("block", [7, 64, 1 << 14])
+    @pytest.mark.parametrize("case", sorted(NARROW_CASES))
+    def test_a_narrow_read_gives_the_full_reads_outcome(self, tmp_path,
+                                                        monkeypatch, block,
+                                                        case):
+        # the keys, aggregates, policies and failures of the full read, or
+        # its first error, type and message
+        monkeypatch.setattr(ecbench.manifest, "_BLOCK", block)
+        path = tmp_path / "r.jsonl"
+        data, tampered, expected = NARROW_CASES[case]()
+        path.write_bytes(data)
+        manifest_path(path).write_text(json.dumps(RunManifest(
+            space_fingerprint="s", plan_fingerprint="p", executor_hash="e",
+            object_config={"object_id": "cpu_a"},
+            results_sha256=fingerprint_bytes(data + b"x" * tampered)
+        ).to_dict()))
+        full = read_outcome(path, narrow=False)
+        assert read_outcome(path, narrow=True) == full
+        assert full[0] == expected
+
+    def test_a_narrow_read_refuses_the_columns_it_left_out(self, tmp_path):
+        persisted_pair(tmp_path)
+        path = tmp_path / "cpu_a.jsonl"
+        results, manifest = load_results(path, narrow=True)
+        rows = results.measurements
+        for name in ("replicates", "started_at", "ended_at"):
+            with pytest.raises(EcbenchError,
+                               match=f"^the {name} column was left out "):
+                getattr(rows, name)
+        with pytest.raises(EcbenchError, match="cannot be added to "
+                           "measurements read without their replicates"):
+            results.add((1, 0), Measurement(1, "cpu_a", (1.0, 2.0, 3.0),
+                                            2.0, "mean"))
+        assert len(rows) == 2000 and rows.aggregates.shape == (2000,)
+        with pytest.raises(EcbenchError, match="column was left out"):
+            persist_results(results, manifest, tmp_path / "copy.jsonl")
+        assert not (tmp_path / "copy.jsonl").exists()
+        # and for a file with no measured row
+        path.write_bytes(b"")
+        manifest.results_sha256 = fingerprint_bytes(b"")
+        manifest_path(path).write_text(json.dumps(manifest.to_dict()))
+        rows = load_results(path, narrow=True)[0].measurements
+        assert (rows.indices.tolist(), rows.aggregates.tolist(),
+                rows.policies.tolist()) == ([], [], [])
+        with pytest.raises(EcbenchError, match="^the replicates column"):
+            rows.replicates
+
+    def test_a_narrow_read_of_written_lines_skips_the_per_line_decoder(
+            self, tmp_path, monkeypatch):
+        persisted_pair(tmp_path)  # cpu_b: 2000 rows and no failure line
+
+        def refuse(rows, lines, lineno):
+            raise AssertionError(f"line by line from {lineno}: {lines[:1]!r}")
+
+        path = tmp_path / "cpu_b.jsonl"
+        full = read_outcome(path, narrow=False)
+        monkeypatch.setattr(ecbench.manifest._Rows, "add_lines", refuse)
+        assert read_outcome(path, narrow=True) == full
 
     @given(st.binary(max_size=60), st.sampled_from([1, 2, 7, 1 << 14]))
     @settings(max_examples=200, deadline=None,
@@ -1347,6 +1486,41 @@ class TestIllTypedInputs:
         assert (code, err) == (
             2, "ecbench: error: confidence level must be in (0, 1)\n")
         assert not (ws / "cov.csv").exists()
+
+    @pytest.mark.parametrize("margin, message", [
+        ("abc", "must be a number, not 'abc'"),
+        (True, "must be a number, not True"),
+        ([1], "must be a number, not [1]"),
+        (None, "must be a number, not None"),
+        (float("nan"), "must be a finite number >= 0, not nan"),
+        (-5, "must be a finite number >= 0, not -5"),
+        (-0.5, "must be a finite number >= 0, not -0.5"),
+        (float("inf"), "must be a finite number >= 0, not inf"),
+        (10**400, f"must be a finite number >= 0, not {10**400}"),
+    ])
+    def test_simulate_spec_point_margin_ill_typed(self, workspace, capsys,
+                                                  margin, message):
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "spec_point", "params": {
+                "recommended_index": 0, "margin": margin}}]}))
+        code, err = self.call(capsys, self.simulate_argv(ws))
+        assert (code, err) == (2, "ecbench: error: design 'spec_point': "
+                                  f"param 'margin' {message}\n")
+        assert not (ws / "cov.csv").exists()
+
+    @pytest.mark.parametrize("params", [{}, {"margin": 0}, {"margin": 5},
+                                        {"margin": 2.5}])
+    def test_simulate_spec_point_margin_given_or_default(self, workspace,
+                                                         capsys, params):
+        ws = workspace
+        (ws / "meth.json").write_text(json.dumps({
+            "objects": ["cpu_a", "cpu_b"],
+            "methodologies": [{"kind": "spec_point", "params": {
+                "recommended_index": 0, **params}}]}))
+        assert self.call(capsys, self.simulate_argv(ws)) == (0, "")
+        assert (ws / "cov.csv").exists()
 
     def test_simulate_negative_seed_is_a_usage_error(self, workspace,
                                                      capsys):

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -267,18 +268,22 @@ class TestWelch:
                                                    rel=1e-4)
 
     def test_variance_past_the_float_range_is_refused(self):
-        # the half-width, about 2.9e300, is in range; the variances are not
+        # the half-width, about 2.9e300, is in range; the variances are not;
+        # the refusal lets no numpy warning out before it
         a = np.array([1e300, -1e300, 1e300])
         b = np.array([-1e300, 1e300, 0.0])
-        with pytest.raises(StatsError,
-                           match="^sample variance overflows the float range$"):
-            welch_interval(a, b, 0.95)
-        with pytest.raises(StatsError, match="overflows the float range"):
-            welch_bounds(np.array([[1.0, 2.0], [1e300, -1e300]]),
-                         np.array([[1.0, 3.0], [0.0, 1.0]]), 0.95)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(StatsError, match="non-finite values"):
-                welch_interval(np.array([1.0, bad]), b, 0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                    StatsError,
+                    match="^sample variance overflows the float range$"):
+                welch_interval(a, b, 0.95)
+            with pytest.raises(StatsError, match="overflows the float range"):
+                welch_bounds(np.array([[1.0, 2.0], [1e300, -1e300]]),
+                             np.array([[1.0, 3.0], [0.0, 1.0]]), 0.95)
+            for bad in (math.inf, math.nan):
+                with pytest.raises(StatsError, match="non-finite values"):
+                    welch_interval(np.array([1.0, bad]), b, 0.95)
 
 
 arms = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40)
@@ -296,8 +301,9 @@ def test_welch_df_lies_in_its_range_at_every_scale(a, b, scale_a, scale_b):
         asked.extend(np.asarray(df).tolist())
         return t_quantile(p, df)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(ecbench.stats, "t_quantile", recording)
+        warnings.simplefilter("error")  # an overflow is refused, not warned
         try:
             welch_bounds(a, b, 0.95)
         except StatsError as e:
@@ -347,8 +353,10 @@ def test_mean_ci_refuses_what_welch_refuses():
                           "sample contains non-finite values")):
         rows = np.array([[1.0, 2.0, 4.0], bad])
         for values in (bad, rows):
-            with pytest.raises(StatsError, match=f"^{message}$"):
-                mean_ci_from_array(values, 0.95)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # refused, with no warning
+                with pytest.raises(StatsError, match=f"^{message}$"):
+                    mean_ci_from_array(values, 0.95)
 
 
 def assert_exact_stdev(values: np.ndarray) -> None:
