@@ -9,10 +9,13 @@ platform, so plan files are reproducible byte-for-byte.
 
 Each random design has one draw path, a function that returns index arrays
 (`stratified_indices`, `factorial_2k_indices`, `rct_indices`); the plan
-generators wrap it, and the Monte Carlo oracle calls it directly. A stratified
-draw, and each rct rejection round, makes one `rng.integers` call over the
-radices of every free factor of every index; a 2^k draw makes one call per
-low set and one per high set, to pick each representative. The indices are
+generators wrap it, and the Monte Carlo oracle calls it directly. A draw's
+seed is an int or a numpy `ISeedSequence`, which PCG64 takes in its place
+(the oracle passes one that holds the words `SeedSequence(seed)` would
+give). A stratified draw, and each rct rejection round, makes one
+`rng.integers` call over the radices of every free factor of every index; a
+2^k draw makes one call per low set and one per high set, to pick each
+representative. The indices are
 composed by `ConfigSpace.indices_of`: `ecbench.space` owns their format.
 """
 
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (PlanError, check_objects, check_type, fits_float,
                      read_object)
@@ -285,7 +289,8 @@ def _plan(design: str, indices: np.ndarray, reps: int, seed: int, fp: str,
 
 
 def stratified_indices(space: ConfigSpace, stratum_factor: str,
-                       iterations: int, seed: int) -> np.ndarray:
+                       iterations: int, seed: int | ISeedSequence
+                       ) -> np.ndarray:
     """Per iteration, one uniform draw of every non-stratum factor for each
     stratum level, iteration-major; draws across iterations are independent
     (duplicates kept)."""
@@ -308,7 +313,8 @@ def stratified_sample(space: ConfigSpace, stratum_factor: str, iterations: int,
 
 
 def factorial_2k_indices(space: ConfigSpace, split: FactorSplit,
-                         defaults: dict[str, int], seed: int) -> np.ndarray:
+                         defaults: dict[str, int],
+                         seed: int | ISeedSequence) -> np.ndarray:
     """2^k design: one random representative from each factor's low and high
     sets, all 2^k combinations in binary order (first selected factor is the
     most significant bit); unselected factors pinned to defaults."""
@@ -373,8 +379,8 @@ def full_factorial(space: ConfigSpace, reps: int) -> SamplePlan:
                  space_fingerprint(space))
 
 
-def rct_indices(space: ConfigSpace, per_arm: int,
-                seed: int) -> tuple[np.ndarray, np.ndarray]:
+def rct_indices(space: ConfigSpace, per_arm: int, seed: int | ISeedSequence
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Without-replacement draw of 2*per_arm distinct indices, randomly split
     into equal (control, treatment) arms."""
     if per_arm < 1:
@@ -428,7 +434,8 @@ class Design:
     alias: str | None
     required: tuple[str, ...]
     optional: tuple[str, ...]
-    draw: Callable[[ConfigSpace, dict, int], np.ndarray | tuple]
+    draw: Callable[[ConfigSpace, dict, int | ISeedSequence],
+                   np.ndarray | tuple]
     reps: int | None = None
     policy: str = "mean"
 

@@ -25,30 +25,36 @@ import numpy as np
 from .errors import SpaceError, check_objects, check_type, read_object
 from .space import ConfigSpace, Configuration, ObjectConfig
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# 0-d arrays, not numpy scalars: a ufunc takes them without a conversion
+_GOLDEN = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_MIX2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
+_S11, _S27, _S30, _S31 = (np.array(s, dtype=np.uint64)
+                          for s in (11, 27, 30, 31))
 
 MIN_DURATION = 1e-9
 NOISE_CLIP_SIGMA = 6.0
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array; full avalanche on 64-bit
-    inputs. Array arithmetic wraps modulo 2^64 without warnings."""
-    z = x + _GOLDEN
-    z ^= z >> np.uint64(30)
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array, in place; `t`, an array of
+    z's shape, holds each shift. Full avalanche on 64-bit inputs. Array
+    arithmetic wraps modulo 2^64 without warnings."""
+    z += _GOLDEN
+    z ^= np.right_shift(z, _S30, out=t)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, _S27, out=t)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
 @functools.lru_cache(maxsize=256)
-def _object_key(object_id: str) -> np.uint64:
+def _object_key(object_id: str) -> np.ndarray:
     digest = hashlib.sha256(object_id.encode("utf-8")).digest()
-    return np.uint64(int.from_bytes(digest[:8], "little"))
+    key = np.array(int.from_bytes(digest[:8], "little"), dtype=np.uint64)
+    key.flags.writeable = False  # the one cached array every caller gets
+    return key
 
 
 def counter_normal(seed: int | np.ndarray, ec_index: np.ndarray, object_id: str,
@@ -59,22 +65,44 @@ def counter_normal(seed: int | np.ndarray, ec_index: np.ndarray, object_id: str,
     indices and replicates broadcast, and the result has their broadcast
     shape. Each mixing round runs at the broadcast shape of the inputs it has
     used so far: seed, then seed x index (also the object round), then x
-    replicate, so inputs that vary along fewer axes are mixed only once."""
+    replicate, so inputs that vary along fewer axes are mixed only once.
+
+    The rounds run in place, on a copy of the seeds and then on one buffer
+    per shape, each with one scratch array of its shape, so no input is
+    written to and the result shares memory with none of them. At the full
+    shape three arrays are held: u1's and u2's words in one (2, *shape)
+    buffer and a scratch array, which serves both mixes and then takes u1's
+    floats, while u2's floats take the buffer's first half. The result is
+    the scratch array."""
     if np.ndim(seed) == 0:
-        seeds = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        h = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     else:
-        seeds = np.asarray(seed, dtype=np.uint64)
-    h = _mix64(seeds)
-    h = _mix64(h ^ np.asarray(ec_index, dtype=np.uint64))
-    h = _mix64(h ^ _object_key(object_id))
-    h = _mix64(h ^ np.asarray(replicate, dtype=np.uint64))
-    u1 = (_mix64(h) >> np.uint64(11)).astype(np.float64)
-    u1 += 0.5
-    u1 *= 2.0**-53
-    h ^= _GOLDEN
-    u2 = (_mix64(h) >> np.uint64(11)).astype(np.float64)
-    u2 += 0.5
-    u2 *= 2.0**-53
+        h = np.array(seed, dtype=np.uint64)
+    _mix64(h, np.empty_like(h))
+    h = h ^ np.asarray(ec_index, dtype=np.uint64)
+    t = np.empty_like(h)
+    _mix64(h, t)
+    h ^= _object_key(object_id)
+    _mix64(h, t)
+    replicate = np.asarray(replicate, dtype=np.uint64)
+    words = np.empty((2, *np.broadcast(h, replicate).shape), dtype=np.uint64)
+    w1, w2 = words
+    # copy, then xor in place: np.bitwise_xor(h, replicate, out=w1) would
+    # allocate two iterator buffers of w1's size for the broadcast
+    np.copyto(w1, h)
+    w1 ^= replicate
+    _mix64(w1, w2)  # w2, free until it takes u2's words, as scratch
+    np.bitwise_xor(w1, _GOLDEN, out=w2)
+    t = np.empty_like(w1)
+    _mix64(w1, t)
+    _mix64(w2, t)
+    words >>= _S11
+    u1, u2 = t.view(np.float64), w1.view(np.float64)
+    np.copyto(u1, w1, casting="unsafe")
+    np.copyto(u2, w2, casting="unsafe")
+    for u in (u1, u2):
+        u += 0.5
+        u *= 2.0**-53
     # z = sqrt(-2 ln u1) cos(2 pi u2), evaluated in place
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -82,7 +110,9 @@ def counter_normal(seed: int | np.ndarray, ec_index: np.ndarray, object_id: str,
     u2 *= 2.0 * np.pi
     np.cos(u2, out=u2)
     u1 *= u2
-    return np.clip(u1, -NOISE_CLIP_SIGMA, NOISE_CLIP_SIGMA, out=u1)
+    # np.clip's bits on finite values, which these are, for less overhead
+    np.maximum(u1, -NOISE_CLIP_SIGMA, out=u1)
+    return np.minimum(u1, NOISE_CLIP_SIGMA, out=u1)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,20 @@
 spaces and Monte Carlo coverage experiments comparing sampling methodologies.
 
 Each Monte Carlo iteration derives its own plan seed and noise seed from
-(master seed, iteration index), so iterations are independent, order-stable,
-and reproducible regardless of execution order. Iterations are evaluated in
-chunks: the design's index draw (`Design.draw` in `design.DESIGNS`) runs once
-per iteration, then each object's noise for the whole chunk is one model call
-with per-iteration noise seeds, and intervals and hits are computed row-wise.
-Results do not depend on the chunk size. The hit rule follows from what the
-draw returns: two arms are scored by a Welch interval, a single point by a
-margin around the truth, and anything else by the paired-difference CI.
+(master seed, iteration index), as `np.random.SeedSequence([master seed,
+index]).generate_state(4)` gives them, so iterations are independent,
+order-stable, and reproducible regardless of execution order.
+SeedSequence's hash runs over a block of iterations at once, and then over
+their plan seeds, for the words from which `PCG64(plan_seed)` seeds; a
+design's draw gets each plan seed as a numpy `ISeedSequence` that hands PCG64
+those words. Iterations are evaluated in chunks: the design's index draw
+(`Design.draw` in `design.DESIGNS`) runs once per iteration, then each
+object's noise for the whole chunk is one model call with per-iteration noise
+seeds, and intervals and hits are computed row-wise. Results depend on
+neither the chunk size nor the seed block size. The hit rule follows from
+what the draw returns: two arms are scored by a Welch interval, a single
+point by a margin around the truth, and anything else by the
+paired-difference CI.
 
 Noise-free values come from one table per object over the enumerated space,
 built once per experiment with the model's own element-wise expression, so a
@@ -26,6 +32,7 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .design import FactorSplit, design_of, stratified_indices
 from .errors import PlanError, SpaceError
@@ -40,14 +47,28 @@ from .stats import (  # noqa: F401  (benchmarks/tracing.py patches them here)
 ENUMERATION_CAP = 10**6
 # Noise values per model call in the Monte Carlo loop (a chunk holds at least
 # one iteration). Larger chunks amortise per-call overhead but raise peak
-# memory: on the coverage benchmark (seed 12, replicate-major layout) peak
-# memory reads 0.28 MB at 512, 0.29 MB at 1024, 0.31 MB at 2048 and 0.39 MB
-# at 4096, for 8% fewer, 4% more and 8% more iterations per second than at
-# 1024 (2-core x86_64 host).
+# memory: on the coverage benchmark (seed 12, three 15 s runs each, the
+# in-place noise kernel) peak memory reads 0.281 MB at 512, 1024 and 2048
+# and 0.355 MB at 4096, for 12% fewer, 7% more and 5% more iterations per
+# second than at 1024 (2-core x86_64 host).
 CHUNK_VALUES = 1024
 # Iterations of the stratified n = 32 probe that sets a spec_point
 # methodology's default margin
 SPEC_MARGIN_PROBE_ITERATIONS = 200
+# Iterations whose seeds are derived at once; a block's plan seeds are kept
+# as one (SEED_BLOCK, 4) array of PCG64 words
+SEED_BLOCK = 128
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx); a constant that
+# meets an array is a 0-d array, which a ufunc takes without a conversion
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L = np.array(0xCA01F9DD, np.uint32)
+_MIX_MULT_R = np.array(0x4973F715, np.uint32)
+_XSHIFT = np.array(16, np.uint32)
+_MASK32 = 0xFFFFFFFF
+_SHIFT32 = np.array(32, np.uint64)
 
 
 @dataclass(frozen=True)
@@ -131,34 +152,146 @@ def _value_table(compiled: CompiledModel, object_id: str) -> np.ndarray:
     return compiled.deterministic_values(indices, object_id)
 
 
-def _iteration_seeds(master_seed: int, iteration: int) -> tuple[int, int]:
-    state = np.random.SeedSequence([master_seed, iteration]).generate_state(4)
-    plan_seed = (int(state[0]) << 32) | int(state[1])
-    noise_seed = (int(state[2]) << 32) | int(state[3])
-    return plan_seed, noise_seed
+def _hash_constants(const: int, mult: int):
+    """The constants of numpy SeedSequence's successive hashes: each hash
+    xors in its constant, multiplies it by `mult` (mod 2^32) and multiplies
+    by the product. They do not depend on the data hashed."""
+    while True:
+        xor, const = const, const * mult & _MASK32
+        yield np.array(xor, np.uint32), np.array(const, np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x
+    out -= _MIX_MULT_R * y
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_sequence_state(entropy: list[np.ndarray], n_words: int
+                         ) -> np.ndarray:
+    """Row-wise `np.random.SeedSequence(words).generate_state(n_words)`, as
+    a (rows, n_words) uint32 array: a row's words are its entries of the
+    uint32 columns `entropy`, in the order in which SeedSequence assembles
+    an entropy's 32-bit words. Zero words that pad the entropy to the pool
+    size change nothing."""
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else
+                     np.zeros_like(entropy[0]), consts) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = np.empty((len(entropy[0]), n_words), np.uint32)
+    for i in range(n_words):
+        state[:, i] = _hashmix(pool[i % _POOL], consts)
+    return state
+
+
+def _pcg64_words(plan_seeds: np.ndarray) -> np.ndarray:
+    """Per plan seed, the words `np.random.SeedSequence(plan_seed)
+    .generate_state(4, np.uint64)` gives, from which PCG64 seeds: a
+    (len(plan_seeds), 4) uint64 array. SeedSequence reads a seed as its
+    low word then its high word, one word for a seed below 2^32."""
+    low, high = plan_seeds.astype(np.uint32), plan_seeds >> _SHIFT32
+    state = _seed_sequence_state([low, high.astype(np.uint32)], 8)
+    # pairs of words, low word first, as SeedSequence joins them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
+                                                               copy=False)
+
+
+def _block_seeds(master_seed: int, first: int, count: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The PCG64 words (`_pcg64_words`) of the plan seeds and the noise seeds
+    of iterations first to first + count - 1 (below 2^64), as
+    `np.random.SeedSequence([master_seed, i]).generate_state(4)` derives
+    them: the plan seed from its first two words, the noise seed from the
+    last two, each high word first."""
+    if master_seed < 0:  # SeedSequence's own error
+        raise ValueError("expected non-negative integer")
+    master = [master_seed >> s & _MASK32
+              for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    iterations = np.arange(first, first + count, dtype=np.uint64)
+    state = np.empty((count, 4), np.uint32)
+    below = min(max(2**32 - first, 0), count)  # one word each, then two
+    for rows, width in ((slice(0, below), 1), (slice(below, count), 2)):
+        its = iterations[rows]
+        if len(its):
+            state[rows] = _seed_sequence_state(
+                [np.full(len(its), w, np.uint32) for w in master]
+                + [its.astype(np.uint32), (its >> _SHIFT32).astype(np.uint32)
+                   ][:width], 4)
+    plan_hi, plan_lo, noise_hi, noise_lo = state.T.astype(np.uint64)
+    return (_pcg64_words(plan_hi << _SHIFT32 | plan_lo),
+            noise_hi << _SHIFT32 | noise_lo)
+
+
+class _PlanSeed(ISeedSequence):
+    """A plan seed as PCG64 reads it: the 4 words that
+    `np.random.SeedSequence(plan_seed).generate_state(4, np.uint64)` gives,
+    precomputed by `_pcg64_words`."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a plan seed holds 4 uint64 words only")
+        return self.words
+
+
+def _iteration_seeds(master_seed: int, iterations: int):
+    """Per iteration, in order, its plan seed, a `_PlanSeed`, and its noise
+    seed, a numpy uint64, derived SEED_BLOCK iterations at a time."""
+    for first in range(0, iterations, SEED_BLOCK):
+        plan, noise = _block_seeds(master_seed, first,
+                                   min(SEED_BLOCK, iterations - first))
+        yield from zip(map(_PlanSeed, plan), noise)
 
 
 def _chunks(draw, iterations: int, reps: int, master_seed: int):
-    """Consecutive chunks of iterations as (arms, noise seeds): one (k, n)
-    index array per arm of what `draw(plan_seed)` returns (an array, or a
-    tuple of two), and one noise seed per iteration. A chunk holds as many
-    iterations as fit in CHUNK_VALUES noise values, and at least one."""
-    i = 0
-    while i < iterations:
-        draws, noise, n = [], [], 0
-        while i < iterations and (
-                not draws or (len(draws) + 1) * n * reps <= CHUNK_VALUES):
-            plan_seed, noise_seed = _iteration_seeds(master_seed, i)
-            draws.append(draw(plan_seed))
-            noise.append(noise_seed)
-            i += 1
-            n = len(draws[0][0] if isinstance(draws[0], tuple) else draws[0])
-        arms = (tuple(map(np.stack, zip(*draws))) if isinstance(draws[0], tuple)
-                else (np.stack(draws),))
-        seeds = np.array(noise, dtype=np.uint64)
-        # dropped before the caller works on the chunk, where it may run the
-        # single-point margin probe: held, they would add to its peak memory
-        del draws, noise
+    """Consecutive chunks of iterations as (arms, noise seeds): a list of one
+    (k, n) index array per arm of what `draw(plan_seed)` returns (an array,
+    or a tuple of two), and one noise seed per iteration. A plan seed is an
+    int or a numpy `ISeedSequence`, here a `_PlanSeed`, which PCG64 takes as
+    it takes the int it stands for. A chunk holds as many iterations as fit
+    in CHUNK_VALUES noise values, and at least one; each draw is copied into
+    the chunk's arrays as it is made, so a chunk's draws are not held one
+    array each."""
+    stream = _iteration_seeds(master_seed, iterations)
+    left = iterations
+    while left:
+        j, k = 0, 1  # k is set by the chunk's first draw
+        while j < k:
+            plan_seed, noise_seed = next(stream)
+            drawn = draw(plan_seed)
+            parts = drawn if isinstance(drawn, tuple) else (drawn,)
+            if j == 0:
+                n = len(parts[0])
+                k = min(left, max(1, CHUNK_VALUES // (n * reps)))
+                # a list: CPython resizes a tuple built from a generator
+                # instead of taking one from its free list, to which the
+                # tuple goes when freed, so one a chunk would pile up there,
+                # held memory to tracemalloc
+                arms = [np.empty((k, n), part.dtype) for part in parts]
+                seeds = np.empty(k, np.uint64)
+            for arm, part in zip(arms, parts):
+                arm[j] = part
+            seeds[j] = noise_seed
+            j += 1
+        left -= k
         yield arms, seeds
 
 
@@ -204,6 +337,15 @@ def _default_spec_margin(compiled: CompiledModel, tables: list[np.ndarray],
     return statistics.fmean(half_widths)
 
 
+def _check_run(iterations: int, level: float) -> None:
+    """Refuse fewer than one iteration, and a level outside (0, 1) or NaN,
+    also where no methodology asks for a quantile."""
+    if iterations < 1:
+        raise PlanError("iterations must be >= 1")
+    if not 0 < level < 1:
+        raise StatsError("confidence level must be in (0, 1)")
+
+
 def coverage_experiment(model: SyntheticModel, space: ConfigSpace,
                         methodology: Methodology, iterations: int, level: float,
                         master_seed: int, objects: tuple[str, str],
@@ -212,6 +354,7 @@ def coverage_experiment(model: SyntheticModel, space: ConfigSpace,
     contains the exact population difference mean. Iterations run in chunks:
     each draws its plan from its own seed, and each chunk's noise for one
     object is a single model call."""
+    _check_run(iterations, level)
     compiled, tables, mu = _enumerate(model, space, objects)
     design = design_of(methodology.kind)
     p = methodology.params
@@ -253,10 +396,7 @@ def methodology_comparison(model: SyntheticModel, space: ConfigSpace,
                            level: float, master_seed: int,
                            objects: tuple[str, str]) -> list[CoverageResult]:
     """One coverage row per methodology, in the given order."""
-    if iterations < 1:
-        raise PlanError("iterations must be >= 1")
-    if not 0 < level < 1:  # also where no methodology asks for a quantile
-        raise StatsError("confidence level must be in (0, 1)")
+    _check_run(iterations, level)
     return [
         coverage_experiment(model, space, m, iterations, level, master_seed,
                             objects)

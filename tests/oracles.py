@@ -11,8 +11,9 @@ one pair of samples, the standard deviation is a two-pass Fraction variance
 whose root is rounded by exact comparison with float midpoints, and the
 noise references spell out one element per (index, replicate) pair instead
 of broadcasting, result-set keys are tuples counted in a dict and paired
-by sorting them, and a results line is typed field by field with
-`isinstance`.
+by sorting them, a results line is typed field by field with
+`isinstance`, and the Monte Carlo seeds come from numpy's own
+`SeedSequence`, one iteration at a time.
 """
 
 from __future__ import annotations
@@ -427,6 +428,16 @@ def confidence_interval_reference(values, level: float, t_quantile):
         return mean, mean, mean
     half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
     return mean - half, mean + half, mean
+
+
+def iteration_seeds_reference(master_seed: int, iteration: int
+                              ) -> tuple[int, int]:
+    """(plan seed, noise seed) of one Monte Carlo iteration, from numpy's
+    SeedSequence: its first two generated words, then its last two, each
+    pair high word first."""
+    words = np.random.SeedSequence([master_seed, iteration]).generate_state(4)
+    hi1, lo1, hi2, lo2 = words.tolist()
+    return hi1 << 32 | lo1, hi2 << 32 | lo2
 
 
 def flat_noise_layout(indices: np.ndarray, reps: int, seeds):

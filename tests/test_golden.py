@@ -86,16 +86,25 @@ def test_rct_exact_hits_gaussian():
     assert r.hits == 1900
 
 
-@pytest.mark.parametrize("chunk_values", [1, 200, 10**6])
-def test_hits_do_not_depend_on_chunk_size(monkeypatch, chunk_values):
+def assert_hits_unchanged(monkeypatch, name: str, value: int) -> None:
     space, model = demo.demo_space_720(), demo.skewed_model()
     methodologies = five_methodologies(space)
     expected = [r.hits for r in methodology_comparison(
         model, space, methodologies, 40, 0.95, 11, OBJECTS)]
-    monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk_values)
+    monkeypatch.setattr(oracle, name, value)
     got = [r.hits for r in methodology_comparison(
         model, space, methodologies, 40, 0.95, 11, OBJECTS)]
     assert got == expected
+
+
+@pytest.mark.parametrize("chunk_values", [1, 200, 10**6])
+def test_hits_do_not_depend_on_chunk_size(monkeypatch, chunk_values):
+    assert_hits_unchanged(monkeypatch, "CHUNK_VALUES", chunk_values)
+
+
+@pytest.mark.parametrize("seed_block", [1, 7, 128, 4096])
+def test_hits_do_not_depend_on_seed_block_size(monkeypatch, seed_block):
+    assert_hits_unchanged(monkeypatch, "SEED_BLOCK", seed_block)
 
 
 T_DFS = (1, 2, 5, 31, 1375, 0.5, 2.25, 12.5, 61.789)

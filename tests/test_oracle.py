@@ -1,10 +1,14 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecbench import demo
+from ecbench import demo, oracle
 from ecbench.cli import main
 from ecbench.errors import PlanError, SpaceError
 from ecbench.model import SyntheticModel
@@ -17,7 +21,8 @@ from ecbench.oracle import (
 )
 from ecbench.runner import Measurement, ResultSet
 from ecbench.space import ConfigSpace, Factor, build_space
-from oracles import brute_force_population_mean
+from ecbench.stats import StatsError
+from oracles import brute_force_population_mean, iteration_seeds_reference
 
 # model.values counted by the benchmark tracer for the simulate call in
 # test_simulate_noise_stays_visible_to_the_benchmark_tracer, recorded with the
@@ -179,6 +184,38 @@ class TestCoverageExperiment:
                                 Methodology(kind=kind, params={**params, "reps": 0}),
                                 2, 0.95, 0, ("cpu_a", "cpu_b"))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("full_factorial", {}),
+        ("rct", {"per_arm": 4}),
+        ("spec_point", {"recommended_index": 0}),
+    ])
+    @pytest.mark.parametrize("iterations, level, error, message", [
+        (0, 0.95, PlanError, "iterations must be >= 1"),
+        (-2, 0.95, PlanError, "iterations must be >= 1"),
+        (2, 1.5, StatsError, "confidence level must be in (0, 1)"),
+        (2, 1.0, StatsError, "confidence level must be in (0, 1)"),
+        (2, 0.0, StatsError, "confidence level must be in (0, 1)"),
+        (2, float("nan"), StatsError, "confidence level must be in (0, 1)"),
+    ])
+    def test_arguments_checked_as_in_a_comparison(self, kind, params,
+                                                   iterations, level, error,
+                                                   message):
+        m = Methodology(kind=kind, params=params)
+        for run in (coverage_experiment, lambda *a: methodology_comparison(
+                a[0], a[1], [a[2]], *a[3:])):
+            with pytest.raises(error) as e:
+                run(demo.gaussian_model(), demo.demo_space_720(), m,
+                    iterations, level, 0, ("cpu_a", "cpu_b"))
+            assert str(e.value) == message
+
+    def test_negative_master_seed_refused_as_by_seed_sequence(self):
+        with pytest.raises(ValueError) as want:
+            np.random.SeedSequence([-1, 0])
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            coverage_experiment(demo.gaussian_model(), demo.demo_space_720(),
+                                Methodology(kind="full_factorial"), 2, 0.95,
+                                -1, ("cpu_a", "cpu_b"))
+
     def test_comparison_preserves_order(self):
         space = demo.demo_space_720()
         model = demo.gaussian_model()
@@ -186,6 +223,42 @@ class TestCoverageExperiment:
         rows = methodology_comparison(model, space, ms, 3, 0.95, 0,
                                       ("cpu_a", "cpu_b"))
         assert [r.methodology for r in rows] == ["full_factorial", "stratified"]
+
+
+MASTER_SEEDS = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                 2**96, 2**128 + 5, 2**200])
+                | st.integers(0, 2**200))
+PLAN_SEEDS = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+              | st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=MASTER_SEEDS,
+       first=st.integers(0, 300) | st.integers(2**32 - 130, 2**32 + 130),
+       count=st.integers(1, 129))
+def test_block_seeds_match_seed_sequence(master, first, count):
+    # near 2^32 an iteration number goes from one entropy word to two
+    words, noise = oracle._block_seeds(master, first, count)
+    assert words.shape == (count, 4) and noise.shape == (count,)
+    for row in range(count):
+        plan_seed, noise_seed = iteration_seeds_reference(master, first + row)
+        assert int(noise[row]) == noise_seed
+        assert words[row].tolist() == np.random.SeedSequence(
+            plan_seed).generate_state(4, np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_seeds=st.lists(PLAN_SEEDS, min_size=1, max_size=8))
+def test_precomputed_plan_seeds_give_the_pcg64_stream(plan_seeds):
+    # seeds below 2^32 are one entropy word to SeedSequence
+    words = oracle._pcg64_words(np.array(plan_seeds, dtype=np.uint64))
+    for seed, row in zip(plan_seeds, words):
+        got = np.random.Generator(np.random.PCG64(oracle._PlanSeed(row)))
+        want = np.random.Generator(np.random.PCG64(seed))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert (got.integers(0, [2, 7, 2**40], (5, 3)).tolist()
+                == want.integers(0, [2, 7, 2**40], (5, 3)).tolist())
+        assert got.permutation(33).tolist() == want.permutation(33).tolist()
 
 
 class TestBestLevelReport:

@@ -513,6 +513,27 @@ def test_counter_normal_per_element_seeds_match_scalar_seeds():
                           counter_normal(2**64 - 1, ec, "o", rep))
 
 
+@pytest.mark.parametrize("index_dtype", [np.int64, np.uint64])
+def test_counter_normal_leaves_its_inputs_alone(index_dtype):
+    # the mixing rounds run in place: on copies, never on what is passed in
+    rng = np.random.Generator(np.random.PCG64(8))
+    noise_seeds = rng.integers(0, 2**63, 6).astype(np.uint64)
+    indices = rng.integers(0, 2**62, (6, 5)).astype(index_dtype)
+    for seed, index, replicate in [
+            (2**64 - 1, indices[0][:, None], np.arange(3)),
+            (np.array(7, np.uint64), indices[:, :1], np.arange(2)),
+            (noise_seeds[:, None], indices, np.arange(3).reshape(3, 1, 1)),
+            (noise_seeds.reshape(6, 1), indices,
+             np.arange(4, dtype=np.uint64).reshape(4, 1, 1))]:
+        inputs = [a for a in (seed, index, replicate, noise_seeds, indices)
+                  if isinstance(a, np.ndarray)]
+        before = [a.copy() for a in inputs]
+        z = counter_normal(seed, index, "cpu_a", replicate)
+        for a, copy in zip(inputs, before):
+            assert same_bits(a, copy)
+            assert not np.shares_memory(z, a)
+
+
 def test_counter_normal_raises_no_overflow_warning():
     import warnings
     with warnings.catch_warnings():
