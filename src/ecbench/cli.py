@@ -7,6 +7,7 @@ input file, 3 pairing or fingerprint violation or an ill-typed results line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -242,6 +243,7 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once: a parse leaves no state in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="ecbench")
     sub = parser.add_subparsers(dest="command", required=True)

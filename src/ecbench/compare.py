@@ -22,11 +22,10 @@ from .stats import (
     Interval,
     RatioDiagnostics,
     StatsError,
+    confidence_interval,
     geometric_mean,
-    mean_intervals,
     ratio_summary,
 )
-from .stats import confidence_interval  # noqa: F401  (benchmarks/tracing.py patches it here)
 
 
 class Verdict(enum.Enum):
@@ -208,7 +207,7 @@ def compare_objects(a: ResultSet, b: ResultSet, level: float,
         # fsum and exact_stdev ignore the order of values within a group
         samples += np.split(diffs[np.argsort(codes, kind="stable")],
                             np.cumsum(sizes)[:-1])
-    overall_iv, *group_ivs = mean_intervals(samples, level)
+    overall_iv, *group_ivs = [confidence_interval(x, level) for x in samples]
     overall = GroupResult(group="overall", n=overall_iv.n, interval=overall_iv,
                           verdict=verdict_of(overall_iv))
     groups = [GroupResult(group=label, n=iv.n, interval=iv,
@@ -267,17 +266,14 @@ def asymmetry_report(a: ResultSet, b: ResultSet, level: float,
     """`aligned` is `paired_aggregates(a, b)` when the caller has already
     computed it."""
     *_, xa, xb = paired_aggregates(a, b) if aligned is None else aligned
-    jensen_b = ratio_summary(xa, xb).asymmetry_product
-    jensen_a = ratio_summary(xb, xa).asymmetry_product
-    diff_ab, diff_ba, ratio_b, ratio_a = mean_intervals(
-        [xa - xb, xb - xa, xa / xb, xb / xa], level)
+    base_b, base_a = ratio_summary(xa, xb), ratio_summary(xb, xa)
     return AsymmetryReport(
-        diff_ab=diff_ab,
-        diff_ba=diff_ba,
-        ratio_base_b=ratio_b,
-        ratio_base_a=ratio_a,
-        jensen_base_b=jensen_b,
-        jensen_base_a=jensen_a,
+        diff_ab=confidence_interval(xa - xb, level),
+        diff_ba=confidence_interval(xb - xa, level),
+        ratio_base_b=confidence_interval(base_b.ratios, level),
+        ratio_base_a=confidence_interval(base_a.ratios, level),
+        jensen_base_b=base_b.asymmetry_product,
+        jensen_base_a=base_a.asymmetry_product,
     )
 
 

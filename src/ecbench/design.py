@@ -170,7 +170,8 @@ class SamplePlan:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(self._json(indent=True)) + "\n")
+        Path(path).write_text("".join(self._json(indent=True)) + "\n",
+                               encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "SamplePlan":
@@ -193,7 +194,8 @@ class SamplePlan:
             codes.append(labels.setdefault(stratum, len(labels)))
             return _DECODED
 
-        doc = json.loads(Path(path).read_text(), object_hook=hook)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_hook=hook)
         entries = doc.get("entries") if type(doc) is dict else None
         if (type(entries) is list
                 and entries.count(_DECODED) == len(entries) == len(indices)

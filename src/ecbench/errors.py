@@ -49,7 +49,7 @@ def check_objects(what: str, values, error: type) -> None:
 
 def read_object(path: str | Path, error: type) -> dict:
     """The JSON object in the file at `path`; `error` for another value."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if type(doc) is not dict:
         raise error(f"{path} must hold a JSON object")
     return doc

@@ -133,7 +133,7 @@ class ResultWriter:
         self.path = Path(path)
         self.manifest = manifest
         mode = "a" if append and self.path.exists() else "w"
-        self._fh = self.path.open(mode)
+        self._fh = self.path.open(mode, encoding="utf-8")
 
     def write(self, pairs: list[tuple[tuple[int, int], Measurement]]) -> None:
         """Append the result lines of the (key, measurement) `pairs`, as
@@ -161,7 +161,8 @@ def _write_manifest(path: str | Path, manifest: RunManifest) -> None:
     # canonical_json sorts every dict's keys and json.loads keeps that order:
     # json.dumps(doc, sort_keys=True, indent=2)'s text, from the C encoder
     manifest_path(path).write_text(
-        indented_json(json.loads(canonical_json(manifest.to_dict()))) + "\n")
+        indented_json(json.loads(canonical_json(manifest.to_dict()))) + "\n",
+        encoding="utf-8")
 
 
 def _chunks(path: str | Path) -> Iterator[bytes]:
@@ -186,7 +187,8 @@ def persist_results(results: ResultSet, manifest: RunManifest,
         rows.aggregates[order].tolist(), rows.indices[order].tolist(),
         rows.ended_at[order].tolist(), [None] * n, [results.object_id] * n,
         rows.policies[order].tolist(), rows.replicates[order].tolist(),
-        rows.started_at[order].tolist()) + measurement_lines(results.failures))
+        rows.started_at[order].tolist()) + measurement_lines(results.failures),
+        encoding="utf-8")
     _write_manifest(path, manifest)
 
 
@@ -569,4 +571,4 @@ def emit_report(report: ComparisonReport | AsymmetryReport | list[CoverageResult
                     {"mean_diff", "ci_lo", "ci_hi", "level"})
     else:
         raise ValueError("asymmetry reports are JSON-only")
-    Path(path).write_text(text)
+    Path(path).write_text(text, encoding="utf-8")

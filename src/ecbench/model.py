@@ -210,7 +210,8 @@ class SyntheticModel:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "SyntheticModel":

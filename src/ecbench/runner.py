@@ -123,7 +123,6 @@ class Measurement:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Measurement":
-        # positional: keyword binding is a measurable share of loading a file
         return cls(doc["ec_index"], doc["object_id"], tuple(doc["replicates"]),
                    doc["aggregate"], doc["policy"], doc.get("started_at", 0.0),
                    doc.get("ended_at", 0.0), doc.get("error"))

@@ -287,7 +287,8 @@ class ConfigSpace:
         return cls(tuple(factors))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(indented_json(self.to_dict()) + "\n")
+        Path(path).write_text(indented_json(self.to_dict()) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSpace":

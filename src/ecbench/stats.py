@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -86,38 +85,23 @@ def t_quantile(p: float, df: float | np.ndarray) -> float | np.ndarray:
 
 
 def confidence_interval(values: np.ndarray, level: float) -> Interval:
-    """The mean CI of one 1-D float64 array; see `mean_intervals`."""
-    return mean_intervals([values], level)[0]
-
-
-def mean_intervals(samples: Sequence[np.ndarray],
-                   level: float) -> list[Interval]:
-    """The mean CI of each 1-D float64 array, x_bar +/- t_{(1+level)/2, n-1}
-    * s / sqrt(n), a point at x_bar when s = 0. The t quantiles of all
-    samples come from one array `t_quantile` call, each element equal to a
-    scalar call; x_bar is fsum / n as in `statistics.fmean` and s is
-    `exact_stdev`, so the bits depend neither on how samples are batched nor
-    on the order of the values within a sample. Neither builds more than
-    `_BLOCK` Python floats or values' worth of arrays at a time."""
+    """The mean CI of a 1-D float64 array, x_bar +/- t_{(1+level)/2, n-1}
+    * s / sqrt(n), a point at x_bar when s = 0. x_bar is fsum / n as in
+    `statistics.fmean` and s is `exact_stdev`, so the bits do not depend on
+    the order of the values. Neither builds more than `_BLOCK` Python floats
+    or values' worth of arrays at a time."""
     if not 0 < level < 1:
         raise StatsError("confidence level must be in (0, 1)")
-    if any(values.size < 2 for values in samples):
+    n = values.size
+    if n < 2:
         raise StatsError("confidence interval needs n >= 2")
-    crit = t_quantile((1.0 + level) / 2.0,
-                      np.array([v.size - 1 for v in samples], dtype=np.float64))
-    out = []
-    for values, t in zip(samples, crit.tolist()):
-        n = values.size
-        s = exact_stdev(values)  # first: it rejects non-finite values
-        mean = _fmean(values)
-        if s == 0.0:
-            out.append(Interval(low=mean, high=mean, level=level, center=mean,
-                                n=n))
-            continue
-        half = t * s / math.sqrt(n)
-        out.append(Interval(low=mean - half, high=mean + half, level=level,
-                            center=mean, n=n))
-    return out
+    s = exact_stdev(values)  # first: it rejects non-finite values
+    mean = _fmean(values)
+    if s == 0.0:  # not mean +/- 0.0, which would turn a -0.0 into 0.0
+        return Interval(low=mean, high=mean, level=level, center=mean, n=n)
+    half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
+    return Interval(low=mean - half, high=mean + half, level=level,
+                    center=mean, n=n)
 
 
 # frexp writes a finite float64 as m * 2**e with |m| < 2**53 an integer once

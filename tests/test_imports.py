@@ -1,8 +1,8 @@
 """Every import in `src/ecbench` is used, unless its statement carries
 `# noqa: F401` (a name kept bound for callers outside the module; outside
-`__init__`, only for the benchmark tracer), and every private module-level
-name, method and class attribute there is read somewhere in
-`src/ecbench`."""
+`__init__`, only for the benchmark tracer, and only while it binds a name
+the module does not read), and every private module-level name, method and
+class attribute there is read somewhere in `src/ecbench`."""
 
 import ast
 import importlib
@@ -15,20 +15,19 @@ from test_oracle import bench_tracing
 SRC = Path(__file__).resolve().parents[1] / "src" / "ecbench"
 
 
-def unused_imports(source: str, kept: bool = False) -> list[str]:
-    """`line: name` for each imported name that `source` never reads: of the
-    statements without `# noqa: F401`, or of those with it if `kept`."""
+def imports_and_reads(source: str) -> tuple[list, set[str]]:
+    """(line, kept, names) for each import statement of `source`, `kept`
+    when it carries `# noqa: F401`, and the names `source` reads."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imported = {}
-    for node in ast.walk(tree):
-        if (not isinstance(node, (ast.Import, ast.ImportFrom))
-                or getattr(node, "module", None) == "__future__"
-                or kept != ("# noqa: F401" in "\n".join(
-                    lines[node.lineno - 1:node.end_lineno]))):
-            continue
-        for alias in node.names:
-            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    imports = [(node.lineno,
+                "# noqa: F401" in "\n".join(
+                    lines[node.lineno - 1:node.end_lineno]),
+                [alias.asname or alias.name.split(".")[0]
+                 for alias in node.names])
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     # a string annotation reads the names in its text
     annotations = [getattr(n, field, None) for n in ast.walk(tree)
@@ -43,8 +42,25 @@ def unused_imports(source: str, kept: bool = False) -> list[str]:
                 and any(getattr(t, "id", None) == "__all__"
                         for t in node.targets)):
             used |= set(ast.literal_eval(node.value))
+    return imports, used
+
+
+def unused_imports(source: str, kept: bool = False) -> list[str]:
+    """`line: name` for each imported name that `source` never reads: of the
+    statements without `# noqa: F401`, or of those with it if `kept`."""
+    imports, used = imports_and_reads(source)
+    imported = {name: line for line, marked, names in imports
+                if marked == kept for name in names}
     return [f"{line}: {name}" for name, line in imported.items()
             if name not in used]
+
+
+def stale_marks(source: str) -> list[int]:
+    """The line of each `# noqa: F401` import statement of `source` whose
+    every imported name `source` reads: the mark keeps nothing bound."""
+    imports, used = imports_and_reads(source)
+    return [line for line, marked, names in imports
+            if marked and used.issuperset(names)]
 
 
 def test_the_check_finds_an_unused_import():
@@ -57,10 +73,26 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source, kept=True) == ["4: re", "5: Any"]
 
 
+def test_the_check_finds_a_stale_mark():
+    source = ("import json  # noqa: F401\nimport os  # noqa: F401\n"
+              "from typing import (  # noqa: F401\n    Any,\n    IO,\n)\n"
+              "def f(x: 'Any') -> IO:\n    return json.dumps(x)\n")
+    assert stale_marks(source) == [1, 3]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                         if p.stem != "__init__"),
+                         ids=lambda path: path.name)
+def test_no_stale_noqa_marks(path):
+    # outside __init__ a mark keeps a name bound for the benchmark tracer;
+    # once the module reads every name of the statement, the mark is stale
+    assert stale_marks(path.read_text()) == []
 
 
 def test_each_kept_binding_is_patched_by_the_benchmark_tracer():

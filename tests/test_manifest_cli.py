@@ -1134,6 +1134,58 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "2^63 - 1" in proc.stderr
 
+    def test_pipeline_reads_and_writes_utf8_whatever_the_locale(
+            self, tmp_path):
+        # stratum labels outside ASCII (and, for "π", outside Latin-1) in a
+        # space file written as raw UTF-8: under the POSIX locale with
+        # UTF-8 mode off, plan, run and compare read and write the same
+        # bytes as in UTF-8 mode
+        labels = ("größe", "café", "π")
+        space = build_space([Factor("workload", labels),
+                             Factor("threads", tuple("12345678"))])
+        model = SyntheticModel(
+            stratum_factor="workload",
+            base=tuple(zip(labels, (100.0, 200.0, 300.0))),
+            object_offsets=(("cpu_a", 0.0), ("cpu_b", -5.0)), sigma=2.0)
+        inputs = {"space.json": space.to_dict(),
+                  "executor.json": ExecutorSpec(kind="synthetic",
+                                                model=model).to_dict(),
+                  "cpu_a.json": {"object_id": "cpu_a"},
+                  "cpu_b.json": {"object_id": "cpu_b"}}
+        src = str(Path(ecbench.__file__).resolve().parents[1])
+        reports = []
+        for mode in ({"LC_ALL": "POSIX", "PYTHONUTF8": "0",
+                      "PYTHONCOERCECLOCALE": "0"}, {"PYTHONUTF8": "1"}):
+            ws = tmp_path / mode["PYTHONUTF8"]
+            ws.mkdir()
+            for name, doc in inputs.items():
+                (ws / name).write_text(json.dumps(doc, ensure_ascii=False),
+                                       encoding="utf-8")
+            env = dict(os.environ, PYTHONPATH=src, **mode)
+            commands = [["plan", "stratified", "--space", "space.json",
+                         "--stratum-factor", "workload", "--iterations", "12",
+                         "--seed", "3", "--out", "plan.json"]]
+            commands += [["run", "--space", "space.json", "--plan",
+                          "plan.json", "--executor", "executor.json",
+                          "--object", f"{oid}.json", "--out", f"{oid}.jsonl"]
+                         for oid in ("cpu_a", "cpu_b")]
+            commands.append(["compare", "--a", "cpu_a.jsonl", "--b",
+                             "cpu_b.jsonl", "--level", "0.95",
+                             "--group-by-plan", "plan.json",
+                             "--out", "report.json", "--csv", "report.csv"])
+            for command in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ecbench.cli", *command],
+                    cwd=ws, env=env, capture_output=True)
+                assert (command[0], proc.returncode, proc.stderr) == (
+                    command[0], 0, b"")
+            reports.append([(ws / name).read_bytes()
+                            for name in ("report.json", "report.csv")])
+        assert reports[0] == reports[1]
+        csv_labels = [line.split(b",")[0]
+                      for line in reports[0][1].splitlines()[2:]]
+        assert csv_labels == sorted(label.encode() for label in labels)
+
     def test_synthetic_run_of_an_index_past_int64_exits_2(self, tmp_path,
                                                          capsys):
         # the space is within the model limit; the plan's last index is past

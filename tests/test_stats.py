@@ -20,7 +20,6 @@ from ecbench.stats import (
     exact_stdev,
     geometric_mean,
     mean_ci_from_array,
-    mean_intervals,
     ratio_summary,
     t_quantile,
     welch_bounds,
@@ -324,13 +323,11 @@ def test_confidence_intervals_match_one_sample_reference():
     for level in (0.9, 0.95, 0.99):
         expected = [tuple(map(repr, confidence_interval_reference(
             s.tolist(), level, t_quantile))) for s in samples]
-        batch = mean_intervals(samples, level)
+        got = [confidence_interval(s, level) for s in samples]
         assert [tuple(map(repr, (iv.low, iv.high, iv.center)))
-                for iv in batch] == expected
-        assert [(iv.n, iv.level) for iv in batch] == [(s.size, level)
-                                                      for s in samples]
-        assert [confidence_interval(s, level) for s in samples] == batch
-    assert mean_intervals([], 0.95) == []
+                for iv in got] == expected
+        assert [(iv.n, iv.level) for iv in got] == [(s.size, level)
+                                                    for s in samples]
 
 
 def test_mean_ci_rows_match_one_dimensional_calls():
@@ -403,7 +400,7 @@ class TestExactStdev:
     def test_all_equal_is_zero_and_degenerate(self, x, n):
         values = np.full(n, x)
         assert exact_stdev(values) == 0.0
-        iv, = mean_intervals([values], 0.95)
+        iv = confidence_interval(values, 0.95)
         assert iv.low == iv.high == iv.center == math.fsum([x] * n) / n
 
     def test_fixed_20k_sample(self):
@@ -437,7 +434,7 @@ class TestExactStdev:
         # the moments and the mean's fsum, a block of values at a time,
         # against one block holding every value
         def bits():
-            iv, = mean_intervals([values], 0.95)
+            iv = confidence_interval(values, 0.95)
             return exact_stdev(values), iv
         monkeypatch.setattr(ecbench.stats, "_BLOCK", values.size)
         whole = bits()
@@ -452,7 +449,7 @@ class TestExactStdev:
         values = np.ldexp(rng.normal(1.0, 0.5, n),
                           np.repeat(rng.integers(-30, 30, 4), n // 4 + 1)[:n])
         assert_exact_stdev(values)
-        iv, = mean_intervals([values], 0.95)
+        iv = confidence_interval(values, 0.95)
         assert iv.center == statistics.fmean(values.tolist())
 
     def test_rejects_short_and_nonfinite(self):
